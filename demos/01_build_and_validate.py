@@ -6,14 +6,14 @@ zero.  Construction validates all axioms and points at the first violation.
 """
 from sgideals import (
     NotAssociative,
-    build_semigroup,
+    Semigroup,
     format_cayley,
     parse_cayley,
 )
 from sgideals.corpus import build_chain_x, build_ef, chain_x_names, ef_names
 
 # The smallest citizen: {0, 1} with 1*1 = 1 and everything else 0.
-tiny = build_semigroup([[0, 0], [0, 1]], one=1, zero=0)
+tiny = Semigroup([[0, 0], [0, 1]], one=1, zero=0)
 print("minimal monoid with zero:", tiny)
 
 # A truncated power chain 0, 1, x, x^2, x^3 with x^4 = 0.  This family is
@@ -26,7 +26,7 @@ print(format_cayley(chain, header="chain with x^4 = 0"))
 # Tables that break associativity are rejected with a witness triple.
 bad = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 3], [0, 3, 3, 2]]
 try:
-    build_semigroup(bad, one=1, zero=0)
+    Semigroup(bad, one=1, zero=0)
 except NotAssociative as exc:
     print("rejected:", exc)
 

@@ -6,15 +6,15 @@ of aS is everything that lands in aS after multiplying by some t in T.
 The monoid is right P-comparable when every pair of principal right ideals
 is comparable by inclusion or has equal saturations.
 """
-from sgideals import build_semigroup, mask_elems, mask_of
+from sgideals import Semigroup, mask_elems, mask_of
 from sgideals.localize import (
     CONDITION_NAMES,
     is_right_p_comparable,
     nested_saturation_inclusion_check,
-    sat_equals_translate_check,
     saturate,
 )
 from sgideals.corpus import corpus
+from sgideals.verify import run_check
 
 entry = corpus()["ef4"]
 s = entry.semigroup
@@ -45,9 +45,9 @@ print("weak form (translate clause):", rep.weak_holds)
 print()
 
 # Under left cancellation, equal translates a*P == b*P track equal
-# saturations; the chain monoid is the cleanest witness.
+# saturations (Thm3.8); the chain monoid is the cleanest witness.
 chain = corpus()["chain_x4"].semigroup
-v = sat_equals_translate_check(chain, chain.nonunits_mask())
+v = run_check(chain, "Thm3.8")
 print("translate/saturation equivalence on the chain:", v.status,
       "" if not v.note else f"({v.note})")
 
@@ -60,7 +60,7 @@ table = [
     [0, 3, 0, 0, 2],
     [0, 4, 0, 0, 2],
 ]
-w = build_semigroup(table, one=1, zero=0)
+w = Semigroup(table, one=1, zero=0)
 wrep = is_right_p_comparable(w, w.nonunits_mask())
 print("order-5 separation: weak =", wrep.weak_holds, ", strict =", wrep.holds)
 

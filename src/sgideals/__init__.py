@@ -12,7 +12,6 @@ from .core import (
     OneEqualsZero,
     Semigroup,
     SemigroupError,
-    build_semigroup,
     decode_canonical,
     format_cayley,
     isomorphic_fixing_one_zero,
@@ -28,6 +27,7 @@ from .ideals import (
     NotAnIdeal,
     NotProper,
     enumerate_ideals,
+    exhaustive,
     ideal_closure,
     ideal_power,
     intersect_powers,
@@ -37,7 +37,6 @@ from .ideals import (
     is_nilpotent_ideal,
     principal,
     right_annihilator,
-    set_product,
 )
 from .classify import (
     PrimenessKind,
@@ -60,9 +59,7 @@ from .localize import (
     equivalence_class,
     is_right_ore_set,
     is_right_p_comparable,
-    is_weak_right_p_comparable,
     nested_saturation_inclusion_check,
-    sat_equals_translate_check,
     saturate,
 )
 from .segments import (
@@ -95,6 +92,7 @@ from .corpus import (
 )
 from .verdict import DISCREPANCY, HOLDS, VACUOUS, Verdict
 from .verify import (
+    Gate,
     TheoremCheck,
     UnknownCheck,
     registered_ids,

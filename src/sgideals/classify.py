@@ -7,11 +7,11 @@ from enum import Enum
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems
 from .ideals import (
     DEFAULT_CAP,
-    CapExceeded,
     IdealKind,
     NotAnIdeal,
     NotProper,
     enumerate_ideals,
+    exhaustive,
     is_ideal,
     is_nil_set,
     is_nilpotent_ideal,
@@ -110,9 +110,7 @@ def prime_family(
     key = ("primes", kind, ideal_kind, cap)
     got = s._cache.get(key)
     if got is None:
-        fam = enumerate_ideals(s, ideal_kind, cap)
-        if fam.truncated:
-            raise CapExceeded("ideal enumeration truncated")
+        fam = exhaustive(enumerate_ideals(s, ideal_kind, cap))
         fn = _PRIME_FNS[kind]
         got = tuple(m for m in fam if m and m != s.full and fn(s, m))
         s._cache[key] = got
@@ -151,9 +149,7 @@ def right_waists(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
     key = ("waists", cap)
     got = s._cache.get(key)
     if got is None:
-        fam = enumerate_ideals(s, IdealKind.RIGHT, cap)
-        if fam.truncated:
-            raise CapExceeded("right ideal enumeration truncated")
+        fam = exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap))
         got = tuple(m for m in fam if m != s.full and _waist(s, m))
         s._cache[key] = got
     return got
@@ -308,12 +304,9 @@ def radicals(s: Semigroup, cap: int = DEFAULT_CAP) -> RadicalReport:
     else:
         flags.append("no_completely_prime_two_sided_ideal")
 
-    two = enumerate_ideals(s, IdealKind.TWO_SIDED, cap)
-    if two.truncated:
-        raise CapExceeded("two-sided ideal enumeration truncated")
     nil_union = 0
     nilpotent_union = 0
-    for m in two:
+    for m in exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap)):
         if is_nil_set(s, m):
             nil_union |= m
         if is_nilpotent_ideal(s, m):

@@ -19,11 +19,11 @@ from .core import (
     format_cayley,
     parse_cayley,
 )
-from .classify import CapExceeded, _completely_prime, radicals
-from .ideals import DEFAULT_CAP, IdealKind, enumerate_ideals
+from .classify import _completely_prime, radicals
+from .ideals import DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals, exhaustive
 from .localize import is_right_p_comparable
 from .segments import classify_segment, prime_segments
-from .corpus import corpus, corpus_entry, enumerate_monoids_with_zero
+from .corpus import MAX_ENUM_ORDER, corpus, corpus_entry, enumerate_monoids_with_zero
 from .verify import UnknownCheck, registered_ids, run_check, run_suite
 
 SCHEMA_VERSION = 1
@@ -76,8 +76,7 @@ def cmd_validate(args) -> int:
 def analysis_report(name: str, s: Semigroup, entry, cap: int) -> dict:
     rad = radicals(s, cap)
     comp = []
-    fam = enumerate_ideals(s, IdealKind.RIGHT, cap)
-    for m in fam:
+    for m in exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap)):
         if m and m != s.full and _completely_prime(s, m):
             comp.append(is_right_p_comparable(s, m).to_dict())
     segs = []
@@ -258,6 +257,30 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
+def _order(text: str) -> int:
+    """argparse type: an order the enumerator accepts."""
+    n = _int(text)
+    if not 2 <= n <= MAX_ENUM_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"order must be between 2 and {MAX_ENUM_ORDER}, got {n}")
+    return n
+
+
+def _cap(text: str) -> int:
+    """argparse type: a positive ideal enumeration cap."""
+    cap = _int(text)
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"cap must be positive, got {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sgideals",
@@ -272,22 +295,22 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="radicals, comparability and segments")
     a.add_argument("target", help="corpus name or Cayley table path")
     a.add_argument("--json", action="store_true")
-    a.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    a.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     a.add_argument("--verdicts", action="store_true",
                    help="embed the full check-suite results in the report")
     a.set_defaults(fn=cmd_analyze)
 
     w = sub.add_parser("verify", help="run the registered property checks")
     w.add_argument("target", nargs="?", help="corpus name or Cayley table path")
-    w.add_argument("--enumerate", type=int, metavar="N",
+    w.add_argument("--enumerate", type=_order, metavar="N",
                    help="run the suite over every monoid with zero of order N")
     w.add_argument("--check", help="run a single check id, e.g. Thm4.8")
     w.add_argument("--json", action="store_true")
-    w.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    w.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     w.set_defaults(fn=cmd_verify)
 
     e = sub.add_parser("enumerate", help="count monoids with zero of one order")
-    e.add_argument("order", type=int)
+    e.add_argument("order", type=_order)
     e.add_argument("--ndjson", help="stream each semigroup as one JSON line")
     e.set_defaults(fn=cmd_enumerate)
 

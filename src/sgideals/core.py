@@ -7,9 +7,8 @@ largest orders this library targets (n <= ~40).
 """
 from __future__ import annotations
 
+import operator
 from itertools import permutations, product
-
-import numpy as np
 
 Mask = int
 
@@ -89,41 +88,47 @@ class Semigroup:
     data (principal ideals, units, cancellativity) is cached lazily.
     """
 
-    __slots__ = ("n", "table", "one", "zero", "rows", "_cache")
+    __slots__ = ("n", "one", "zero", "rows", "_cache")
 
     def __init__(self, table, one: int, zero: int):
-        t = np.asarray(table, dtype=np.int64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise SemigroupError(f"table must be square, got shape {t.shape}")
-        n = int(t.shape[0])
+        try:
+            rows = tuple(tuple(map(operator.index, row)) for row in table)
+            one, zero = operator.index(one), operator.index(zero)
+        except TypeError as exc:
+            raise SemigroupError(f"table and one/zero must be integers: {exc}") from None
+        n = len(rows)
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise SemigroupError(f"table must be square, row {i} has "
+                                     f"{len(row)} entries for {n} rows")
         if n < 2:
             raise SemigroupError("order must be at least 2")
-        if t.min() < 0 or t.max() >= n:
-            bad = np.argwhere((t < 0) | (t >= n))[0]
-            raise SemigroupError(f"entry out of range at {tuple(bad)}")
+        for i, row in enumerate(rows):
+            if min(row) < 0 or max(row) >= n:
+                j = next(j for j, v in enumerate(row) if not 0 <= v < n)
+                raise SemigroupError(f"entry out of range at {(i, j)}")
         if not (0 <= one < n and 0 <= zero < n):
             raise SemigroupError("one/zero index out of range")
         if one == zero:
             raise OneEqualsZero()
-        rng = np.arange(n)
-        id_ok = (t[one] == rng) & (t[:, one] == rng)
-        if not id_ok.all():
-            raise BadIdentity(int(np.argwhere(~id_ok)[0][0]))
-        zero_ok = (t[zero] == zero) & (t[:, zero] == zero)
-        if not zero_ok.all():
-            raise BadZero(int(np.argwhere(~zero_ok)[0][0]))
-        # (i*j)*k versus i*(j*k), all triples at once
-        left = t[t, :]
-        right = t[:, t]
-        if not (left == right).all():
-            i, j, k = np.argwhere(left != right)[0]
-            raise NotAssociative(int(i), int(j), int(k))
+        for i in range(n):
+            if rows[one][i] != i or rows[i][one] != i:
+                raise BadIdentity(i)
+        for i in range(n):
+            if rows[zero][i] != zero or rows[i][zero] != zero:
+                raise BadZero(i)
+        # (i*j)*k versus i*(j*k): row i*j of the table against row j read
+        # through row i, one C-level gather per pair (i, j)
+        through = [operator.itemgetter(*row) for row in rows]
+        for i, row in enumerate(rows):
+            for j, ij in enumerate(row):
+                if rows[ij] != through[j](row):
+                    k = next(k for k in range(n) if rows[ij][k] != row[rows[j][k]])
+                    raise NotAssociative(i, j, k)
         self.n = n
-        self.one = int(one)
-        self.zero = int(zero)
-        t.setflags(write=False)
-        self.table = t
-        self.rows = tuple(tuple(int(v) for v in row) for row in t)
+        self.one = one
+        self.zero = zero
+        self.rows = rows
         self._cache: dict = {}
 
     # -- products ----------------------------------------------------------
@@ -207,7 +212,8 @@ class Semigroup:
         return out
 
     def product(self, a_mask: Mask, b_mask: Mask) -> Mask:
-        """Elementwise product set {a*b : a in A, b in B}."""
+        """Elementwise product set {a*b : a in A, b in B}.  For a right ideal
+        A (or a left ideal B) the result is again an ideal of that kind."""
         out = 0
         m = a_mask
         while m:
@@ -380,11 +386,6 @@ class Semigroup:
 
     def __hash__(self):
         return hash((self.rows, self.one, self.zero))
-
-
-def build_semigroup(table, one: int, zero: int) -> Semigroup:
-    """Validate a Cayley table and wrap it as a Semigroup."""
-    return Semigroup(table, one, zero)
 
 
 def decode_canonical(blob: bytes) -> Semigroup:

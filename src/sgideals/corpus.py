@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Semigroup, build_semigroup, mask_of
+from .core import Semigroup, mask_of
 from .classify import is_right_chain
 
 
@@ -49,7 +49,7 @@ def build_chain_x(n_pow: int) -> Semigroup:
         for j in range(n):
             a, b = pw(i), pw(j)
             table[i][j] = 0 if a is None or b is None else idx(a + b)
-    return build_semigroup(table, one=1, zero=0)
+    return Semigroup(table, one=1, zero=0)
 
 
 def chain_x_names(n_pow: int) -> tuple[str, ...]:
@@ -68,7 +68,7 @@ def build_min_chain(count: int) -> Semigroup:
     for i in range(2, n):
         for j in range(2, n):
             table[i][j] = min(i, j)
-    return build_semigroup(table, one=1, zero=0)
+    return Semigroup(table, one=1, zero=0)
 
 
 def build_delta(count: int) -> Semigroup:
@@ -86,7 +86,7 @@ def build_delta(count: int) -> Semigroup:
         table[i][1] = i
     for i in range(2, n):
         table[i][i] = i
-    return build_semigroup(table, one=1, zero=0)
+    return Semigroup(table, one=1, zero=0)
 
 
 def generator_names(count: int) -> tuple[str, ...]:
@@ -121,7 +121,7 @@ def build_ef(n_pow: int) -> Semigroup:
         return (a1 | a2, b1 | b2, 0)
 
     table = [[index.get(mul(u, v), 0) for v in elems] for u in elems]
-    return build_semigroup(table, one=1, zero=0)
+    return Semigroup(table, one=1, zero=0)
 
 
 def ef_names(n_pow: int) -> tuple[str, ...]:
@@ -160,12 +160,12 @@ def build_adjoined(h: Semigroup) -> Semigroup:
         for g2, (a2, b2) in flags.items():
             fa, fb = a | a2, b | b2
             table[g][g2] = {(1, 0): E, (0, 1): F, (1, 1): EF}[(fa, fb)]
-    return build_semigroup(table, one=h.one, zero=h.zero)
+    return Semigroup(table, one=h.one, zero=h.zero)
 
 
 def build_minimal() -> Semigroup:
     """The two element monoid with zero (table forced by the axioms)."""
-    return build_semigroup([[0, 0], [0, 1]], one=1, zero=0)
+    return Semigroup([[0, 0], [0, 1]], one=1, zero=0)
 
 
 # ---------------------------------------------------------------------------

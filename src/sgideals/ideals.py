@@ -58,12 +58,6 @@ def ideal_closure(s: Semigroup, seed: Mask, kind: IdealKind) -> Mask:
     return out
 
 
-def set_product(s: Semigroup, a_mask: Mask, b_mask: Mask) -> Mask:
-    """Elementwise product {a*b}.  For a right ideal A (or left ideal B) the
-    result is again an ideal of that kind, no closure pass needed."""
-    return s.product(a_mask, b_mask)
-
-
 def power_sequence(s: Semigroup, x: Mask) -> list[Mask]:
     """X, X^2, X^3, ... up to and including the first repeated value."""
     seq = [x]
@@ -194,6 +188,14 @@ def enumerate_ideals(s: Semigroup, kind: IdealKind, cap: int = DEFAULT_CAP) -> I
     fam = IdealFamily(masks=masks, kind=kind, truncated=truncated)
     s._cache[key] = fam
     return fam
+
+
+def exhaustive(fam: IdealFamily) -> tuple[Mask, ...]:
+    """The masks of a family that sweeps must see in full; raises
+    CapExceeded when the enumeration was truncated at its cap."""
+    if fam.truncated:
+        raise CapExceeded(f"{fam.kind.value} ideal enumeration truncated")
+    return fam.masks
 
 
 def is_nil_set(s: Semigroup, x: Mask) -> bool:

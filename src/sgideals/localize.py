@@ -197,21 +197,6 @@ def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
     )
 
 
-def is_weak_right_p_comparable(s: Semigroup, p_mask: Mask) -> bool:
-    """Three-way condition with a*P == b*P as the third clause."""
-    _validate_cp_right(s, p_mask)
-    n = s.n
-    princ = [s.right_principal(a) for a in range(n)]
-    trans = [s.left_mul(a, p_mask) for a in range(n)]
-    return all(
-        is_subset(princ[a], princ[b])
-        or is_subset(princ[b], princ[a])
-        or trans[a] == trans[b]
-        for a in range(n)
-        for b in range(a + 1, n)
-    )
-
-
 def equivalence_class(s: Semigroup, a: int, p_mask: Mask) -> Mask:
     """Union of bS over all b with b*P == a*P."""
     a_p = s.left_mul(a, p_mask)
@@ -220,40 +205,6 @@ def equivalence_class(s: Semigroup, a: int, p_mask: Mask) -> Mask:
         if s.left_mul(b, p_mask) == a_p:
             out |= s.right_principal(b)
     return out
-
-
-def sat_equals_translate_check(s: Semigroup, p_mask: Mask) -> Verdict:
-    """a*P == b*P exactly when the saturations of aS and bS agree, under
-    comparability and left cancellation.
-
-    Equal saturations force equal translates for every pair.  The converse
-    is checked for pairs whose common translate is not the zero ideal: in a
-    finite truncation a nilpotent b annihilates P, making b*P collide with
-    0*P while bS and 0S saturate apart, so the zero-translate pairs are
-    reported in the note rather than as a failure.
-    """
-    _validate_cp_right(s, p_mask)
-    trace = []
-    rep = is_right_p_comparable(s, p_mask)
-    trace.append(("right_p_comparable", rep.holds))
-    trace.append(("left_cancellative", s.is_left_cancellative()))
-    if not rep.holds or not s.is_left_cancellative():
-        return vacuous(trace)
-    sat = saturation_by_element(s, p_mask)
-    zero = s.zero_mask
-    note = None
-    for a in range(s.n):
-        a_p = s.left_mul(a, p_mask)
-        for b in range(a + 1, s.n):
-            b_p = s.left_mul(b, p_mask)
-            if sat[a] == sat[b] and a_p != b_p:
-                return discrepancy(trace, {"pair": [a, b]})
-            if a_p == b_p and sat[a] != sat[b]:
-                if a_p != zero:
-                    return discrepancy(trace, {"pair": [a, b]})
-                note = ("pairs with zero common translate and distinct "
-                        "saturations exist (finite truncation artifact)")
-    return holds(trace, note=note)
 
 
 def nested_saturation_inclusion_check(s: Semigroup, max_subsets: int = 1 << 14) -> Verdict:

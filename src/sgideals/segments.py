@@ -7,9 +7,9 @@ from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, popcoun
 from .classify import PrimenessKind, _completely_prime, _prime, _waist, prime_family
 from .ideals import (
     DEFAULT_CAP,
-    CapExceeded,
     IdealKind,
     enumerate_ideals,
+    exhaustive,
     intersect_powers,
     is_ideal,
 )
@@ -90,17 +90,10 @@ def segment_base(s: Semigroup, seg: PrimeSegment) -> Mask:
     return s.zero_mask if seg.bottom else seg.lower
 
 
-def _two_sided(s: Semigroup, cap: int):
-    fam = enumerate_ideals(s, IdealKind.TWO_SIDED, cap)
-    if fam.truncated:
-        raise CapExceeded("two-sided ideal enumeration truncated")
-    return fam
-
-
 def _strictly_between(s: Semigroup, lo: Mask, hi: Mask, cap: int) -> list[Mask]:
     return [
         m
-        for m in _two_sided(s, cap)
+        for m in exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
         if m != lo and m != hi and is_subset(lo, m) and is_subset(m, hi)
     ]
 
@@ -122,7 +115,7 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
     base = segment_base(s, seg)
     p1 = seg.upper
     gap = p1 & ~base
-    two = _two_sided(s, cap)
+    two = exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
     inside = [m for m in two if m and is_subset(m, p1)]
 
     witnesses: dict = {}
@@ -179,7 +172,7 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
 def lower_union(s: Semigroup, p1: Mask, cap: int = DEFAULT_CAP) -> Mask:
     """Union of all two-sided ideals properly contained in P1."""
     out = 0
-    for m in _two_sided(s, cap):
+    for m in exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap)):
         if m != p1 and is_subset(m, p1):
             out |= m
     return out
@@ -194,7 +187,7 @@ def pairing_ideal(s: Semigroup, q_mask: Mask, cap: int = DEFAULT_CAP) -> Mask | 
     """
     above = [
         m
-        for m in _two_sided(s, cap)
+        for m in exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
         if m != q_mask and is_subset(q_mask, m) and m != s.full and _waist(s, m)
     ]
     if not above:

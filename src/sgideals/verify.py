@@ -1,14 +1,16 @@
 """Registry of structural properties checked exhaustively on one semigroup.
 
-Every check returns a three-valued Verdict: hypotheses are evaluated exactly
-as stated and recorded in the trace, quantified objects are swept in full
-(within the enumeration cap), and a failed conclusion always carries a
-minimal witness.  Checks never raise on a valid semigroup; a blown ideal
-cap turns into a vacuous verdict with reason "cap".
+Every check returns a three-valued Verdict.  A check declares its hypotheses
+as data (requires=, a tuple of Gates); run_check evaluates each gate exactly
+as stated, records it in the trace, and runs the check's body only when all
+of them hold.  Quantified objects are swept in full (within the enumeration
+cap), and a failed conclusion always carries a minimal witness.  Checks
+never raise on a valid semigroup; a blown ideal cap turns into a vacuous
+verdict with reason "cap".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems
@@ -32,15 +34,16 @@ from .ideals import (
     CapExceeded,
     IdealKind,
     enumerate_ideals,
+    exhaustive,
     intersect_powers,
     is_a_nilpotent,
     is_ideal,
     is_nilpotent_ideal,
     power_sequence,
     right_annihilator,
-    set_product,
 )
 from .localize import (
+    equivalence_class,
     is_mult_closed,
     is_right_p_comparable,
     saturate,
@@ -67,18 +70,30 @@ class UnknownCheck(KeyError):
 
 
 @dataclass(frozen=True)
+class Gate:
+    """A named hypothesis; test(s, cap) tells whether s satisfies it."""
+
+    name: str
+    test: Callable[[Semigroup, int], bool]
+
+
+@dataclass(frozen=True)
 class TheoremCheck:
+    """A statement, the gates it requires, and a body that checks its
+    conclusion on a semigroup satisfying every gate."""
+
     id: str
     statement: str
     fn: Callable[[Semigroup, int], Verdict]
+    requires: tuple[Gate, ...] = ()
 
 
 CHECKS: dict[str, TheoremCheck] = {}
 
 
-def _register(check_id: str, statement: str):
+def _register(check_id: str, statement: str, requires: tuple[Gate, ...] = ()):
     def deco(fn):
-        CHECKS[check_id.lower()] = TheoremCheck(check_id, statement, fn)
+        CHECKS[check_id.lower()] = TheoremCheck(check_id, statement, fn, requires)
         return fn
 
     return deco
@@ -96,13 +111,23 @@ def normalize_id(raw: str) -> str:
 
 
 def run_check(s: Semigroup, check_id: str, cap: int = DEFAULT_CAP) -> Verdict:
+    """Evaluate every gate the check requires, in order, and record each one;
+    vacuous if any failed, else the body's verdict after the gate trace."""
     key = normalize_id(check_id)
     if key not in CHECKS:
         raise UnknownCheck(f"no check named {check_id!r}")
+    check = CHECKS[key]
     try:
-        return CHECKS[key].fn(s, cap)
+        gates = tuple([(gate.name, gate.test(s, cap)) for gate in check.requires])
+        if not all([ok for _, ok in gates]):
+            return vacuous(gates)
+        verdict = check.fn(s, cap)
     except CapExceeded:
         return vacuous((("cap_not_exceeded", False),), note="cap")
+    if not gates:
+        return verdict
+    return Verdict(verdict.status, gates + verdict.hypothesis_trace,
+                   verdict.witness, verdict.note)
 
 
 def run_suite(s: Semigroup, cap: int = DEFAULT_CAP) -> list[tuple[str, Verdict]]:
@@ -114,21 +139,15 @@ def registered_ids() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# shared sweep helpers
+# shared sweep helpers and gates
 
 
 def _right_fam(s: Semigroup, cap: int):
-    fam = enumerate_ideals(s, IdealKind.RIGHT, cap)
-    if fam.truncated:
-        raise CapExceeded("right ideals truncated")
-    return fam.masks
+    return exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap))
 
 
 def _two_fam(s: Semigroup, cap: int):
-    fam = enumerate_ideals(s, IdealKind.TWO_SIDED, cap)
-    if fam.truncated:
-        raise CapExceeded("two-sided ideals truncated")
-    return fam.masks
+    return exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
 
 
 def _nonempty_proper(s: Semigroup, masks):
@@ -154,6 +173,30 @@ def _w(masks) -> list[list[int]]:
     if isinstance(masks, int):
         return mask_elems(masks)
     return [mask_elems(m) for m in masks]
+
+
+def _found(name: str, count: int) -> Verdict:
+    """The gate a sweep closes with: the statement is vacuous when the sweep
+    met none of the objects it quantifies over."""
+    trace = ((name, count > 0),)
+    return holds(trace) if count else vacuous(trace)
+
+
+LEFT_CANCELLATIVE = Gate("left_cancellative", lambda s, cap: s.is_left_cancellative())
+CANCELLATIVE = Gate("cancellative", lambda s, cap: s.is_cancellative())
+HAS_COMPARABILITY_IDEAL = Gate(
+    "has_comparability_ideal", lambda s, cap: bool(comparability_ideals(s, cap))
+)
+COMPARIZER_RADICAL_NILPOTENT = Gate(
+    "comparizer_radical_nilpotent",
+    lambda s, cap: is_nilpotent_ideal(s, comparizer_radical(s)),
+)
+COMPARIZER_RADICAL_NONNILPOTENT = Gate(
+    "comparizer_radical_nonnilpotent",
+    lambda s, cap: not is_nilpotent_ideal(s, comparizer_radical(s)),
+)
+# Lem3.1 filters all 2^n subsets of the carrier
+SUBSET_ENUMERATION_FEASIBLE = Gate("subset_enumeration_feasible", lambda s, cap: s.n <= 12)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +236,7 @@ def _lem21iii(s: Semigroup, cap: int) -> Verdict:
 @_register("Lem2.2.i", "an idempotent two-sided right waist I satisfies I == a*I off I")
 def _lem22i(s: Semigroup, cap: int) -> Verdict:
     for m in _nonempty_proper(s, _two_fam(s, cap)):
-        if set_product(s, m, m) != m or not _waist(s, m):
+        if s.product(m, m) != m or not _waist(s, m):
             continue
         for a in mask_elems(s.full & ~m):
             if s.left_mul(a, m) != m:
@@ -214,68 +257,50 @@ def _lem22ii(s: Semigroup, cap: int) -> Verdict:
 
 
 @_register("Pr2.3.i", "in a cancellative monoid the nonunits form a maximal right "
-                      "and maximal left ideal")
+                      "and maximal left ideal", requires=(CANCELLATIVE,))
 def _pr23i(s: Semigroup, cap: int) -> Verdict:
-    trace = [("cancellative", s.is_cancellative())]
-    if not s.is_cancellative():
-        return vacuous(trace)
     j = s.nonunits_mask()
     if not is_ideal(s, j, IdealKind.TWO_SIDED):
-        return discrepancy(trace, {"nonunits": _w(j)})
+        return discrepancy((), {"nonunits": _w(j)})
     for kind in (IdealKind.RIGHT, IdealKind.LEFT):
-        fam = enumerate_ideals(s, kind, cap)
-        if fam.truncated:
-            raise CapExceeded("ideals truncated")
-        for m in fam:
+        for m in exhaustive(enumerate_ideals(s, kind, cap)):
             if is_subset(j, m) and m not in (j, s.full):
-                return discrepancy(trace, {"between": _w(m), "kind": kind.value})
-    return holds(trace)
+                return discrepancy((), {"between": _w(m), "kind": kind.value})
+    return holds()
 
 
 @_register("Pr2.3.ii", "in a cancellative monoid the nonunits form a completely "
-                       "prime ideal")
+                       "prime ideal", requires=(CANCELLATIVE,))
 def _pr23ii(s: Semigroup, cap: int) -> Verdict:
-    trace = [("cancellative", s.is_cancellative())]
-    if not s.is_cancellative():
-        return vacuous(trace)
     j = s.nonunits_mask()
     ok = is_ideal(s, j, IdealKind.TWO_SIDED) and _completely_prime(s, j)
-    return holds(trace) if ok else discrepancy(trace, {"nonunits": _w(j)})
+    return holds() if ok else discrepancy((), {"nonunits": _w(j)})
 
 
 def _proper_union(s: Semigroup, cap: int, kind: IdealKind) -> Mask:
-    fam = enumerate_ideals(s, kind, cap)
-    if fam.truncated:
-        raise CapExceeded("ideals truncated")
     out = 0
-    for m in fam:
+    for m in exhaustive(enumerate_ideals(s, kind, cap)):
         if m != s.full:
             out |= m
     return out
 
 
 @_register("Pr2.3.iii", "in a cancellative monoid the nonunits equal the union of "
-                        "all proper right ideals")
+                        "all proper right ideals", requires=(CANCELLATIVE,))
 def _pr23iii(s: Semigroup, cap: int) -> Verdict:
-    trace = [("cancellative", s.is_cancellative())]
-    if not s.is_cancellative():
-        return vacuous(trace)
     u = _proper_union(s, cap, IdealKind.RIGHT)
     if u != s.nonunits_mask():
-        return discrepancy(trace, {"union": _w(u)})
-    return holds(trace)
+        return discrepancy((), {"union": _w(u)})
+    return holds()
 
 
 @_register("Pr2.3.iv", "in a cancellative monoid the nonunits equal the union of "
-                       "all proper left ideals")
+                       "all proper left ideals", requires=(CANCELLATIVE,))
 def _pr23iv(s: Semigroup, cap: int) -> Verdict:
-    trace = [("cancellative", s.is_cancellative())]
-    if not s.is_cancellative():
-        return vacuous(trace)
     u = _proper_union(s, cap, IdealKind.LEFT)
     if u != s.nonunits_mask():
-        return discrepancy(trace, {"union": _w(u)})
-    return holds(trace)
+        return discrepancy((), {"union": _w(u)})
+    return holds()
 
 
 def _comparizer_right_ideals(s: Semigroup, cap: int):
@@ -289,7 +314,7 @@ def _comparizer_two_sided(s: Semigroup, cap: int):
 @_register("Thm2.4.i", "an idempotent right comparizer ideal is a right waist")
 def _thm24i(s: Semigroup, cap: int) -> Verdict:
     for m in _comparizer_right_ideals(s, cap):
-        if set_product(s, m, m) == m and not _waist(s, m):
+        if s.product(m, m) == m and not _waist(s, m):
             return discrepancy((), {"ideal": _w(m)})
     return holds()
 
@@ -328,32 +353,28 @@ def _thm24iii(s: Semigroup, cap: int) -> Verdict:
 
 
 @_register("Thm2.4.iv", "under left cancellation the power intersection of a "
-                        "nonnilpotent two-sided comparizer ideal is completely prime")
+                        "nonnilpotent two-sided comparizer ideal is completely prime",
+           requires=(LEFT_CANCELLATIVE,))
 def _thm24iv(s: Semigroup, cap: int) -> Verdict:
-    trace = [("left_cancellative", s.is_left_cancellative())]
-    if not s.is_left_cancellative():
-        return vacuous(trace)
     for m in _comparizer_two_sided(s, cap):
         if is_nilpotent_ideal(s, m):
             continue
         core = intersect_powers(s, m)
         if not _completely_prime(s, core):
-            return discrepancy(trace, {"ideal": _w(m), "core": _w(core)})
-    return holds(trace)
+            return discrepancy((), {"ideal": _w(m), "core": _w(core)})
+    return holds()
 
 
 @_register("Thm2.4.v", "under left cancellation an idempotent (hence nonnilpotent) "
-                       "two-sided comparizer ideal is completely prime")
+                       "two-sided comparizer ideal is completely prime",
+           requires=(LEFT_CANCELLATIVE,))
 def _thm24v(s: Semigroup, cap: int) -> Verdict:
-    trace = [("left_cancellative", s.is_left_cancellative())]
-    if not s.is_left_cancellative():
-        return vacuous(trace)
     for m in _comparizer_two_sided(s, cap):
-        if set_product(s, m, m) != m or is_nilpotent_ideal(s, m):
+        if s.product(m, m) != m or is_nilpotent_ideal(s, m):
             continue
         if not _completely_prime(s, m):
-            return discrepancy(trace, {"ideal": _w(m)})
-    return holds(trace)
+            return discrepancy((), {"ideal": _w(m)})
+    return holds()
 
 
 @_register("Lem2.5.i", "inside a right waist, comparizer behaviour among the "
@@ -442,129 +463,103 @@ def _lem26ii(s: Semigroup, cap: int) -> Verdict:
 
 
 @_register("Thm2.7.i", "a nilpotent comparizer radical lies inside the "
-                       "completely prime radical")
+                       "completely prime radical",
+           requires=(COMPARIZER_RADICAL_NILPOTENT,))
 def _thm27i(s: Semigroup, cap: int) -> Verdict:
-    c = comparizer_radical(s)
-    trace = [("comparizer_radical_nilpotent", is_nilpotent_ideal(s, c))]
-    if not is_nilpotent_ideal(s, c):
-        return vacuous(trace)
+    # a second gate, left in the body so that it is evaluated only after the
+    # declared one passed: radicals() may exceed the cap
     rad = radicals(s, cap)
-    trace.append(
-        ("completely_prime_ideal_exists",
-         "no_completely_prime_two_sided_ideal" not in rad.flags)
-    )
-    if not trace[-1][1]:
+    exists = "no_completely_prime_two_sided_ideal" not in rad.flags
+    trace = (("completely_prime_ideal_exists", exists),)
+    if not exists:
         return vacuous(trace)
+    c = comparizer_radical(s)
     if not is_subset(c, rad.completely_prime_radical):
         return discrepancy(trace, {"comparizer_radical": _w(c)})
     return holds(trace)
 
 
 @_register("Thm2.7.ii", "a nonnilpotent comparizer radical contains the completely "
-                        "prime radical, which is then completely prime and a right waist")
+                        "prime radical, which is then completely prime and a right waist",
+           requires=(COMPARIZER_RADICAL_NONNILPOTENT,))
 def _thm27ii(s: Semigroup, cap: int) -> Verdict:
     c = comparizer_radical(s)
-    trace = [("comparizer_radical_nonnilpotent", not is_nilpotent_ideal(s, c))]
-    if is_nilpotent_ideal(s, c):
-        return vacuous(trace)
-    rad = radicals(s, cap)
-    nrad = rad.completely_prime_radical
+    nrad = radicals(s, cap).completely_prime_radical
     ok = is_subset(nrad, c) and _completely_prime(s, nrad) and _waist(s, nrad)
     if not ok:
-        return discrepancy(trace, {"completely_prime_radical": _w(nrad)})
-    return holds(trace)
+        return discrepancy((), {"completely_prime_radical": _w(nrad)})
+    return holds()
 
 
 @_register("Thm2.7.iii", "a nonnilpotent comparizer radical makes the prime radical "
-                         "prime and a right waist")
+                         "prime and a right waist",
+           requires=(COMPARIZER_RADICAL_NONNILPOTENT,))
 def _thm27iii(s: Semigroup, cap: int) -> Verdict:
-    c = comparizer_radical(s)
-    trace = [("comparizer_radical_nonnilpotent", not is_nilpotent_ideal(s, c))]
-    if is_nilpotent_ideal(s, c):
-        return vacuous(trace)
-    rad = radicals(s, cap)
-    beta = rad.prime_radical
+    beta = radicals(s, cap).prime_radical
     if not (_prime(s, beta) and _waist(s, beta)):
-        return discrepancy(trace, {"prime_radical": _w(beta)})
-    return holds(trace)
-
-
-def _gate_28(s: Semigroup):
-    c = comparizer_radical(s)
-    trace = [
-        ("left_cancellative", s.is_left_cancellative()),
-        ("comparizer_radical_nonnilpotent", not is_nilpotent_ideal(s, c)),
-    ]
-    return trace, all(ok for _, ok in trace)
+        return discrepancy((), {"prime_radical": _w(beta)})
+    return holds()
 
 
 @_register("Thm2.8.i", "under left cancellation with nonnilpotent comparizer "
                        "radical, nilpotent elements contract translates of the "
-                       "completely prime radical: t*(a*N) inside a*N")
+                       "completely prime radical: t*(a*N) inside a*N",
+           requires=(LEFT_CANCELLATIVE, COMPARIZER_RADICAL_NONNILPOTENT))
 def _thm28i(s: Semigroup, cap: int) -> Verdict:
-    trace, ok = _gate_28(s)
-    if not ok:
-        return vacuous(trace)
     nrad = radicals(s, cap).completely_prime_radical
     nilp = mask_elems(s.nilpotent_elements())
     for a in range(s.n):
         a_n = s.left_mul(a, nrad)
         for t in nilp:
             if not is_subset(s.left_mul(t, a_n), a_n):
-                return discrepancy(trace, {"t": t, "a": a})
-    return holds(trace)
+                return discrepancy((), {"t": t, "a": a})
+    return holds()
 
 
 @_register("Thm2.8.ii", "under the same gates the nilpotent elements are "
                         "multiplicatively closed and each generates a nilpotent "
-                        "ideal of that subsemigroup")
+                        "ideal of that subsemigroup",
+           requires=(LEFT_CANCELLATIVE, COMPARIZER_RADICAL_NONNILPOTENT))
 def _thm28ii(s: Semigroup, cap: int) -> Verdict:
-    trace, ok = _gate_28(s)
-    if not ok:
-        return vacuous(trace)
     t_mask = s.nilpotent_elements()
-    if not is_subset(set_product(s, t_mask, t_mask), t_mask):
-        return discrepancy(trace, {"nilpotents": _w(t_mask)})
+    if not is_subset(s.product(t_mask, t_mask), t_mask):
+        return discrepancy((), {"nilpotents": _w(t_mask)})
     for t in mask_elems(t_mask):
         gen = (
             (1 << t)
             | (s.left_mul(t, t_mask) & t_mask)
             | (s.right_mul(t_mask, t) & t_mask)
-            | (set_product(s, s.right_mul(t_mask, t), t_mask) & t_mask)
+            | (s.product(s.right_mul(t_mask, t), t_mask) & t_mask)
         )
         if not is_a_nilpotent(s, gen, s.zero_mask):
-            return discrepancy(trace, {"t": t, "generated": _w(gen)})
-    return holds(trace)
+            return discrepancy((), {"t": t, "generated": _w(gen)})
+    return holds()
 
 
 @_register("Thm2.8.iii", "under the same gates the nilpotent-ideal union, the "
                          "prime radical and the nil radical coincide, prime and "
-                         "a right waist")
+                         "a right waist",
+           requires=(LEFT_CANCELLATIVE, COMPARIZER_RADICAL_NONNILPOTENT))
 def _thm28iii(s: Semigroup, cap: int) -> Verdict:
-    trace, ok = _gate_28(s)
-    if not ok:
-        return vacuous(trace)
     rad = radicals(s, cap)
     same = rad.nilpotent_union == rad.prime_radical == rad.nil_radical
     good = same and _prime(s, rad.prime_radical) and _waist(s, rad.prime_radical)
     if not good:
         return discrepancy(
-            trace,
+            (),
             {
                 "nilpotent_union": _w(rad.nilpotent_union),
                 "prime_radical": _w(rad.prime_radical),
                 "nil_radical": _w(rad.nil_radical),
             },
         )
-    return holds(trace)
+    return holds()
 
 
 @_register("Co2.9", "under the same gates every two-sided ideal sits below the "
-                    "prime radical or above the completely prime radical")
+                    "prime radical or above the completely prime radical",
+           requires=(LEFT_CANCELLATIVE, COMPARIZER_RADICAL_NONNILPOTENT))
 def _co29(s: Semigroup, cap: int) -> Verdict:
-    trace, ok = _gate_28(s)
-    if not ok:
-        return vacuous(trace)
     rad = radicals(s, cap)
     for m in _two_fam(s, cap):
         if not m:
@@ -572,26 +567,24 @@ def _co29(s: Semigroup, cap: int) -> Verdict:
         if not is_subset(m, rad.prime_radical) and not is_subset(
             rad.completely_prime_radical, m
         ):
-            return discrepancy(trace, {"ideal": _w(m)})
-    return holds(trace)
+            return discrepancy((), {"ideal": _w(m)})
+    return holds()
 
 
 @_register("Thm2.10", "under the same gates: nilpotent elements form an ideal, "
                       "equal the prime radical, and the prime radical is "
-                      "completely prime, all equivalent")
+                      "completely prime, all equivalent",
+           requires=(LEFT_CANCELLATIVE, COMPARIZER_RADICAL_NONNILPOTENT))
 def _thm210(s: Semigroup, cap: int) -> Verdict:
-    trace, ok = _gate_28(s)
-    if not ok:
-        return vacuous(trace)
     rad = radicals(s, cap)
     t_mask = s.nilpotent_elements()
     b1 = is_ideal(s, t_mask, IdealKind.TWO_SIDED)
     b2 = t_mask == rad.prime_radical
     b3 = _completely_prime(s, rad.prime_radical)
     if not (b1 == b2 == b3):
-        return discrepancy(trace, {"ideal": b1, "equals_prime_radical": b2,
-                                   "radical_completely_prime": b3})
-    return holds(trace)
+        return discrepancy((), {"ideal": b1, "equals_prime_radical": b2,
+                                "radical_completely_prime": b3})
+    return holds()
 
 
 # ---------------------------------------------------------------------------
@@ -659,15 +652,12 @@ def _lem213(s: Semigroup, cap: int) -> Verdict:
 
 @_register("Co2.14", "under left cancellation a nonempty right waist equals the "
                      "intersection of its associated-prime translates and of the "
-                     "nonunit translates")
+                     "nonunit translates", requires=(LEFT_CANCELLATIVE,))
 def _co214(s: Semigroup, cap: int) -> Verdict:
     # without left cancellation an idempotent nonunit e with b == b*e defeats
     # the translate intersection through the nonunits (b never leaves b*J),
     # and order-3 counterexamples exist; the cancellation law restores the
     # argument, so it is a hypothesis here
-    trace = [("left_cancellative", s.is_left_cancellative())]
-    if not s.is_left_cancellative():
-        return vacuous(trace)
     j = s.nonunits_mask()
     for t_mask in right_waists(s, cap):
         if not t_mask:
@@ -680,10 +670,10 @@ def _co214(s: Semigroup, cap: int) -> Verdict:
         ij = _translate_intersection(s, outside, j)
         if not (t_mask == ip == ij):
             return discrepancy(
-                trace,
+                (),
                 {"waist": _w(t_mask), "via_prime": _w(ip), "via_nonunits": _w(ij)},
             )
-    return holds(trace)
+    return holds()
 
 
 # ---------------------------------------------------------------------------
@@ -691,12 +681,8 @@ def _co214(s: Semigroup, cap: int) -> Verdict:
 
 
 @_register("Lem3.1", "saturation of a principal right ideal by a right Ore set is "
-                     "a right ideal")
+                     "a right ideal", requires=(SUBSET_ENUMERATION_FEASIBLE,))
 def _lem31(s: Semigroup, cap: int) -> Verdict:
-    feasible = s.n <= 12
-    trace = [("subset_enumeration_feasible", feasible)]
-    if not feasible:
-        return vacuous(trace)
     for t_mask in range(1 << s.n):
         if not is_mult_closed(s, t_mask):
             continue
@@ -711,32 +697,29 @@ def _lem31(s: Semigroup, cap: int) -> Verdict:
         for a in range(s.n):
             sat = saturate(s, s.right_principal(a), t_mask)
             if not is_ideal(s, sat, IdealKind.RIGHT):
-                return discrepancy(trace, {"ore_set": _w(t_mask), "a": a})
-    return holds(trace)
+                return discrepancy((), {"ore_set": _w(t_mask), "a": a})
+    return holds()
 
 
 @_register("Lem3.4", "a comparability ideal is a right waist, the completely prime "
                      "ideals below it form a chain, and the completely prime "
-                     "radical is completely prime and a right waist")
+                     "radical is completely prime and a right waist",
+           requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem34(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [("has_comparability_ideal", bool(comp))]
-    if not comp:
-        return vacuous(trace)
     spec = completely_prime_spectrum(s, cap)
     rad = radicals(s, cap)
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         if not _waist(s, p):
-            return discrepancy(trace, {"p": _w(p), "fails": "waist"})
+            return discrepancy((), {"p": _w(p), "fails": "waist"})
         inside = [q for q in spec if is_subset(q, p)]
         for i, a in enumerate(inside):
             for b in inside[i + 1:]:
                 if not is_subset(a, b) and not is_subset(b, a):
-                    return discrepancy(trace, {"p": _w(p), "pair": [_w(a), _w(b)]})
+                    return discrepancy((), {"p": _w(p), "pair": [_w(a), _w(b)]})
     nrad = rad.completely_prime_radical
     if not (_completely_prime(s, nrad) and _waist(s, nrad)):
-        return discrepancy(trace, {"completely_prime_radical": _w(nrad)})
-    return holds(trace)
+        return discrepancy((), {"completely_prime_radical": _w(nrad)})
+    return holds()
 
 
 @_register("Pr3.5", "the five comparability conditions agree for every completely "
@@ -754,151 +737,123 @@ def _pr35(s: Semigroup, cap: int) -> Verdict:
 
 
 @_register("Thm3.6.i", "semiprime right ideals below a comparability ideal are "
-                       "prime right ideals and right waists")
+                       "prime right ideals and right waists",
+           requires=(HAS_COMPARABILITY_IDEAL,))
 def _thm36i(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [("has_comparability_ideal", bool(comp))]
-    if not comp:
-        return vacuous(trace)
     semi = prime_family(s, PrimenessKind.SEMIPRIME, IdealKind.RIGHT, cap)
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         for q in semi:
             if not is_subset(q, p):
                 continue
             if not (_prime(s, q) and _waist(s, q)):
-                return discrepancy(trace, {"p": _w(p), "ideal": _w(q)})
-    return holds(trace)
+                return discrepancy((), {"p": _w(p), "ideal": _w(q)})
+    return holds()
 
 
 @_register("Thm3.6.ii", "prime right ideals below a comparability ideal form a "
-                        "chain, and the prime radical is prime and a right waist")
+                        "chain, and the prime radical is prime and a right waist",
+           requires=(HAS_COMPARABILITY_IDEAL,))
 def _thm36ii(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [("has_comparability_ideal", bool(comp))]
-    if not comp:
-        return vacuous(trace)
     primes = prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap)
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         inside = [q for q in primes if is_subset(q, p)]
         for i, a in enumerate(inside):
             for b in inside[i + 1:]:
                 if not is_subset(a, b) and not is_subset(b, a):
-                    return discrepancy(trace, {"p": _w(p), "pair": [_w(a), _w(b)]})
+                    return discrepancy((), {"p": _w(p), "pair": [_w(a), _w(b)]})
     beta = radicals(s, cap).prime_radical
     if not (_prime(s, beta) and _waist(s, beta)):
-        return discrepancy(trace, {"prime_radical": _w(beta)})
-    return holds(trace)
+        return discrepancy((), {"prime_radical": _w(beta)})
+    return holds()
 
 
 @_register("Thm3.6.iii", "below a comparability ideal, two-sided ideals are "
-                         "completely prime exactly when completely semiprime")
+                         "completely prime exactly when completely semiprime",
+           requires=(HAS_COMPARABILITY_IDEAL,))
 def _thm36iii(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [("has_comparability_ideal", bool(comp))]
-    if not comp:
-        return vacuous(trace)
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         for q in _nonempty_proper(s, _two_fam(s, cap)):
             if not is_subset(q, p):
                 continue
             if _completely_prime(s, q) != _completely_semiprime(s, q):
-                return discrepancy(trace, {"p": _w(p), "ideal": _w(q)})
-    return holds(trace)
+                return discrepancy((), {"p": _w(p), "ideal": _w(q)})
+    return holds()
 
 
 @_register("Lem3.7", "right-ideal right waists below a comparability ideal stay "
-                     "right waists under left translation")
+                     "right waists under left translation",
+           requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem37(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [("has_comparability_ideal", bool(comp))]
-    if not comp:
-        return vacuous(trace)
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         for w in right_waists(s, cap):
             if not w or not is_subset(w, p):
                 continue
             for a in range(s.n):
                 if not _waist(s, s.left_mul(a, w)):
-                    return discrepancy(trace, {"p": _w(p), "waist": _w(w), "a": a})
-    return holds(trace)
+                    return discrepancy((), {"p": _w(p), "waist": _w(w), "a": a})
+    return holds()
 
 
 @_register("Thm3.8", "under comparability and left cancellation, equal saturations "
                      "of aS and bS force a*P == b*P, and the converse holds for "
-                     "pairs whose common translate is not the zero ideal")
+                     "pairs whose common translate is not the zero ideal",
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _thm38(s: Semigroup, cap: int) -> Verdict:
     # the forward direction (equal saturations give equal translates) holds
     # for all pairs; the converse fails in finite truncations on pairs whose
     # translates collapse to {0} (a nilpotent b annihilates P, so b*P == 0*P
     # while bS and 0S saturate differently), hence the nonzero restriction
-    comp = comparability_ideals(s, cap)
-    trace = [
-        ("left_cancellative", s.is_left_cancellative()),
-        ("has_comparability_ideal", bool(comp)),
-    ]
-    if not all(ok for _, ok in trace):
-        return vacuous(trace)
     zero = s.zero_mask
     note = None
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         sat = saturation_by_element(s, p)
         for a in range(s.n):
             a_p = s.left_mul(a, p)
             for b in range(a + 1, s.n):
                 b_p = s.left_mul(b, p)
                 if sat[a] == sat[b] and a_p != b_p:
-                    return discrepancy(trace, {"p": _w(p), "pair": [a, b]})
+                    return discrepancy((), {"p": _w(p), "pair": [a, b]})
                 if a_p == b_p and a_p != zero and sat[a] != sat[b]:
-                    return discrepancy(trace, {"p": _w(p), "pair": [a, b]})
+                    return discrepancy((), {"p": _w(p), "pair": [a, b]})
                 if a_p == b_p == zero and sat[a] != sat[b]:
                     note = ("pairs with zero common translate and distinct "
                             "saturations exist (finite truncation artifact)")
-    return holds(trace, note=note)
+    return holds(note=note)
 
 
 @_register("Co3.9", "under left cancellation, comparability implies weak "
                     "comparability; the converse fails at finite scale and is "
-                    "reported as a note when witnessed")
+                    "reported as a note when witnessed",
+           requires=(LEFT_CANCELLATIVE,))
 def _co39(s: Semigroup, cap: int) -> Verdict:
     # weak does not imply strict for finite monoids: order-5 left
     # cancellative examples exist where two incomparable principal ideals
     # share a nonzero translate a*P == b*P yet saturate differently, so only
     # the forward implication is asserted; a witnessed converse failure is
     # surfaced in the note for review
-    trace = [("left_cancellative", s.is_left_cancellative())]
-    if not s.is_left_cancellative():
-        return vacuous(trace)
     note = None
     for p in completely_prime_spectrum(s, cap):
         rep = is_right_p_comparable(s, p)
         if rep.holds and not rep.weak_holds:
-            return discrepancy(trace, {"p": _w(p), "holds": rep.holds,
-                                       "weak": rep.weak_holds})
+            return discrepancy((), {"p": _w(p), "holds": rep.holds,
+                                    "weak": rep.weak_holds})
         if rep.weak_holds and not rep.holds:
             note = ("weakly comparable but not comparable with respect to "
                     f"P = {_w(p)}; the two notions separate at finite scale")
-    return holds(trace, note=note)
+    return holds(note=note)
 
 
 @_register("Pr3.10", "under comparability and left cancellation the translate "
                      "class of any a with a*P nonzero equals the saturation of aS "
-                     "and is a right waist")
+                     "and is a right waist",
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _pr310(s: Semigroup, cap: int) -> Verdict:
     # elements annihilating P share the zero translate, so their class lumps
     # every annihilator together while the saturations stay apart; the claim
     # is checked for the nonzero translate classes (same artifact as the
     # translate/saturation equivalence)
-    from .localize import equivalence_class
-
-    comp = comparability_ideals(s, cap)
-    trace = [
-        ("left_cancellative", s.is_left_cancellative()),
-        ("has_comparability_ideal", bool(comp)),
-    ]
-    if not all(ok for _, ok in trace):
-        return vacuous(trace)
     zero = s.zero_mask
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         sat = saturation_by_element(s, p)
         for a in range(s.n):
             a_p = s.left_mul(a, p)
@@ -906,14 +861,14 @@ def _pr310(s: Semigroup, cap: int) -> Verdict:
                 continue
             cls = equivalence_class(s, a, p)
             if cls != sat[a]:
-                return discrepancy(trace, {"p": _w(p), "a": a, "class": _w(cls),
-                                           "saturation": _w(sat[a])})
+                return discrepancy((), {"p": _w(p), "a": a, "class": _w(cls),
+                                        "saturation": _w(sat[a])})
             if sat[a] != s.full and not _waist(s, sat[a]):
-                return discrepancy(trace, {"p": _w(p), "a": a, "fails": "waist"})
+                return discrepancy((), {"p": _w(p), "a": a, "fails": "waist"})
             for b in range(s.n):
                 if s.left_mul(b, p) == a_p and sat[b] != sat[a]:
-                    return discrepancy(trace, {"p": _w(p), "pair": [a, b]})
-    return holds(trace)
+                    return discrepancy((), {"p": _w(p), "pair": [a, b]})
+    return holds()
 
 
 def _ideals_with_associated(s: Semigroup, cap: int, p: Mask):
@@ -924,57 +879,43 @@ def _ideals_with_associated(s: Semigroup, cap: int, p: Mask):
 
 @_register("Lem3.11", "under comparability and left cancellation a right ideal "
                       "whose associated prime is the comparability ideal is the "
-                      "union of its member saturations and a right waist")
+                      "union of its member saturations and a right waist",
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _lem311(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [
-        ("left_cancellative", s.is_left_cancellative()),
-        ("has_comparability_ideal", bool(comp)),
-    ]
-    if not all(ok for _, ok in trace):
-        return vacuous(trace)
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         sat = saturation_by_element(s, p)
         for m in _ideals_with_associated(s, cap, p):
             union = 0
             for a in mask_elems(m):
                 union |= sat[a]
             if union != m or not _waist(s, m):
-                return discrepancy(trace, {"p": _w(p), "ideal": _w(m),
-                                           "union": _w(union)})
-    return holds(trace)
+                return discrepancy((), {"p": _w(p), "ideal": _w(m),
+                                        "union": _w(union)})
+    return holds()
 
 
 @_register("Co3.12", "the same ideals equal the intersections of outside translates "
-                     "of the comparability ideal and of the nonunits")
+                     "of the comparability ideal and of the nonunits",
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _co312(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [
-        ("left_cancellative", s.is_left_cancellative()),
-        ("has_comparability_ideal", bool(comp)),
-    ]
-    if not all(ok for _, ok in trace):
-        return vacuous(trace)
     j = s.nonunits_mask()
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         for m in _ideals_with_associated(s, cap, p):
             outside = mask_elems(s.full & ~m)
             ip = _translate_intersection(s, outside, p)
             ij = _translate_intersection(s, outside, j)
             if not (m == ip == ij):
-                return discrepancy(trace, {"p": _w(p), "ideal": _w(m),
-                                           "via_p": _w(ip), "via_nonunits": _w(ij)})
-    return holds(trace)
+                return discrepancy((), {"p": _w(p), "ideal": _w(m),
+                                        "via_p": _w(ip), "via_nonunits": _w(ij)})
+    return holds()
 
 
 @_register("Thm3.13", "for a nonzero right ideal I under comparability with respect "
                       "to its associated prime and left cancellation: the associated "
                       "prime sits in the nonunits, I is an intersection of its "
-                      "translates, a union of saturations, and a right waist")
+                      "translates, a union of saturations, and a right waist",
+           requires=(LEFT_CANCELLATIVE,))
 def _thm313(s: Semigroup, cap: int) -> Verdict:
-    trace = [("left_cancellative", s.is_left_cancellative())]
-    if not s.is_left_cancellative():
-        return vacuous(trace)
     j = s.nonunits_mask()
     count = 0
     for m in _nonempty_proper(s, _right_fam(s, cap)):
@@ -995,49 +936,34 @@ def _thm313(s: Semigroup, cap: int) -> Verdict:
             union |= saturate(s, s.right_principal(a), t_mask)
         ok = is_subset(p0, j) and ip == m and union == m and _waist(s, m)
         if not ok:
-            return discrepancy(trace, {"ideal": _w(m), "associated": _w(p0)})
-    trace.append(("has_qualifying_right_ideal", count > 0))
-    if count == 0:
-        return vacuous(trace)
-    return holds(trace)
+            return discrepancy((), {"ideal": _w(m), "associated": _w(p0)})
+    return _found("has_qualifying_right_ideal", count)
 
 
 @_register("Lem3.14", "under comparability and left cancellation, translates a*Q of "
                       "a completely prime ideal below the comparability ideal have "
-                      "associated prime exactly Q")
+                      "associated prime exactly Q",
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _lem314(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [
-        ("left_cancellative", s.is_left_cancellative()),
-        ("has_comparability_ideal", bool(comp)),
-    ]
-    if not all(ok for _, ok in trace):
-        return vacuous(trace)
     spec = completely_prime_spectrum(s, cap)
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         for q in spec:
             if not is_subset(q, p):
                 continue
             for a in range(s.n):
                 aq = s.left_mul(a, q)
                 if aq == s.full or associated_prime(s, aq) != q:
-                    return discrepancy(trace, {"p": _w(p), "q": _w(q), "a": a})
-    return holds(trace)
+                    return discrepancy((), {"p": _w(p), "q": _w(q), "a": a})
+    return holds()
 
 
 @_register("Pr3.15", "power tails t^n S that never hit the zero ideal, for t inside "
                      "a comparability ideal under left cancellation, intersect to a "
-                     "prime right waist, completely prime when two-sided")
+                     "prime right waist, completely prime when two-sided",
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _pr315(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [
-        ("left_cancellative", s.is_left_cancellative()),
-        ("has_comparability_ideal", bool(comp)),
-    ]
-    if not all(ok for _, ok in trace):
-        return vacuous(trace)
     count = 0
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         for t in mask_elems(p):
             # every power ideal nonzero?
             v, ok_powers, seen = t, True, set()
@@ -1055,11 +981,8 @@ def _pr315(s: Semigroup, cap: int) -> Verdict:
             if good and is_ideal(s, q, IdealKind.TWO_SIDED):
                 good = _completely_prime(s, q)
             if not good:
-                return discrepancy(trace, {"p": _w(p), "t": t, "tail": _w(q)})
-    trace.append(("has_element_with_nonzero_power_tails", count > 0))
-    if count == 0:
-        return vacuous(trace)
-    return holds(trace)
+                return discrepancy((), {"p": _w(p), "t": t, "tail": _w(q)})
+    return _found("has_element_with_nonzero_power_tails", count)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,23 +996,17 @@ def _exceptional_primes_inside(s: Semigroup, cap: int, p: Mask):
 
 
 @_register("Lem4.4", "an exceptional prime inside a comparability ideal has a "
-                     "unique idempotent waist ideal minimal over it")
+                     "unique idempotent waist ideal minimal over it",
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _lem44(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [
-        ("left_cancellative", s.is_left_cancellative()),
-        ("has_comparability_ideal", bool(comp)),
-    ]
-    if not all(ok for _, ok in trace):
-        return vacuous(trace)
     count = 0
     two = _two_fam(s, cap)
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         for q in _exceptional_primes_inside(s, cap, p):
             count += 1
             d = pairing_ideal(s, q, cap)
             if d is None:
-                return discrepancy(trace, {"q": _w(q), "fails": "no waist ideal above"})
+                return discrepancy((), {"q": _w(q), "fails": "no waist ideal above"})
             between = [
                 m for m in two
                 if m not in (q, d) and is_subset(q, m) and is_subset(m, d)
@@ -1099,39 +1016,27 @@ def _lem44(s: Semigroup, cap: int) -> Verdict:
                 and is_subset(q, d)
                 and _waist(s, d)
                 and not between
-                and set_product(s, d, d) == d
+                and s.product(d, d) == d
             )
             if not ok:
-                return discrepancy(trace, {"q": _w(q), "d": _w(d)})
-    trace.append(("has_exceptional_prime", count > 0))
-    if count == 0:
-        return vacuous(trace)
-    return holds(trace)
+                return discrepancy((), {"q": _w(q), "d": _w(d)})
+    return _found("has_exceptional_prime", count)
 
 
 @_register("Lem4.5", "the pairing ideal of an exceptional prime contains an element "
-                     "whose power tail intersection strictly exceeds the prime")
+                     "whose power tail intersection strictly exceeds the prime",
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _lem45(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [
-        ("left_cancellative", s.is_left_cancellative()),
-        ("has_comparability_ideal", bool(comp)),
-    ]
-    if not all(ok for _, ok in trace):
-        return vacuous(trace)
     count = 0
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         for q in _exceptional_primes_inside(s, cap, p):
             d = pairing_ideal(s, q, cap)
             if d is None:
                 continue
             count += 1
             if has_non_nilpotent_over(s, d, q) is None:
-                return discrepancy(trace, {"q": _w(q), "d": _w(d)})
-    trace.append(("has_exceptional_prime", count > 0))
-    if count == 0:
-        return vacuous(trace)
-    return holds(trace)
+                return discrepancy((), {"q": _w(q), "d": _w(d)})
+    return _found("has_exceptional_prime", count)
 
 
 def _alpha_family(s: Semigroup, cap: int, p: Mask):
@@ -1143,44 +1048,35 @@ def _alpha_family(s: Semigroup, cap: int, p: Mask):
 
 
 @_register("Lem4.6.i", "semiprime two-sided ideals strictly below a comparability "
-                       "ideal form a chain")
+                       "ideal form a chain",
+           requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem46i(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [("has_comparability_ideal", bool(comp))]
-    if not comp:
-        return vacuous(trace)
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         alpha = _alpha_family(s, cap, p)
         for i, a in enumerate(alpha):
             for b in alpha[i + 1:]:
                 if not is_subset(a, b) and not is_subset(b, a):
-                    return discrepancy(trace, {"p": _w(p), "pair": [_w(a), _w(b)]})
-    return holds(trace)
+                    return discrepancy((), {"p": _w(p), "pair": [_w(a), _w(b)]})
+    return holds()
 
 
-@_register("Lem4.6.ii", "that family is closed under union and intersection")
+@_register("Lem4.6.ii", "that family is closed under union and intersection",
+           requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem46ii(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [("has_comparability_ideal", bool(comp))]
-    if not comp:
-        return vacuous(trace)
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         alpha = set(_alpha_family(s, cap, p))
         for a in alpha:
             for b in alpha:
                 if (a | b) not in alpha or (a & b) not in alpha:
-                    return discrepancy(trace, {"p": _w(p), "pair": [_w(a), _w(b)]})
-    return holds(trace)
+                    return discrepancy((), {"p": _w(p), "pair": [_w(a), _w(b)]})
+    return holds()
 
 
-@_register("Lem4.6.iii", "when nonempty, that family has a least member")
+@_register("Lem4.6.iii", "when nonempty, that family has a least member",
+           requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem46iii(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [("has_comparability_ideal", bool(comp))]
-    if not comp:
-        return vacuous(trace)
     count = 0
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         alpha = _alpha_family(s, cap, p)
         if not alpha:
             continue
@@ -1189,24 +1085,18 @@ def _lem46iii(s: Semigroup, cap: int) -> Verdict:
         for m in alpha:
             low &= m
         if low not in alpha:
-            return discrepancy(trace, {"p": _w(p), "meet": _w(low)})
-    trace.append(("has_semiprime_below", count > 0))
-    if count == 0:
-        return vacuous(trace)
-    return holds(trace)
+            return discrepancy((), {"p": _w(p), "meet": _w(low)})
+    return _found("has_semiprime_below", count)
 
 
 @_register("Lem4.6.iv", "every completely semiprime ideal strictly below a "
                         "comparability ideal sits inside a completely prime ideal "
-                        "that forms a prime segment with it")
+                        "that forms a prime segment with it",
+           requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem46iv(s: Semigroup, cap: int) -> Verdict:
-    comp = comparability_ideals(s, cap)
-    trace = [("has_comparability_ideal", bool(comp))]
-    if not comp:
-        return vacuous(trace)
     spec = completely_prime_spectrum(s, cap)
     count = 0
-    for p in comp:
+    for p in comparability_ideals(s, cap):
         for m in _nonempty_proper(s, _two_fam(s, cap)):
             if m == p or not is_subset(m, p) or not _completely_semiprime(s, m):
                 continue
@@ -1222,21 +1112,16 @@ def _lem46iv(s: Semigroup, cap: int) -> Verdict:
                     found = True
                     break
             if not found:
-                return discrepancy(trace, {"p": _w(p), "ideal": _w(m)})
-    trace.append(("has_completely_semiprime_below", count > 0))
-    if count == 0:
-        return vacuous(trace)
-    return holds(trace)
+                return discrepancy((), {"p": _w(p), "ideal": _w(m)})
+    return _found("has_completely_semiprime_below", count)
 
 
 @_register("Thm4.8", "prime segments under comparability and left cancellation "
                      "classify as archimedean, simple or exceptional, with the "
                      "lower ideal recovered as the power intersection of the "
-                     "exceptional prime")
+                     "exceptional prime",
+           requires=(LEFT_CANCELLATIVE,))
 def _thm48(s: Semigroup, cap: int) -> Verdict:
-    trace = [("left_cancellative", s.is_left_cancellative())]
-    if not s.is_left_cancellative():
-        return vacuous(trace)
     segs = prime_segments(s, cap)
     count = 0
     overlaps = 0
@@ -1248,30 +1133,25 @@ def _thm48(s: Semigroup, cap: int) -> Verdict:
         if cls.overlap:
             overlaps += 1
         if cls.label == NONE:
-            return discrepancy(trace, {"segment": seg.to_dict(),
-                                       "branches": cls.branches})
+            return discrepancy((), {"segment": seg.to_dict(),
+                                    "branches": cls.branches})
         if cls.label == EXCEPTIONAL:
             base = segment_base(s, seg)
             if intersect_powers(s, cls.q) != base:
-                return discrepancy(trace, {"segment": seg.to_dict(),
-                                           "q": _w(cls.q)})
-    trace.append(("has_comparable_segment", count > 0))
-    if count == 0:
-        return vacuous(trace)
-    note = None
+                return discrepancy((), {"segment": seg.to_dict(),
+                                        "q": _w(cls.q)})
+    verdict = _found("has_comparable_segment", count)
     if overlaps:
-        note = (f"{overlaps} segment(s) satisfy more than one branch "
-                "definition; the label follows the case order of the "
-                "classification argument")
-    return holds(trace, note=note)
+        verdict = replace(verdict, note=(
+            f"{overlaps} segment(s) satisfy more than one branch definition; "
+            "the label follows the case order of the classification argument"))
+    return verdict
 
 
 @_register("Lem4.10", "locally invariant prime segments under comparability and "
-                      "left cancellation satisfy the archimedean branch")
+                      "left cancellation satisfy the archimedean branch",
+           requires=(LEFT_CANCELLATIVE,))
 def _lem410(s: Semigroup, cap: int) -> Verdict:
-    trace = [("left_cancellative", s.is_left_cancellative())]
-    if not s.is_left_cancellative():
-        return vacuous(trace)
     count = 0
     for seg in prime_segments(s, cap):
         if not is_right_p_comparable(s, seg.upper).holds:
@@ -1281,15 +1161,24 @@ def _lem410(s: Semigroup, cap: int) -> Verdict:
         count += 1
         cls = classify_segment(s, seg, cap)
         if not cls.branches[ARCHIMEDEAN]:
-            return discrepancy(trace, {"segment": seg.to_dict()})
-    trace.append(("has_locally_invariant_comparable_segment", count > 0))
-    if count == 0:
-        return vacuous(trace)
-    return holds(trace)
+            return discrepancy((), {"segment": seg.to_dict()})
+    return _found("has_locally_invariant_comparable_segment", count)
 
 
 # ---------------------------------------------------------------------------
 # counterexample search for the open converse
+
+
+def _left_cancellative_pool(order_bound: int):
+    """Every enumerated left-cancellative monoid with zero of order 2 up to
+    the bound, with the fields that locate it in a search report."""
+    from .corpus import all_monoids_with_zero
+
+    for order in range(2, order_bound + 1):
+        for idx, s in enumerate(all_monoids_with_zero(order)):
+            if s.is_left_cancellative():
+                yield s, {"order": order, "index": idx,
+                          "table": [list(r) for r in s.rows]}
 
 
 def search_exceptional_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> list[dict]:
@@ -1301,30 +1190,17 @@ def search_exceptional_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> l
     exceptional segment lives on an infinite carrier); any hit is reported
     with its full table so it can be studied by hand.
     """
-    from .corpus import all_monoids_with_zero
-
     found = []
-    for order in range(2, order_bound + 1):
-        for idx, s in enumerate(all_monoids_with_zero(order)):
-            if not s.is_left_cancellative():
+    for s, where in _left_cancellative_pool(order_bound):
+        comp = comparability_ideals(s, cap)
+        if not comp:
+            continue
+        for q in _nonempty_proper(s, _two_fam(s, cap)):
+            if not (_prime(s, q) and not _completely_prime(s, q)):
                 continue
-            comp = comparability_ideals(s, cap)
-            if not comp:
-                continue
-            for q in _nonempty_proper(s, _two_fam(s, cap)):
-                if not (_prime(s, q) and not _completely_prime(s, q)):
-                    continue
-                for p in comp:
-                    if q != p and is_subset(q, p):
-                        found.append(
-                            {
-                                "order": order,
-                                "index": idx,
-                                "table": [list(r) for r in s.rows],
-                                "q": _w(q),
-                                "p": _w(p),
-                            }
-                        )
+            for p in comp:
+                if q != p and is_subset(q, p):
+                    found.append({**where, "q": _w(q), "p": _w(p)})
     return found
 
 
@@ -1336,24 +1212,12 @@ def search_converse_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> list
     An empty list claims nothing beyond the bound; any candidate is
     revalidated by its defining predicates before being reported.
     """
-    from .corpus import all_monoids_with_zero
-
     found = []
-    for order in range(2, order_bound + 1):
-        for idx, s in enumerate(all_monoids_with_zero(order)):
-            if not s.is_left_cancellative():
+    for s, where in _left_cancellative_pool(order_bound):
+        for seg in prime_segments(s, cap):
+            if not is_right_p_comparable(s, seg.upper).holds:
                 continue
-            for seg in prime_segments(s, cap):
-                if not is_right_p_comparable(s, seg.upper).holds:
-                    continue
-                cls = classify_segment(s, seg, cap)
-                if cls.branches[ARCHIMEDEAN] and not is_locally_invariant(s, seg):
-                    found.append(
-                        {
-                            "order": order,
-                            "index": idx,
-                            "table": [list(r) for r in s.rows],
-                            "segment": seg.to_dict(),
-                        }
-                    )
+            cls = classify_segment(s, seg, cap)
+            if cls.branches[ARCHIMEDEAN] and not is_locally_invariant(s, seg):
+                found.append({**where, "segment": seg.to_dict()})
     return found

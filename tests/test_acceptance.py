@@ -5,7 +5,7 @@ lines; every stated runtime bound is asserted with time.monotonic().
 """
 import time
 
-from sgideals.core import build_semigroup, mask_contains, mask_of
+from sgideals.core import Semigroup, mask_contains, mask_of
 from sgideals.classify import comparizer_radical, is_right_chain, radicals
 from sgideals.ideals import IdealKind, enumerate_ideals
 from sgideals.localize import is_right_p_comparable, saturate, saturation_by_element
@@ -177,7 +177,7 @@ def test_criterion_7_translate_saturation_sweep():
 def test_criterion_8_converse_search():
     found = search_converse_candidates(4)
     for cand in found:
-        s = build_semigroup(cand["table"], 1, 0)
+        s = Semigroup(cand["table"], 1, 0)
         assert s.is_left_cancellative()
         upper = mask_of(cand["segment"]["upper"])
         assert is_right_p_comparable(s, upper).holds

@@ -277,7 +277,7 @@ def test_brandt_monoid_zero_ideal_is_exceptional_prime():
     # is the smallest structure whose zero ideal is prime without being
     # completely prime: indices 2..5 behave as e12, e11, e22, e21, so every
     # aSb off zero hits a nonzero product while e12 * e12 == 0
-    from sgideals.core import build_semigroup
+    from sgideals.core import Semigroup
 
     table = [
         [0, 0, 0, 0, 0, 0],
@@ -287,7 +287,7 @@ def test_brandt_monoid_zero_ideal_is_exceptional_prime():
         [0, 4, 0, 0, 4, 5],
         [0, 5, 4, 5, 0, 0],
     ]
-    s = build_semigroup(table, one=1, zero=0)
+    s = Semigroup(table, one=1, zero=0)
     z = mask_of([0])
     assert is_prime_variant(s, z, PrimenessKind.PRIME, IdealKind.TWO_SIDED)
     assert not is_prime_variant(s, z, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED)

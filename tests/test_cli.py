@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sgideals.cli import analysis_report, main, verdict_report
 from sgideals.corpus import corpus
 
@@ -97,6 +99,19 @@ def test_verify_unknown_check(capsys):
 def test_verify_needs_target(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "7"),
+    ("verify", "--enumerate", "1"),
+    ("analyze", "ef4", "--cap", "0"),
+])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage:" in err and "Traceback" not in err
 
 
 def test_enumerate_ndjson(tmp_path, capsys):

@@ -7,8 +7,8 @@ from sgideals.core import (
     CayleyFormatError,
     NotAssociative,
     OneEqualsZero,
+    Semigroup,
     SemigroupError,
-    build_semigroup,
     decode_canonical,
     format_cayley,
     mask_contains,
@@ -28,7 +28,7 @@ from oracles import power_scan, right_principal_scan
 
 
 def test_minimal_monoid_is_valid():
-    s = build_semigroup([[0, 0], [0, 1]], one=1, zero=0)
+    s = Semigroup([[0, 0], [0, 1]], one=1, zero=0)
     assert s.n == 2 and s.mul(1, 1) == 1 and s.mul(0, 1) == 0
 
 
@@ -37,25 +37,29 @@ def test_chain_min_table_is_valid():
 
 
 def test_not_associative_carries_witness():
-    build_semigroup([[0, 0, 0], [0, 1, 2], [0, 2, 1]], 1, 0)  # C2 with zero
+    Semigroup([[0, 0, 0], [0, 1, 2], [0, 2, 1]], 1, 0)  # C2 with zero
     bad = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 3], [0, 3, 3, 2]]
     with pytest.raises(NotAssociative) as exc:
-        build_semigroup(bad, 1, 0)
+        Semigroup(bad, 1, 0)
     i, j, k = exc.value.witness
     assert bad[bad[i][j]][k] != bad[i][bad[j][k]]
 
 
 def test_bad_identity_and_zero():
     with pytest.raises(BadIdentity):
-        build_semigroup([[0, 0], [1, 1]], one=1, zero=0)
+        Semigroup([[0, 0], [1, 1]], one=1, zero=0)
     with pytest.raises(BadZero):
-        build_semigroup([[1, 0], [0, 1]], one=1, zero=0)
+        Semigroup([[1, 0], [0, 1]], one=1, zero=0)
     with pytest.raises(OneEqualsZero):
-        build_semigroup([[0, 0], [0, 0]], one=0, zero=0)
+        Semigroup([[0, 0], [0, 0]], one=0, zero=0)
     with pytest.raises(SemigroupError):
-        build_semigroup([[9, 0], [0, 1]], one=1, zero=0)
+        Semigroup([[9, 0], [0, 1]], one=1, zero=0)
     with pytest.raises(SemigroupError):
-        build_semigroup([[0]], one=0, zero=0)
+        Semigroup([[0]], one=0, zero=0)
+    with pytest.raises(SemigroupError):
+        Semigroup([[0, 0], [0]], one=1, zero=0)  # ragged
+    with pytest.raises(SemigroupError):
+        Semigroup([[0, 0], [0, 1.5]], one=1, zero=0)  # not an integer
 
 
 def test_multiply_examples(ef4):

@@ -1,6 +1,6 @@
 import pytest
 
-from sgideals.core import Semigroup, build_semigroup, isomorphic_fixing_one_zero
+from sgideals.core import Semigroup, isomorphic_fixing_one_zero
 from sgideals.corpus import (
     NontrivialUnits,
     NotRightChain,
@@ -79,7 +79,7 @@ def test_adjoined_properties():
 def test_adjoined_rejects_bad_bases():
     with pytest.raises(NotRightChain):
         build_adjoined(build_delta(2))
-    c2_with_zero = build_semigroup([[0, 0, 0], [0, 1, 2], [0, 2, 1]], 1, 0)
+    c2_with_zero = Semigroup([[0, 0, 0], [0, 1, 2], [0, 2, 1]], 1, 0)
     assert is_right_chain(c2_with_zero)
     with pytest.raises(NontrivialUnits):
         build_adjoined(c2_with_zero)

@@ -1,6 +1,6 @@
 import pytest
 
-from sgideals.core import build_semigroup, mask_elems, mask_of
+from sgideals.core import Semigroup, mask_elems, mask_of
 from sgideals.localize import (
     NotCompletelyPrime,
     NotMultClosed,
@@ -8,12 +8,11 @@ from sgideals.localize import (
     is_mult_closed,
     is_right_ore_set,
     is_right_p_comparable,
-    is_weak_right_p_comparable,
     nested_saturation_inclusion_check,
-    sat_equals_translate_check,
     saturate,
 )
 from sgideals.corpus import build_chain_x, build_delta
+from sgideals.verify import run_check
 
 from oracles import saturate_scan
 
@@ -82,7 +81,7 @@ def test_comparability_chain(ef4):
     c3 = build_chain_x(3)
     j = c3.nonunits_mask()
     assert is_right_p_comparable(c3, j).holds
-    assert is_weak_right_p_comparable(c3, j)
+    assert is_right_p_comparable(c3, j).weak_holds
 
 
 def test_comparability_delta_fails():
@@ -100,7 +99,7 @@ def test_comparability_validates(ef4):
     with pytest.raises(NotCompletelyPrime):
         is_right_p_comparable(s, mask_of([0, ef4.element_names.index("e")]))
     with pytest.raises(NotCompletelyPrime):
-        is_weak_right_p_comparable(s, s.full)
+        is_right_p_comparable(s, s.full)
 
 
 def test_equivalence_class(ef4):
@@ -115,9 +114,9 @@ def test_equivalence_class(ef4):
 
 def test_sat_equals_translate(ef4):
     c4 = build_chain_x(4)
-    v = sat_equals_translate_check(c4, c4.nonunits_mask())
+    v = run_check(c4, "Thm3.8")
     assert v.status == "holds"
-    v = sat_equals_translate_check(ef4.semigroup, P_EF)
+    v = run_check(ef4.semigroup, "Thm3.8")
     assert v.status == "vacuous"
     assert ("left_cancellative", False) in v.hypothesis_trace
 
@@ -160,7 +159,7 @@ def test_weak_without_strict_order5_witness():
         [0, 3, 0, 0, 2],
         [0, 4, 0, 0, 2],
     ]
-    s = build_semigroup(table, one=1, zero=0)
+    s = Semigroup(table, one=1, zero=0)
     assert s.is_left_cancellative()
     j = s.nonunits_mask()
     rep = is_right_p_comparable(s, j)

@@ -201,6 +201,4 @@ def test_pairing_ideal_least_waist_above(ef4):
     efs = s.right_principal(ef4.element_names.index("ef"))
     d = pairing_ideal(s, P_EF)
     assert d == efs
-    from sgideals.ideals import set_product
-
-    assert set_product(s, d, d) == d
+    assert s.product(d, d) == d

@@ -1,6 +1,6 @@
 import pytest
 
-from sgideals.core import build_semigroup, mask_elems, mask_of
+from sgideals.core import Semigroup, mask_elems, mask_of
 from sgideals.classify import comparizer_radical
 from sgideals.ideals import is_nilpotent_ideal
 from sgideals.localize import is_right_p_comparable
@@ -125,7 +125,7 @@ def test_co39_separation_is_noted_not_failed():
         [0, 3, 0, 0, 2],
         [0, 4, 0, 0, 2],
     ]
-    s = build_semigroup(table, one=1, zero=0)
+    s = Semigroup(table, one=1, zero=0)
     v = run_check(s, "Co3.9")
     assert v.status == "holds"
     assert v.note and "separate" in v.note
@@ -136,7 +136,7 @@ def test_search_converse_candidates_revalidate():
 
     found = search_converse_candidates(4)
     for cand in found:
-        s = build_semigroup(cand["table"], one=1, zero=0)
+        s = Semigroup(cand["table"], one=1, zero=0)
         assert s.is_left_cancellative()
         upper = mask_of(cand["segment"]["upper"])
         assert is_right_p_comparable(s, upper).holds
@@ -153,7 +153,7 @@ def test_chain_x4_never_a_candidate():
     found = search_converse_candidates(4)
     c4 = build_chain_x(4).canonical_form()
     for cand in found:
-        assert build_semigroup(cand["table"], 1, 0).canonical_form() != c4
+        assert Semigroup(cand["table"], 1, 0).canonical_form() != c4
 
 
 def test_search_exceptional_candidates_completes():
@@ -165,6 +165,6 @@ def test_search_exceptional_candidates_completes():
     from sgideals.classify import _completely_prime, _prime
 
     for cand in found:
-        s = build_semigroup(cand["table"], 1, 0)
+        s = Semigroup(cand["table"], 1, 0)
         q = mask_of(cand["q"])
         assert _prime(s, q) and not _completely_prime(s, q)
