@@ -60,6 +60,7 @@ from .localize import (
     is_right_ore_set,
     is_right_p_comparable,
     nested_saturation_inclusion_check,
+    right_ore_condition,
     saturate,
 )
 from .segments import (

@@ -8,11 +8,15 @@ Index conventions used by every builder:
   ef(N):         0:"0", 1:"1", 2:"e", 3:"f", 4:"ef", then x^k at index k+4
 
 The enumerator fixes zero at index 0 and the identity at index 1 and
-deduplicates tables by the canonical form that fixes both.
+emits one table per isomorphism class: its lex-minimal labelling, with the
+classes in increasing lex order.  Lex-leader pruning cuts every partial
+table that some relabelling of the other elements makes lex-smaller, so no
+duplicate is ever completed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .core import Semigroup, mask_of
 from .classify import is_right_chain
@@ -330,13 +334,23 @@ MAX_ENUM_ORDER = 6
 
 def enumerate_monoids_with_zero(order: int, sink=None, dedupe: bool = True) -> int:
     """Stream every associative order-n table with absorbing 0 and identity 1,
-    one representative per canonical class when dedupe is set.
+    one representative per isomorphism class when dedupe is set.
 
     The search fills the free block (rows and columns 2..n-1) in row-major
-    order; partial tables are pruned with the associativity triples whose
-    inputs touch the just-assigned cell, and complete tables get the full
-    validation.  Returns the number of emitted semigroups.  Orders beyond
-    MAX_ENUM_ORDER are out of range for this search strategy.
+    order, trying values in ascending order, so complete tables are reached
+    in lexicographic order of that block.  Partial tables are pruned with
+    the associativity triples whose inputs touch the just-assigned cell, and
+    complete tables get the full associativity check.
+
+    With dedupe set, each class is emitted as its lex-minimal labelling, and
+    the classes come in increasing lex order of those labellings.  Two
+    tables are isomorphic exactly when a relabelling of 2..n-1 carries one
+    to the other, so a partial table is pruned as soon as some relabelling
+    sigma makes it lex-larger than sigma(T) on the cells known on both sides
+    (lex-leader symmetry breaking).  At a complete table that comparison is
+    exact.  Without dedupe every labelled table is emitted.  Returns the
+    number of emitted semigroups.  Orders beyond MAX_ENUM_ORDER are out of
+    range for this search strategy.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -350,7 +364,21 @@ def enumerate_monoids_with_zero(order: int, sink=None, dedupe: bool = True) -> i
     free = [(i, j) for i in range(2, n) for j in range(2, n)]
     for i, j in free:
         table[i][j] = -1
-    seen_forms: set[bytes] = set()
+    # vals[k] mirrors the table at free[k]; sigma(T) holds sigma[vals[src[k]]]
+    # at free[k], where src[k] is the position of (sigma^-1 i, sigma^-1 j)
+    vals = [-1] * len(free)
+    position = {cell: k for k, cell in enumerate(free)}
+    relabellings = []
+    if dedupe:
+        for perm in permutations(range(2, n)):
+            sigma = (0, 1) + perm
+            if sigma == tuple(range(n)):
+                continue
+            inv = [0] * n
+            for x, y in enumerate(sigma):
+                inv[y] = x
+            src = [position[inv[i], inv[j]] for i, j in free]
+            relabellings.append((sigma, src))
     count = 0
 
     def partial_ok(i: int, j: int) -> bool:
@@ -373,14 +401,25 @@ def enumerate_monoids_with_zero(order: int, sink=None, dedupe: bool = True) -> i
                     return False
         return True
 
+    def lex_leader(pos: int) -> bool:
+        # False when some sigma(T) is smaller than T on the first cell where
+        # they differ, every earlier cell being known on both sides
+        for sigma, src in relabellings:
+            for k in range(pos + 1):
+                m = src[k]
+                if m > pos:
+                    break
+                a = vals[k]
+                b = sigma[vals[m]]
+                if b != a:
+                    if b < a:
+                        return False
+                    break
+        return True
+
     def emit() -> None:
         nonlocal count
         s = Semigroup([row[:] for row in table], one=1, zero=0)
-        if dedupe:
-            form = s.canonical_form()
-            if form in seen_forms:
-                return
-            seen_forms.add(form)
         count += 1
         if sink is not None:
             sink(s)
@@ -399,9 +438,11 @@ def enumerate_monoids_with_zero(order: int, sink=None, dedupe: bool = True) -> i
         i, j = free[pos]
         for v in range(n):
             table[i][j] = v
-            if partial_ok(i, j):
+            vals[pos] = v
+            if partial_ok(i, j) and lex_leader(pos):
                 fill(pos + 1)
         table[i][j] = -1
+        vals[pos] = -1
 
     fill(0)
     return count

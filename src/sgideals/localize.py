@@ -45,6 +45,15 @@ def is_right_ore_set(s: Semigroup, t_mask: Mask) -> bool:
         raise NotMultClosed("Ore candidates must be multiplicatively closed")
     if not mask_contains(t_mask, s.one):
         warnings.warn("Ore set does not contain the identity", stacklevel=2)
+    return right_ore_condition(s, t_mask)
+
+
+def right_ore_condition(s: Semigroup, t_mask: Mask) -> bool:
+    """The Ore condition alone: a*T meets t*S for every a in S and t in T.
+
+    Neither requires T to be multiplicatively closed nor warns when it
+    lacks the identity; is_right_ore_set adds both.
+    """
     for t in mask_elems(t_mask):
         t_s = s.right_principal(t)
         for a in range(s.n):

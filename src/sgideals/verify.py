@@ -46,6 +46,7 @@ from .localize import (
     equivalence_class,
     is_mult_closed,
     is_right_p_comparable,
+    right_ore_condition,
     saturate,
     saturation_by_element,
 )
@@ -113,10 +114,9 @@ def normalize_id(raw: str) -> str:
 def run_check(s: Semigroup, check_id: str, cap: int = DEFAULT_CAP) -> Verdict:
     """Evaluate every gate the check requires, in order, and record each one;
     vacuous if any failed, else the body's verdict after the gate trace."""
-    key = normalize_id(check_id)
-    if key not in CHECKS:
+    check = CHECKS.get(check_id) or CHECKS.get(normalize_id(check_id))
+    if check is None:
         raise UnknownCheck(f"no check named {check_id!r}")
-    check = CHECKS[key]
     try:
         gates = tuple([(gate.name, gate.test(s, cap)) for gate in check.requires])
         if not all([ok for _, ok in gates]):
@@ -684,15 +684,7 @@ def _co214(s: Semigroup, cap: int) -> Verdict:
                      "a right ideal", requires=(SUBSET_ENUMERATION_FEASIBLE,))
 def _lem31(s: Semigroup, cap: int) -> Verdict:
     for t_mask in range(1 << s.n):
-        if not is_mult_closed(s, t_mask):
-            continue
-        ore = True
-        for t in mask_elems(t_mask):
-            t_s = s.right_principal(t)
-            if any(s.left_mul(a, t_mask) & t_s == 0 for a in range(s.n)):
-                ore = False
-                break
-        if not ore:
+        if not is_mult_closed(s, t_mask) or not right_ore_condition(s, t_mask):
             continue
         for a in range(s.n):
             sat = saturate(s, s.right_principal(a), t_mask)

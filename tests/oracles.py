@@ -155,3 +155,65 @@ def isomorphic_bruteforce(a: Semigroup, b: Semigroup) -> bool:
         ):
             return True
     return False
+
+
+def monoids_with_zero_first_seen(n: int) -> list[list[list[int]]]:
+    """Tables of every monoid with zero of order n, zero at 0 and one at 1.
+
+    A plain depth-first search fills the cells of rows and columns 2..n-1
+    in row-major order with ascending values, and cuts a branch once some
+    triple whose four products are all known fails associativity.  Complete
+    tables therefore arrive in lexicographic order; the first one of each
+    isomorphism class is kept, classes being told apart by the minimum of
+    the table over all relabellings of 2..n-1.
+    """
+    free = [(i, j) for i in range(2, n) for j in range(2, n)]
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        table[1][i] = table[i][1] = i
+    for i, j in free:
+        table[i][j] = -1
+    relabellings = [(0, 1) + p for p in permutations(range(2, n))]
+    seen = set()
+    out = []
+
+    def consistent():
+        for a in range(n):
+            for b in range(n):
+                ab = table[a][b]
+                for c in range(n):
+                    bc = table[b][c]
+                    if ab == -1 or bc == -1:
+                        continue
+                    left, right = table[ab][c], table[a][bc]
+                    if left != -1 and right != -1 and left != right:
+                        return False
+        return True
+
+    def form():
+        best = None
+        for p in relabellings:
+            inv = [0] * n
+            for x, y in enumerate(p):
+                inv[y] = x
+            flat = tuple(p[table[inv[i]][inv[j]]] for i in range(n) for j in range(n))
+            if best is None or flat < best:
+                best = flat
+        return best
+
+    def fill(pos):
+        if pos == len(free):
+            f = form()
+            if f not in seen:
+                seen.add(f)
+                out.append([row[:] for row in table])
+            return
+        i, j = free[pos]
+        for v in range(n):
+            table[i][j] = v
+            if consistent():
+                fill(pos + 1)
+        table[i][j] = -1
+
+    fill(0)
+    return out

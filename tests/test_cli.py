@@ -131,6 +131,11 @@ def test_enumerate_2(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_enumerate_6(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "6")
+    assert code == 0 and out.strip() == "1101"
+
+
 def test_corpus_list_and_dump_errors(capsys):
     code, out, _ = run_cli(capsys, "corpus", "list")
     assert code == 0

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from sgideals.core import Semigroup, isomorphic_fixing_one_zero
@@ -22,7 +24,7 @@ from sgideals.corpus import (
 from sgideals.classify import is_right_chain
 from sgideals.localize import is_right_p_comparable
 
-from oracles import isomorphic_bruteforce
+from oracles import isomorphic_bruteforce, monoids_with_zero_first_seen
 
 
 def test_ef_construction(ef4):
@@ -100,6 +102,37 @@ def test_enumeration_counts():
 
 def test_enumeration_no_dedupe_counts_raw_tables():
     assert enumerate_monoids_with_zero(4, dedupe=False) == 25
+    assert enumerate_monoids_with_zero(5, dedupe=False) == 533
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_enumeration_matches_first_seen_oracle(order):
+    # lex-leader pruning keeps, in the same order, exactly the tables a
+    # full labelled search keeps when it drops every later isomorphic copy
+    got = [[list(r) for r in s.rows] for s in all_monoids_with_zero(order)]
+    assert got == monoids_with_zero_first_seen(order)
+
+
+def test_enumeration_complete_at_6():
+    # the count enumerate_monoids_with_zero(6) returns is pinned through
+    # `sgideals enumerate 6` in test_cli; the pool is cached for test_verify
+    pool = all_monoids_with_zero(6)
+    assert len(pool) == 1101
+    assert len({s.canonical_form() for s in pool}) == 1101
+    # orbit-stabilizer: the classes account for the 21,010 labelled tables
+    # that a search without dedupe reaches; |Aut S| is counted over all 4!
+    # relabellings, independently of the enumerator
+    labelled = 0
+    for s in pool:
+        aut = 0
+        for p in permutations(range(2, 6)):
+            p = (0, 1) + p
+            if all(p[s.rows[i][j]] == s.rows[p[i]][p[j]]
+                   for i in range(6) for j in range(6)):
+                aut += 1
+        assert 24 % aut == 0
+        labelled += 24 // aut
+    assert labelled == 21010
 
 
 def test_enumeration_emits_valid_deduped(pool234):

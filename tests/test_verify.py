@@ -25,6 +25,14 @@ def test_id_normalization():
     assert normalize_id("Thm4.8") == "thm4.8"
 
 
+def test_registry_keys_are_normalised():
+    # run_check looks a key up as given before normalising it
+    assert all(normalize_id(key) == key for key in CHECKS)
+    s = build_chain_x(4)
+    for spelling in ("Lemma 2.1.ii", "lem2.1.ii", "LEM_2.1.ii"):
+        assert run_check(s, spelling) == run_check(s, "Lem2.1.ii")
+
+
 def test_unknown_check():
     with pytest.raises(UnknownCheck):
         run_check(build_minimal(), "Thm9.9")
@@ -168,3 +176,10 @@ def test_search_exceptional_candidates_completes():
         s = Semigroup(cand["table"], 1, 0)
         q = mask_of(cand["q"])
         assert _prime(s, q) and not _completely_prime(s, q)
+
+
+def test_searches_empty_through_order_6():
+    from sgideals.verify import search_exceptional_candidates
+
+    assert search_exceptional_candidates(6) == []
+    assert search_converse_candidates(6) == []
