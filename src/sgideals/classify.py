@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems
+from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized
 from .ideals import (
     DEFAULT_CAP,
     IdealKind,
@@ -100,6 +100,7 @@ def is_prime_variant(
     return _PRIME_FNS[kind](s, x)
 
 
+@memoized
 def prime_family(
     s: Semigroup,
     kind: PrimenessKind,
@@ -107,14 +108,9 @@ def prime_family(
     cap: int = DEFAULT_CAP,
 ) -> tuple[Mask, ...]:
     """All nonempty proper ideals of ideal_kind passing the primeness test."""
-    key = ("primes", kind, ideal_kind, cap)
-    got = s._cache.get(key)
-    if got is None:
-        fam = exhaustive(enumerate_ideals(s, ideal_kind, cap))
-        fn = _PRIME_FNS[kind]
-        got = tuple(m for m in fam if m and m != s.full and fn(s, m))
-        s._cache[key] = got
-    return got
+    fam = exhaustive(enumerate_ideals(s, ideal_kind, cap))
+    fn = _PRIME_FNS[kind]
+    return tuple(m for m in fam if m and m != s.full and fn(s, m))
 
 
 # -- waists -------------------------------------------------------------------
@@ -144,15 +140,11 @@ def is_right_waist(s: Semigroup, i_mask: Mask) -> bool:
     return _waist(s, i_mask)
 
 
+@memoized
 def right_waists(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
     """All proper right ideals comparable with every right ideal."""
-    key = ("waists", cap)
-    got = s._cache.get(key)
-    if got is None:
-        fam = exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap))
-        got = tuple(m for m in fam if m != s.full and _waist(s, m))
-        s._cache[key] = got
-    return got
+    fam = exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap))
+    return tuple(m for m in fam if m != s.full and _waist(s, m))
 
 
 # -- comparizer ideals ----------------------------------------------------------
@@ -190,6 +182,7 @@ def is_strongly_comparizer(s: Semigroup, a_mask: Mask) -> bool:
     return True
 
 
+@memoized
 def comparizer_radical(s: Semigroup) -> Mask:
     """The largest right comparizer ideal.
 
@@ -197,9 +190,6 @@ def comparizer_radical(s: Semigroup) -> Mask:
     aS.  Equals the union of all comparizer right ideals, which is the whole
     carrier exactly when the principal right ideals form a chain.
     """
-    got = s._cache.get("comparizer_radical")
-    if got is not None:
-        return got
     n, rows = s.n, s.rows
     out = s.full
     for a in range(n):
@@ -217,7 +207,6 @@ def comparizer_radical(s: Semigroup) -> Mask:
                 break
         if out == 0:
             break
-    s._cache["comparizer_radical"] = out
     return out
 
 
@@ -273,6 +262,7 @@ class RadicalReport:
         }
 
 
+@memoized
 def radicals(s: Semigroup, cap: int = DEFAULT_CAP) -> RadicalReport:
     """Compute all radicals by enumerate-and-filter over two-sided ideals.
 

@@ -19,8 +19,9 @@ from .core import (
     format_cayley,
     parse_cayley,
 )
-from .classify import _completely_prime, radicals
-from .ideals import DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals, exhaustive
+from .classify import PrimenessKind, prime_family, radicals
+# enumerate_ideals stays bound: perfbench's tracer test wraps cli's binding
+from .ideals import DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals  # noqa: F401
 from .localize import is_right_p_comparable
 from .segments import classify_segment, prime_segments
 from .corpus import MAX_ENUM_ORDER, corpus, corpus_entry, enumerate_monoids_with_zero
@@ -33,17 +34,22 @@ class SystemExit2(Exception):
     """Input errors mapped to exit code 2."""
 
 
+def _read_text(path: str) -> str:
+    """The file's text; an unreadable or undecodable file is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit2(f"cannot read {path}: {exc}")
+
+
 def _load_target(target: str):
     """Corpus names resolve before paths; returns (name, Semigroup, entry|None)."""
     reg = corpus()
     if target in reg:
         entry = reg[target]
         return target, entry.semigroup, entry
-    try:
-        with open(target, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SystemExit2(f"cannot read {target}: {exc}")
+    text = _read_text(target)
     try:
         return target, parse_cayley(text), None
     except SemigroupError as exc:
@@ -56,13 +62,7 @@ def _hash(s: Semigroup) -> str:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        s = parse_cayley(text)
+        s = parse_cayley(_read_text(args.path))
     except CayleyFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -75,10 +75,10 @@ def cmd_validate(args) -> int:
 
 def analysis_report(name: str, s: Semigroup, entry, cap: int) -> dict:
     rad = radicals(s, cap)
-    comp = []
-    for m in exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap)):
-        if m and m != s.full and _completely_prime(s, m):
-            comp.append(is_right_p_comparable(s, m).to_dict())
+    comp = [
+        is_right_p_comparable(s, p).to_dict()
+        for p in prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT, cap)
+    ]
     segs = []
     for seg in prime_segments(s, cap):
         cls = classify_segment(s, seg, cap).to_dict()
@@ -216,9 +216,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    out = None
-    if args.ndjson:
-        out = open(args.ndjson, "w", encoding="utf-8")
+    try:
+        out = open(args.ndjson, "w", encoding="utf-8") if args.ndjson else None
+    except OSError as exc:
+        print(f"error: cannot write {args.ndjson}: {exc}", file=sys.stderr)
+        return 2
 
     def sink(s: Semigroup):
         if out is not None:

@@ -7,10 +7,37 @@ largest orders this library targets (n <= ~40).
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import operator
 from itertools import permutations, product
 
 Mask = int
+
+_MISSING = object()
+
+
+def memoized(fn):
+    """Cache fn(s, *args) on the Semigroup s under (fn, *args), defaulted
+    arguments bound, so f(s, x) and f(s, x, default) share one entry.
+    Exceptions are not cached.  Every caller gets the same object, so fn
+    must return an immutable value."""
+    sig = inspect.signature(fn)
+    arity = len(sig.parameters) - 1
+
+    @functools.wraps(fn)
+    def wrapper(s, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = sig.bind(s, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key = (fn, *args)
+        got = s._cache.get(key, _MISSING)
+        if got is _MISSING:
+            got = s._cache[key] = fn(s, *args)
+        return got
+
+    return wrapper
 
 
 class SemigroupError(ValueError):
@@ -85,7 +112,8 @@ class Semigroup:
     Construction checks all four axioms (associativity, two-sided identity,
     absorbing zero, identity != zero) and raises a SemigroupError subclass
     with a witness on the first violation.  Instances are immutable; derived
-    data (principal ideals, units, cancellativity) is cached lazily.
+    data is computed on first use and kept on the instance: the principal
+    ideals by _principals, everything else by @memoized functions.
     """
 
     __slots__ = ("n", "one", "zero", "rows", "_cache")
@@ -224,34 +252,29 @@ class Semigroup:
 
     # -- units and cancellation ---------------------------------------------
 
+    @memoized
     def units_mask(self) -> Mask:
-        got = self._cache.get("units")
-        if got is None:
-            n, one, rows = self.n, self.one, self.rows
-            got = 0
-            for u in range(n):
-                row = rows[u]
-                for v in range(n):
-                    if row[v] == one and rows[v][u] == one:
-                        got |= 1 << u
-                        break
-            self._cache["units"] = got
-        return got
+        n, one, rows = self.n, self.one, self.rows
+        out = 0
+        for u in range(n):
+            row = rows[u]
+            for v in range(n):
+                if row[v] == one and rows[v][u] == one:
+                    out |= 1 << u
+                    break
+        return out
 
     def nonunits_mask(self) -> Mask:
         return self.full & ~self.units_mask()
 
     def left_cancellation_witness(self):
         """A triple (a, b, c) with a*b == a*c != 0 and b != c, or None."""
-        if "lcw" not in self._cache:
-            self._cache["lcw"] = self._cancel_witness(left=True)
-        return self._cache["lcw"]
+        return self._cancel_witness(True)
 
     def right_cancellation_witness(self):
-        if "rcw" not in self._cache:
-            self._cache["rcw"] = self._cancel_witness(left=False)
-        return self._cache["rcw"]
+        return self._cancel_witness(False)
 
+    @memoized
     def _cancel_witness(self, left: bool):
         n, zero, rows = self.n, self.zero, self.rows
         for a in range(n):
@@ -287,12 +310,9 @@ class Semigroup:
             v = rows[v][a]
         return v == zero
 
+    @memoized
     def nilpotent_elements(self) -> Mask:
-        got = self._cache.get("nilp")
-        if got is None:
-            got = mask_of(a for a in range(self.n) if self.is_nilpotent_element(a))
-            self._cache["nilp"] = got
-        return got
+        return mask_of(a for a in range(self.n) if self.is_nilpotent_element(a))
 
     # -- relabeling and canonical form ---------------------------------------
 
@@ -324,6 +344,7 @@ class Semigroup:
         kills_l = sum(1 for b in range(n) if rows[b][a] == zero)
         return (r, l, idem, idx, kills_r, kills_l)
 
+    @memoized
     def canonical_form(self) -> bytes:
         """Minimal byte encoding over all relabelings that fix one and zero.
 
@@ -332,9 +353,6 @@ class Semigroup:
         Elements are first partitioned by relabeling-invariant signatures,
         which keeps the permutation search within signature blocks.
         """
-        got = self._cache.get("canon")
-        if got is not None:
-            return got
         n = self.n
         rows = self.rows
         # elements other than one/zero grouped by signature; positions 2..
@@ -367,9 +385,7 @@ class Semigroup:
             flat = tuple(flat)
             if best is None or flat < best:
                 best = flat
-        got = bytes([n, 1, 0]) + bytes(best)
-        self._cache["canon"] = got
-        return got
+        return bytes([n, 1, 0]) + bytes(best)
 
     # -- dunder ----------------------------------------------------------------
 

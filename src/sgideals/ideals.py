@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Mask, Semigroup, is_subset, mask_elems, popcount
+from .core import Mask, Semigroup, is_subset, mask_elems, memoized, popcount
 
 DEFAULT_CAP = 1_000_000
 
@@ -149,6 +149,7 @@ def _divisibility_classes(s: Semigroup, kind: IdealKind):
     return classes
 
 
+@memoized
 def enumerate_ideals(s: Semigroup, kind: IdealKind, cap: int = DEFAULT_CAP) -> IdealFamily:
     """All ideals of the given kind, as down-closed sets of the divisibility
     preorder (b below a iff b in aS, and the analogues for the other kinds).
@@ -158,10 +159,6 @@ def enumerate_ideals(s: Semigroup, kind: IdealKind, cap: int = DEFAULT_CAP) -> I
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    key = ("ideals", kind, cap)
-    got = s._cache.get(key)
-    if got is not None:
-        return got
     classes = _divisibility_classes(s, kind)
     seen = {0}
     queue = [0]
@@ -185,9 +182,7 @@ def enumerate_ideals(s: Semigroup, kind: IdealKind, cap: int = DEFAULT_CAP) -> I
         if truncated:
             break
     masks = tuple(sorted(seen, key=lambda m: (popcount(m), m)))
-    fam = IdealFamily(masks=masks, kind=kind, truncated=truncated)
-    s._cache[key] = fam
-    return fam
+    return IdealFamily(masks=masks, kind=kind, truncated=truncated)
 
 
 def exhaustive(fam: IdealFamily) -> tuple[Mask, ...]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems
+from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized
 from .classify import _completely_prime, _waist
 from .ideals import IdealKind, is_ideal
 from .verdict import Verdict, discrepancy, holds, vacuous
@@ -116,8 +116,9 @@ class ComparabilityReport:
         }
 
 
-def saturation_by_element(s: Semigroup, p_mask: Mask) -> list[Mask]:
-    """sat(aS, S-P) for every a, memoized per distinct principal ideal."""
+@memoized
+def saturation_by_element(s: Semigroup, p_mask: Mask) -> tuple[Mask, ...]:
+    """sat(aS, S-P) for every a, computed once per distinct principal ideal."""
     t_mask = s.full & ~p_mask
     cache: dict[Mask, Mask] = {}
     out = []
@@ -128,9 +129,10 @@ def saturation_by_element(s: Semigroup, p_mask: Mask) -> list[Mask]:
             got = saturate(s, a_s, t_mask)
             cache[a_s] = got
         out.append(got)
-    return out
+    return tuple(out)
 
 
+@memoized
 def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
     """Pairwise comparability with respect to a completely prime right ideal.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems
+from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized
 from .classify import (
     PrimenessKind,
     _comparizer,
@@ -154,19 +154,23 @@ def _nonempty_proper(s: Semigroup, masks):
     return [m for m in masks if m and m != s.full]
 
 
+@memoized
 def comparability_ideals(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
     """Completely prime two-sided ideals P for which the pairwise
     comparability condition holds."""
-    key = ("comparability_ideals", cap)
-    got = s._cache.get(key)
-    if got is None:
-        got = tuple(
-            p
-            for p in completely_prime_spectrum(s, cap)
-            if is_right_p_comparable(s, p).holds
-        )
-        s._cache[key] = got
-    return got
+    return tuple(
+        p for p in completely_prime_spectrum(s, cap) if is_right_p_comparable(s, p).holds
+    )
+
+
+def _incomparable_pair(masks):
+    """The first pair (a, b), a before b, with neither inside the other, or
+    None when the masks form a chain."""
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            if not is_subset(a, b) and not is_subset(b, a):
+                return a, b
+    return None
 
 
 def _w(masks) -> list[list[int]]:
@@ -303,12 +307,14 @@ def _pr23iv(s: Semigroup, cap: int) -> Verdict:
     return holds()
 
 
-def _comparizer_right_ideals(s: Semigroup, cap: int):
-    return [m for m in _nonempty_proper(s, _right_fam(s, cap)) if _comparizer(s, m)]
+@memoized
+def _comparizer_right_ideals(s: Semigroup, cap: int) -> tuple[Mask, ...]:
+    return tuple(m for m in _nonempty_proper(s, _right_fam(s, cap)) if _comparizer(s, m))
 
 
-def _comparizer_two_sided(s: Semigroup, cap: int):
-    return [m for m in _nonempty_proper(s, _two_fam(s, cap)) if _comparizer(s, m)]
+@memoized
+def _comparizer_two_sided(s: Semigroup, cap: int) -> tuple[Mask, ...]:
+    return tuple(m for m in _nonempty_proper(s, _two_fam(s, cap)) if _comparizer(s, m))
 
 
 @_register("Thm2.4.i", "an idempotent right comparizer ideal is a right waist")
@@ -336,19 +342,12 @@ def _thm24ii(s: Semigroup, cap: int) -> Verdict:
 def _thm24iii(s: Semigroup, cap: int) -> Verdict:
     primes = prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap)
     for i_mask in _comparizer_right_ideals(s, cap):
-        inside = []
         for p in primes:
-            if not is_subset(i_mask, p):
-                if not (_waist(s, p) and is_subset(p, i_mask)):
-                    return discrepancy((), {"comparizer": _w(i_mask), "prime": _w(p)})
-            if is_subset(p, i_mask):
-                inside.append(p)
-        for i, a in enumerate(inside):
-            for b in inside[i + 1:]:
-                if not is_subset(a, b) and not is_subset(b, a):
-                    return discrepancy(
-                        (), {"comparizer": _w(i_mask), "pair": [_w(a), _w(b)]}
-                    )
+            if not is_subset(i_mask, p) and not (_waist(s, p) and is_subset(p, i_mask)):
+                return discrepancy((), {"comparizer": _w(i_mask), "prime": _w(p)})
+        pair = _incomparable_pair([p for p in primes if is_subset(p, i_mask)])
+        if pair:
+            return discrepancy((), {"comparizer": _w(i_mask), "pair": _w(pair)})
     return holds()
 
 
@@ -703,11 +702,9 @@ def _lem34(s: Semigroup, cap: int) -> Verdict:
     for p in comparability_ideals(s, cap):
         if not _waist(s, p):
             return discrepancy((), {"p": _w(p), "fails": "waist"})
-        inside = [q for q in spec if is_subset(q, p)]
-        for i, a in enumerate(inside):
-            for b in inside[i + 1:]:
-                if not is_subset(a, b) and not is_subset(b, a):
-                    return discrepancy((), {"p": _w(p), "pair": [_w(a), _w(b)]})
+        pair = _incomparable_pair([q for q in spec if is_subset(q, p)])
+        if pair:
+            return discrepancy((), {"p": _w(p), "pair": _w(pair)})
     nrad = rad.completely_prime_radical
     if not (_completely_prime(s, nrad) and _waist(s, nrad)):
         return discrepancy((), {"completely_prime_radical": _w(nrad)})
@@ -717,9 +714,7 @@ def _lem34(s: Semigroup, cap: int) -> Verdict:
 @_register("Pr3.5", "the five comparability conditions agree for every completely "
                     "prime right ideal")
 def _pr35(s: Semigroup, cap: int) -> Verdict:
-    for p in _nonempty_proper(s, _right_fam(s, cap)):
-        if not _completely_prime(s, p):
-            continue
+    for p in prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT, cap):
         rep = is_right_p_comparable(s, p)
         if len(set(rep.conditions)) != 1:
             return discrepancy(
@@ -748,11 +743,9 @@ def _thm36i(s: Semigroup, cap: int) -> Verdict:
 def _thm36ii(s: Semigroup, cap: int) -> Verdict:
     primes = prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap)
     for p in comparability_ideals(s, cap):
-        inside = [q for q in primes if is_subset(q, p)]
-        for i, a in enumerate(inside):
-            for b in inside[i + 1:]:
-                if not is_subset(a, b) and not is_subset(b, a):
-                    return discrepancy((), {"p": _w(p), "pair": [_w(a), _w(b)]})
+        pair = _incomparable_pair([q for q in primes if is_subset(q, p)])
+        if pair:
+            return discrepancy((), {"p": _w(p), "pair": _w(pair)})
     beta = radicals(s, cap).prime_radical
     if not (_prime(s, beta) and _waist(s, beta)):
         return discrepancy((), {"prime_radical": _w(beta)})
@@ -909,23 +902,21 @@ def _co312(s: Semigroup, cap: int) -> Verdict:
            requires=(LEFT_CANCELLATIVE,))
 def _thm313(s: Semigroup, cap: int) -> Verdict:
     j = s.nonunits_mask()
+    cp_right = prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT, cap)
     count = 0
     for m in _nonempty_proper(s, _right_fam(s, cap)):
         if m == s.zero_mask:
             continue
         p0 = associated_prime(s, m)
-        if not (is_ideal(s, p0, IdealKind.RIGHT) and p0 != s.full
-                and _completely_prime(s, p0)):
-            continue
-        if not is_right_p_comparable(s, p0).holds:
+        if p0 not in cp_right or not is_right_p_comparable(s, p0).holds:
             continue
         count += 1
-        t_mask = s.full & ~p0
         outside = mask_elems(s.full & ~m)
         ip = _translate_intersection(s, outside, p0)
+        sat = saturation_by_element(s, p0)
         union = 0
         for a in mask_elems(m):
-            union |= saturate(s, s.right_principal(a), t_mask)
+            union |= sat[a]
         ok = is_subset(p0, j) and ip == m and union == m and _waist(s, m)
         if not ok:
             return discrepancy((), {"ideal": _w(m), "associated": _w(p0)})
@@ -1044,11 +1035,9 @@ def _alpha_family(s: Semigroup, cap: int, p: Mask):
            requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem46i(s: Semigroup, cap: int) -> Verdict:
     for p in comparability_ideals(s, cap):
-        alpha = _alpha_family(s, cap, p)
-        for i, a in enumerate(alpha):
-            for b in alpha[i + 1:]:
-                if not is_subset(a, b) and not is_subset(b, a):
-                    return discrepancy((), {"p": _w(p), "pair": [_w(a), _w(b)]})
+        pair = _incomparable_pair(_alpha_family(s, cap, p))
+        if pair:
+            return discrepancy((), {"p": _w(p), "pair": _w(pair)})
     return holds()
 
 

@@ -258,8 +258,10 @@ def test_prime_family_and_waists_cached(ef4):
     s = ef4.semigroup
     primes = prime_family(s, PrimenessKind.PRIME, IdealKind.TWO_SIDED)
     assert P_EF in primes and len(primes) == 4
+    assert prime_family(s, PrimenessKind.PRIME, IdealKind.TWO_SIDED) is primes
     ws = right_waists(s)
     assert P_EF in ws and s.right_principal(ef4.element_names.index("e")) not in ws
+    assert right_waists(s) is ws
 
 
 @settings(max_examples=60, deadline=None)

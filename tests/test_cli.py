@@ -41,6 +41,14 @@ def test_validate_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze", "verify"])
+def test_undecodable_input_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "binary.cay"
+    path.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 2 and "cannot read" in err
+
+
 def test_analyze_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "analyze", "ef4", "--json")
     assert code == 0
@@ -124,6 +132,13 @@ def test_enumerate_ndjson(tmp_path, capsys):
     row = json.loads(lines[0])
     assert row["n"] == 4 and row["one"] == 1 and row["zero"] == 0
     assert len(row["table"]) == 4 and isinstance(row["canonical"], str)
+
+
+def test_enumerate_ndjson_unwritable_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.ndjson"
+    code, out, err = run_cli(capsys, "enumerate", "3", "--ndjson", str(path))
+    assert code == 2 and out == ""
+    assert f"error: cannot write {path}" in err
 
 
 def test_enumerate_2(capsys):

@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sgideals
+from sgideals.classify import PrimenessKind, prime_family, radicals
+from sgideals.cli import analysis_report
 from sgideals.core import (
     BadIdentity,
     BadZero,
@@ -23,6 +28,10 @@ from sgideals.corpus import (
     build_ef,
     build_min_chain,
 )
+from sgideals.ideals import DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals
+from sgideals.localize import is_right_p_comparable, saturation_by_element
+from sgideals.verdict import VACUOUS
+from sgideals.verify import run_check, run_suite
 
 from oracles import power_scan, right_principal_scan
 
@@ -198,3 +207,61 @@ def test_mask_helpers():
     m = mask_of([0, 3, 5])
     assert mask_elems(m) == [0, 3, 5]
     assert mask_contains(m, 3) and not mask_contains(m, 1)
+
+
+# -- the per-instance memo ------------------------------------------------------
+
+
+def _fresh(s: Semigroup) -> Semigroup:
+    return Semigroup(s.rows, s.one, s.zero)
+
+
+def test_memo_returns_the_identical_object(ef4):
+    s = _fresh(ef4.semigroup)
+    assert s.canonical_form() is s.canonical_form()
+    assert enumerate_ideals(s, IdealKind.RIGHT) is enumerate_ideals(s, IdealKind.RIGHT)
+    assert radicals(s) is radicals(s)
+    p = prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT)[0]
+    assert is_right_p_comparable(s, p) is is_right_p_comparable(s, p)
+    assert saturation_by_element(s, p) is saturation_by_element(s, p)
+    # the memo is per instance: an equal table starts empty
+    assert radicals(_fresh(s)) is not radicals(s)
+
+
+def test_memo_binds_defaulted_arguments(ef4):
+    s = _fresh(ef4.semigroup)
+    kinds = (PrimenessKind.PRIME, IdealKind.RIGHT)
+    primes = prime_family(s, *kinds)
+    assert prime_family(s, *kinds, DEFAULT_CAP) is primes
+    assert prime_family(s, *kinds, cap=DEFAULT_CAP) is primes
+    fams = [k for k in s._cache if isinstance(k, tuple) and k[0] is prime_family.__wrapped__]
+    assert fams == [(prime_family.__wrapped__, *kinds, DEFAULT_CAP)]
+
+
+def test_memo_keys_on_the_cap(ef4):
+    s = _fresh(ef4.semigroup)
+    assert not enumerate_ideals(s, IdealKind.RIGHT).truncated
+    primes = prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT)
+    # a family computed at the default cap must not answer a smaller cap
+    assert enumerate_ideals(s, IdealKind.RIGHT, 2).truncated
+    for _ in range(2):  # an exception is not cached
+        with pytest.raises(CapExceeded):
+            prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, 2)
+    v = run_check(s, "Thm2.4.iii", 2)
+    assert v.status == VACUOUS and v.note == "cap"
+    assert prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT) is primes
+
+
+def test_memo_holds_only_hashable_values(corpus_entries):
+    for entry in corpus_entries:
+        s = _fresh(entry.semigroup)
+        run_suite(s)
+        analysis_report(entry.name, s, entry, DEFAULT_CAP)
+        for key, value in s._cache.items():
+            hash(key), hash(value)  # a mutable value would be shared by every caller
+
+
+def test_only_core_touches_the_cache():
+    src = Path(sgideals.__file__).parent
+    owners = sorted(p.name for p in src.glob("*.py") if "_cache" in p.read_text(encoding="utf-8"))
+    assert owners == ["core.py"]

@@ -9,6 +9,7 @@ from sgideals.corpus import build_chain_x, build_delta, build_minimal, corpus
 from sgideals.verify import (
     CHECKS,
     UnknownCheck,
+    _incomparable_pair,
     normalize_id,
     registered_ids,
     run_check,
@@ -31,6 +32,12 @@ def test_registry_keys_are_normalised():
     s = build_chain_x(4)
     for spelling in ("Lemma 2.1.ii", "lem2.1.ii", "LEM_2.1.ii"):
         assert run_check(s, spelling) == run_check(s, "Lem2.1.ii")
+
+
+def test_incomparable_pair():
+    assert _incomparable_pair([0b1, 0b11, 0b100, 0b110]) == (0b1, 0b100)
+    assert _incomparable_pair([0b1, 0b11, 0b111]) is None
+    assert _incomparable_pair([]) is None
 
 
 def test_unknown_check():
