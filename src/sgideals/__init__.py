@@ -42,6 +42,7 @@ from .classify import (
     PrimenessKind,
     RadicalReport,
     associated_prime,
+    comparizer_bounds,
     comparizer_radical,
     is_prime_variant,
     is_right_chain,

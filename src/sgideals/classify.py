@@ -150,14 +150,33 @@ def right_waists(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
 # -- comparizer ideals ----------------------------------------------------------
 
 
-def _comparizer(s: Semigroup, i_mask: Mask) -> bool:
-    for a in range(s.n):
-        a_s = s.right_principal(a)
-        for b in range(s.n):
-            if mask_contains(s.right_principal(b), a):
-                continue
-            if not is_subset(s.left_mul(b, i_mask), a_s):
-                return False
+@memoized
+def comparizer_bounds(s: Semigroup, within: Mask) -> tuple[Mask, ...]:
+    """B[b] for every element b: the intersection of aS over the a in
+    `within` that lie outside bS (the whole carrier when no a qualifies).
+
+    A set I passes the comparizer test over W, "for all a, b in W: a in bS
+    or b*I inside aS", exactly when b*I lies inside B[b] for every b in W:
+    the two universal quantifiers trade places and nothing else changes.
+    """
+    out = []
+    for b in range(s.n):
+        bound = s.full
+        for a in mask_elems(within & ~s.right_principal(b)):
+            bound &= s.right_principal(a)
+        out.append(bound)
+    return tuple(out)
+
+
+def _comparizer(s: Semigroup, i_mask: Mask, within: Mask | None = None) -> bool:
+    """For every a, b: a in bS, or b*I inside aS; with `within`, a and b
+    range over that set only."""
+    if within is None:
+        within = s.full
+    bounds = comparizer_bounds(s, within)
+    for b in mask_elems(within):
+        if not is_subset(s.left_mul(b, i_mask), bounds[b]):
+            return False
     return True
 
 
@@ -187,26 +206,16 @@ def comparizer_radical(s: Semigroup) -> Mask:
     """The largest right comparizer ideal.
 
     Elementwise: c belongs iff for all a, b either a is in bS or b*c is in
-    aS.  Equals the union of all comparizer right ideals, which is the whole
+    aS, that is, iff b*c lies in comparizer_bounds(s, S)[b] for every b.
+    Equals the union of all comparizer right ideals, which is the whole
     carrier exactly when the principal right ideals form a chain.
     """
-    n, rows = s.n, s.rows
-    out = s.full
-    for a in range(n):
-        a_s = s.right_principal(a)
-        for b in range(n):
-            if mask_contains(s.right_principal(b), a):
-                continue
-            row_b = rows[b]
-            keep = 0
-            for c in range(n):
-                if mask_contains(a_s, row_b[c]):
-                    keep |= 1 << c
-            out &= keep
-            if out == 0:
-                break
-        if out == 0:
-            break
+    rows = s.rows
+    bounds = comparizer_bounds(s, s.full)
+    out = 0
+    for c in range(s.n):
+        if all(mask_contains(bound, row[c]) for row, bound in zip(rows, bounds)):
+            out |= 1 << c
     return out
 
 

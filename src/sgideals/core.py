@@ -385,7 +385,12 @@ class Semigroup:
             flat = tuple(flat)
             if best is None or flat < best:
                 best = flat
-        return bytes([n, 1, 0]) + bytes(best)
+        values = (n, 1, 0, *best)
+        if n < 256:
+            return bytes(values)
+        # a 0 byte (never a valid order) and the width lead wider values
+        width = (n.bit_length() + 7) // 8
+        return bytes([0, width]) + b"".join(v.to_bytes(width, "big") for v in values)
 
     # -- dunder ----------------------------------------------------------------
 
@@ -405,9 +410,15 @@ class Semigroup:
 
 
 def decode_canonical(blob: bytes) -> Semigroup:
-    n = blob[0]
-    one, zero = blob[1], blob[2]
-    entries = list(blob[3:])
+    """The monoid whose canonical form is `blob`."""
+    if blob[0]:
+        values = list(blob)
+    else:
+        width, body = blob[1], blob[2:]
+        if not width or len(body) % width:
+            raise SemigroupError("canonical blob has wrong length")
+        values = [int.from_bytes(body[i:i + width], "big") for i in range(0, len(body), width)]
+    n, one, zero, entries = values[0], values[1], values[2], values[3:]
     if len(entries) != n * n:
         raise SemigroupError("canonical blob has wrong length")
     table = [entries[i * n : (i + 1) * n] for i in range(n)]

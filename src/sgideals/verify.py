@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized
+from .core import Mask, Semigroup, is_subset, mask_elems, memoized
 from .classify import (
     PrimenessKind,
     _comparizer,
@@ -383,22 +383,10 @@ def _lem25i(s: Semigroup, cap: int) -> Verdict:
     for w in right_waists(s, cap):
         if not w:
             continue
-        members = mask_elems(w)
         for c in fam:
             if not is_subset(c, w):
                 continue
-            restricted = True
-            for a in members:
-                a_s = s.right_principal(a)
-                for b in members:
-                    if mask_contains(s.right_principal(b), a):
-                        continue
-                    if not is_subset(s.left_mul(b, c), a_s):
-                        restricted = False
-                        break
-                if not restricted:
-                    break
-            if restricted != _comparizer(s, c):
+            if _comparizer(s, c, w) != _comparizer(s, c):
                 return discrepancy((), {"waist": _w(w), "ideal": _w(c)})
     return holds()
 
@@ -728,11 +716,14 @@ def _pr35(s: Semigroup, cap: int) -> Verdict:
            requires=(HAS_COMPARABILITY_IDEAL,))
 def _thm36i(s: Semigroup, cap: int) -> Verdict:
     semi = prime_family(s, PrimenessKind.SEMIPRIME, IdealKind.RIGHT, cap)
+    good: dict[Mask, bool] = {}
     for p in comparability_ideals(s, cap):
         for q in semi:
             if not is_subset(q, p):
                 continue
-            if not (_prime(s, q) and _waist(s, q)):
+            if q not in good:
+                good[q] = _prime(s, q) and _waist(s, q)
+            if not good[q]:
                 return discrepancy((), {"p": _w(p), "ideal": _w(q)})
     return holds()
 
@@ -769,13 +760,17 @@ def _thm36iii(s: Semigroup, cap: int) -> Verdict:
                      "right waists under left translation",
            requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem37(s: Semigroup, cap: int) -> Verdict:
+    first_bad: dict[Mask, int | None] = {}
     for p in comparability_ideals(s, cap):
         for w in right_waists(s, cap):
             if not w or not is_subset(w, p):
                 continue
-            for a in range(s.n):
-                if not _waist(s, s.left_mul(a, w)):
-                    return discrepancy((), {"p": _w(p), "waist": _w(w), "a": a})
+            if w not in first_bad:
+                first_bad[w] = next(
+                    (a for a in range(s.n) if not _waist(s, s.left_mul(a, w))), None
+                )
+            if first_bad[w] is not None:
+                return discrepancy((), {"p": _w(p), "waist": _w(w), "a": first_bad[w]})
     return holds()
 
 

@@ -13,6 +13,12 @@ def pool234():
 
 
 @pytest.fixture(scope="session")
+def pool5():
+    """Every monoid with zero of order 5, up to isomorphism."""
+    return all_monoids_with_zero(5)
+
+
+@pytest.fixture(scope="session")
 def corpus_entries():
     return list(corpus().values())
 

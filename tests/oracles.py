@@ -78,6 +78,20 @@ def comparizer_bruteforce(s: Semigroup, m: int) -> bool:
     return True
 
 
+def restricted_comparizer_bruteforce(s: Semigroup, w: int, c: int) -> bool:
+    """The comparizer condition with a and b ranging over W only: for all
+    a, b in W, a in bS or b*C inside aS, as a literal double loop."""
+    members = mask_elems(w)
+    for a in members:
+        a_s = set(mask_elems(right_principal_scan(s, a)))
+        for b in members:
+            if a in mask_elems(right_principal_scan(s, b)):
+                continue
+            if not {s.mul(b, x) for x in mask_elems(c)} <= a_s:
+                return False
+    return True
+
+
 def comparizer_union_bruteforce(s: Semigroup) -> int:
     out = 0
     for m in ideals_bruteforce(s, "right"):

@@ -141,6 +141,7 @@ def test_criterion_6_oracle_equivalences():
     for s in _pool_up_to_4():
         for kind in IdealKind:
             assert list(enumerate_ideals(s, kind)) == ideals_bruteforce(s, kind.value)
+    for s in _pool_up_to_4() + list(all_monoids_with_zero(5)):
         assert comparizer_radical(s) == comparizer_union_bruteforce(s)
     for entry in corpus().values():
         assert radicals(entry.semigroup).prime_radical == beta_bruteforce(entry.semigroup)

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgideals.core import mask_of
+from sgideals.core import is_subset, mask_of
 from sgideals.ideals import IdealKind, NotAnIdeal, NotProper, enumerate_ideals
 from sgideals.classify import (
     PrimenessKind,
+    _comparizer,
     associated_prime,
     comparizer_radical,
     is_prime_variant,
@@ -29,6 +30,7 @@ from oracles import (
     comparizer_union_bruteforce,
     completely_prime_scan,
     prime_scan,
+    restricted_comparizer_bruteforce,
     semiprime_scan,
     waist_bruteforce,
 )
@@ -133,10 +135,26 @@ def test_comparizer_examples(ef4):
             assert not (m >> e) & 1 and not (m >> f) & 1
 
 
-def test_comparizer_matches_pair_form(pool234):
-    for s in pool234:
+def _oracle_targets(pool234, pool5, corpus_entries):
+    return [*pool234, *pool5, *(e.semigroup for e in corpus_entries)]
+
+
+def test_comparizer_matches_pair_form(pool234, pool5, corpus_entries):
+    for s in _oracle_targets(pool234, pool5, corpus_entries):
         for m in enumerate_ideals(s, IdealKind.RIGHT):
             assert is_right_comparizer(s, m) == comparizer_bruteforce(s, m)
+
+
+def test_restricted_comparizer_matches_double_loop(pool234, pool5, corpus_entries):
+    # Lem2.5.i restricts to right waists, where the restricted and global
+    # answers agree; every right ideal W is swept so that a kernel ignoring
+    # the restriction fails too
+    for s in _oracle_targets(pool234, pool5, corpus_entries):
+        fam = enumerate_ideals(s, IdealKind.RIGHT)
+        for w in fam:
+            for c in fam:
+                if is_subset(c, w):
+                    assert _comparizer(s, c, w) == restricted_comparizer_bruteforce(s, w, c)
 
 
 def test_strongly_comparizer_is_comparizer(pool234):

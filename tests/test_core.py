@@ -178,6 +178,18 @@ def test_canonical_roundtrip(ef4):
     assert decode_canonical(blob).canonical_form() == blob
 
 
+@pytest.mark.parametrize("n", [255, 256])
+def test_canonical_roundtrip_at_the_byte_boundary(n):
+    # min_chain is rigid: every element has its own signature, so the
+    # canonical search tries one labelling however large n is
+    s = build_min_chain(n - 2)
+    blob = s.canonical_form()
+    if n < 256:
+        assert blob[:3] == bytes([n, 1, 0]) and len(blob) == 3 + n * n
+    t = decode_canonical(blob)
+    assert t.n == n and t.canonical_form() == blob
+
+
 # -- Cayley text format -------------------------------------------------------
 
 
