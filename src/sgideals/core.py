@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import inspect
 import operator
-from itertools import permutations, product
 
 Mask = int
 
@@ -351,41 +350,107 @@ class Semigroup:
         Two semigroups get equal canonical forms exactly when some bijection
         preserving the identity and the zero carries one table to the other.
         Elements are first partitioned by relabeling-invariant signatures,
-        which keeps the permutation search within signature blocks.
+        and only signature-respecting relabelings are searched.  The search
+        fills positions 2, 3, .. in order, depth first, and keeps the exact
+        lexicographic minimum of the relabeled table while skipping two kinds
+        of branch that cannot go below the best table found so far:
+
+        - prefix bound: row 2 of the image is compared with the best one
+          cell by cell; a product whose element has no position yet is at
+          least the first free position of its signature block, and a branch
+          goes once such a cell is larger than the best one;
+        - automorphisms: two labelings with equal tables differ by an
+          automorphism g, g(best_inv[k]) = inv[k].  A candidate in the orbit
+          of an explored sibling, under the automorphisms found so far that
+          fix the current prefix, leads to the same tables and is skipped;
+          on finding g the search returns straight to the position where the
+          two labelings part, since the rest of that subtree is g's image of
+          one already searched.
         """
-        n = self.n
-        rows = self.rows
+        n, rows, zero, one = self.n, self.rows, self.zero, self.one
         # elements other than one/zero grouped by signature; positions 2..
         # are allocated to the signature blocks in sorted key order, so two
         # isomorphic tables consider exactly the same candidate labelings
         groups: dict[tuple, list[int]] = {}
         for i in range(n):
-            if i not in (self.zero, self.one):
+            if i not in (zero, one):
                 groups.setdefault(self._element_signature(i), []).append(i)
-        blocks = [groups[k] for k in sorted(groups)]
+        # slot[k]: the block that position k draws from; floor[x]: the first
+        # position of x's block, a lower bound on x's position
+        slot: list = [None, None]
+        floor = [0] * n
+        for key in sorted(groups):
+            for x in groups[key]:
+                floor[x] = len(slot)
+            slot.extend([groups[key]] * len(groups[key]))
 
-        best = None
-        for parts in product(*(permutations(b) for b in blocks)):
-            p = [0] * n
-            p[self.zero] = 0
-            p[self.one] = 1
-            pos = 2
-            for part in parts:
-                for src in part:
-                    p[src] = pos
-                    pos += 1
-            inv = [0] * n
-            for i, pi in enumerate(p):
-                inv[pi] = i
-            flat = []
-            for i in range(n):
-                row = rows[inv[i]]
-                for j in range(n):
-                    flat.append(p[row[inv[j]]])
-            flat = tuple(flat)
-            if best is None or flat < best:
-                best = flat
-        values = (n, 1, 0, *best)
+        p = [-1] * n  # element -> position, -1 while unplaced
+        p[zero], p[one] = 0, 1
+        inv = [zero, one] + [-1] * (n - 2)  # position -> element
+        best = best_inv = None  # rows 2.. of the least image, its labeling
+        gens: list[list[int]] = []  # automorphisms found, as element maps
+
+        def beaten(k: int) -> bool:
+            """Row 2 of every labeling extending inv[..k] exceeds best's."""
+            row, bound = rows[inv[2]], best[0]
+            for j in range(2, k + 1):
+                x = row[inv[j]]
+                v = p[x]
+                if v < 0:
+                    return max(k + 1, floor[x]) > bound[j]
+                if v != bound[j]:
+                    return v > bound[j]
+            return False
+
+        # one frame per position 2..k: the candidates explored there
+        stack: list[set] = [set()] if n > 2 else []
+        while stack:
+            k = len(stack) + 1
+            explored = stack[-1]
+            if inv[k] >= 0:
+                p[inv[k]] = -1
+                inv[k] = -1
+            fixing = [g for g in gens if all(g[inv[j]] == inv[j] for j in range(2, k))]
+            c = None
+            for x in slot[k]:
+                if p[x] >= 0 or x in explored:
+                    continue
+                orbit, todo = {x}, [x]
+                while todo:
+                    y = todo.pop()
+                    for g in fixing:
+                        if g[y] not in orbit:
+                            orbit.add(g[y])
+                            todo.append(g[y])
+                if explored.isdisjoint(orbit):
+                    c = x
+                    break
+            if c is None:
+                stack.pop()
+                continue
+            explored.add(c)
+            p[c], inv[k] = k, c
+            if best is not None and beaten(k):
+                continue
+            if k < n - 1:
+                stack.append(set())
+                continue
+            image = tuple(tuple([p[rows[i][j]] for j in inv]) for i in inv[2:])
+            if best is None or image < best:
+                best, best_inv = image, inv[:]
+            elif image == best:
+                g = [0] * n
+                for a, b in zip(best_inv, inv):
+                    g[a] = b
+                gens.append(g)
+                # back to the first position where the two labelings differ
+                m = next(j for j in range(2, n) if best_inv[j] != inv[j])
+                for j in range(m + 1, n):
+                    p[inv[j]] = -1
+                    inv[j] = -1
+                del stack[m - 1:]
+        best = best or ()
+        values = (n, 1, 0, *[0] * n, *range(n), *(v for row in best for v in row))
         if n < 256:
             return bytes(values)
         # a 0 byte (never a valid order) and the width lead wider values
@@ -410,17 +475,17 @@ class Semigroup:
 
 
 def decode_canonical(blob: bytes) -> Semigroup:
-    """The monoid whose canonical form is `blob`."""
-    if blob[0]:
-        values = list(blob)
-    else:
-        width, body = blob[1], blob[2:]
+    """The monoid whose canonical form is `blob`; SemigroupError when no
+    monoid has that form."""
+    values = list(blob)
+    if values[:1] == [0]:
+        width, body = blob[1] if len(blob) > 1 else 0, blob[2:]
         if not width or len(body) % width:
             raise SemigroupError("canonical blob has wrong length")
         values = [int.from_bytes(body[i:i + width], "big") for i in range(0, len(body), width)]
-    n, one, zero, entries = values[0], values[1], values[2], values[3:]
-    if len(entries) != n * n:
+    if len(values) < 3 or len(values) != 3 + values[0] ** 2:
         raise SemigroupError("canonical blob has wrong length")
+    n, one, zero, entries = values[0], values[1], values[2], values[3:]
     table = [entries[i * n : (i + 1) * n] for i in range(n)]
     return Semigroup(table, one, zero)
 

@@ -4,7 +4,7 @@ Everything here quantifies over raw subsets or element tuples straight from
 the definitions, deliberately ignoring the library's smarter enumeration
 and bitmask shortcuts, so the two sides stay independent.
 """
-from itertools import permutations
+from itertools import permutations, product
 
 from sgideals.core import Semigroup, mask_elems, mask_of
 
@@ -169,6 +169,45 @@ def isomorphic_bruteforce(a: Semigroup, b: Semigroup) -> bool:
         ):
             return True
     return False
+
+
+def canonical_form_bruteforce(s: Semigroup) -> bytes:
+    """The canonical form by trying every signature-respecting labelling:
+    the factorial search `Semigroup.canonical_form` used before it pruned."""
+    n = s.n
+    rows = s.rows
+    groups: dict[tuple, list[int]] = {}
+    for i in range(n):
+        if i not in (s.zero, s.one):
+            groups.setdefault(s._element_signature(i), []).append(i)
+    blocks = [groups[k] for k in sorted(groups)]
+
+    best = None
+    for parts in product(*(permutations(b) for b in blocks)):
+        p = [0] * n
+        p[s.zero] = 0
+        p[s.one] = 1
+        pos = 2
+        for part in parts:
+            for src in part:
+                p[src] = pos
+                pos += 1
+        inv = [0] * n
+        for i, pi in enumerate(p):
+            inv[pi] = i
+        flat = []
+        for i in range(n):
+            row = rows[inv[i]]
+            for j in range(n):
+                flat.append(p[row[inv[j]]])
+        flat = tuple(flat)
+        if best is None or flat < best:
+            best = flat
+    values = (n, 1, 0, *best)
+    if n < 256:
+        return bytes(values)
+    width = (n.bit_length() + 7) // 8
+    return bytes([0, width]) + b"".join(v.to_bytes(width, "big") for v in values)
 
 
 def monoids_with_zero_first_seen(n: int) -> list[list[list[int]]]:

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from sgideals.cli import analysis_report, main, verdict_report
-from sgideals.corpus import corpus
+from sgideals.core import format_cayley
+from sgideals.corpus import build_delta, corpus
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +83,21 @@ def test_analyze_path_target(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
     assert code == 0
     assert json.loads(out)["order"] == 6
+
+
+def test_analyze_twelve_elements_does_not_stall(tmp_path, capsys):
+    # delta(10) has 10! automorphisms; the canonical hash of a relabelled
+    # copy must come from the pruned search, not from all 10! labellings
+    delta = build_delta(10)
+    perm = list(range(delta.n))
+    random.Random(10).shuffle(perm)
+    path = tmp_path / "delta10.cay"
+    path.write_text(format_cayley(delta.relabel(perm)))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == 12
+    assert report["hash"] == hashlib.sha256(delta.canonical_form()).hexdigest()[:16]
 
 
 def test_verify_single_check(capsys):

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -27,13 +28,14 @@ from sgideals.corpus import (
     build_delta,
     build_ef,
     build_min_chain,
+    corpus,
 )
 from sgideals.ideals import DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals
 from sgideals.localize import is_right_p_comparable, saturation_by_element
 from sgideals.verdict import VACUOUS
 from sgideals.verify import run_check, run_suite
 
-from oracles import power_scan, right_principal_scan
+from oracles import canonical_form_bruteforce, power_scan, right_principal_scan
 
 
 def test_minimal_monoid_is_valid():
@@ -165,6 +167,96 @@ def test_canonical_form_orbit_invariance(data):
     assert s.relabel(perm).canonical_form() == s.canonical_form()
 
 
+def _null(n: int) -> Semigroup:
+    """The monoid with zero in which every non-identity product is 0."""
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        table[1][i] = table[i][1] = i
+    return Semigroup(table, 1, 0)
+
+
+def _shuffled(s: Semigroup, seed: int) -> Semigroup:
+    """s under a seeded relabelling of all its elements, one and zero too."""
+    perm = list(range(s.n))
+    random.Random(seed).shuffle(perm)
+    return s.relabel(perm)
+
+
+def _own_blob(s: Semigroup) -> bytes:
+    """The encoding of s's own table, which is canonical when every
+    labelling of s gives the same table."""
+    return bytes([s.n, s.one, s.zero, *(v for row in s.rows for v in row)])
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_canonical_form_matches_bruteforce_pool(order):
+    for i, s in enumerate(all_monoids_with_zero(order)):
+        for seed in range(3):
+            t = _shuffled(s, 1000 * order + 3 * i + seed)
+            assert t.canonical_form() == canonical_form_bruteforce(t)
+
+
+@pytest.mark.slow
+def test_canonical_form_matches_bruteforce_order6():
+    for i, s in enumerate(all_monoids_with_zero(6)):
+        t = _shuffled(s, i)
+        assert t.canonical_form() == canonical_form_bruteforce(t)
+
+
+def test_canonical_form_matches_bruteforce_corpus_and_families():
+    samples = [e.semigroup for e in corpus().values()]
+    samples += [_null(n) for n in range(2, 10)]
+    samples += [build_delta(count) for count in range(2, 8)]
+    for seed, s in enumerate(samples):
+        for t in (s, _shuffled(s, seed)):
+            assert t.canonical_form() == canonical_form_bruteforce(t)
+
+
+def _nilpotent3(rng: random.Random, k: int, m: int, density: float) -> Semigroup:
+    """A random monoid with zero in which k generators multiply into m
+    further elements or 0, and every longer product is 0."""
+    n = 2 + k + m
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        table[1][i] = table[i][1] = i
+    for i in range(2, 2 + k):
+        for j in range(2, 2 + k):
+            if rng.random() < density:
+                table[i][j] = rng.randrange(2 + k, n)
+    return Semigroup(table, 1, 0)
+
+
+def test_canonical_form_matches_bruteforce_random_nilpotent():
+    # small automorphism groups that move elements of several signature
+    # blocks together, which the pool of order <= 6 hardly has: they catch
+    # an orbit computed with automorphisms that move the current prefix
+    rng = random.Random(0)
+    for _ in range(1000):
+        s = _nilpotent3(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3]), rng.choice([0.2, 0.4]))
+        t = _shuffled(s, rng.randrange(1 << 30))
+        assert t.canonical_form() == canonical_form_bruteforce(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_form_relabelling_invariant_on_pool(data):
+    order = data.draw(st.integers(2, 6))
+    s = data.draw(st.sampled_from(all_monoids_with_zero(order)))
+    perm = data.draw(st.permutations(range(order)))
+    assert s.relabel(perm).canonical_form() == s.canonical_form()
+
+
+def test_canonical_form_beyond_the_bruteforce_range():
+    # every relabelling fixes the null monoid's table and delta(14)'s, so
+    # each is its own canonical form; a search that stops pruning symmetric
+    # branches runs through 14! labellings here instead of finishing
+    null16 = _null(16)
+    assert null16.canonical_form() == _own_blob(null16)
+    delta14 = build_delta(14)
+    assert delta14.canonical_form() == _own_blob(delta14)
+    assert _shuffled(delta14, 14).canonical_form() == delta14.canonical_form()
+
+
 def test_canonical_form_separates():
     assert build_chain_x(2).canonical_form() != build_delta(2).canonical_form()
 
@@ -188,6 +280,12 @@ def test_canonical_roundtrip_at_the_byte_boundary(n):
         assert blob[:3] == bytes([n, 1, 0]) and len(blob) == 3 + n * n
     t = decode_canonical(blob)
     assert t.n == n and t.canonical_form() == blob
+
+
+@pytest.mark.parametrize("blob", [b"", b"\x00", b"\x00\x01", b"\x03", b"\x02\x01"])
+def test_decode_canonical_rejects_truncated_blobs(blob):
+    with pytest.raises(SemigroupError):
+        decode_canonical(blob)
 
 
 # -- Cayley text format -------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from sgideals.core import Semigroup, mask_elems, mask_of
@@ -190,3 +192,27 @@ def test_searches_empty_through_order_6():
 
     assert search_exceptional_candidates(6) == []
     assert search_converse_candidates(6) == []
+
+
+def test_order7_converse_of_lem410_fails():
+    # a left-cancellative monoid of order 7 whose one prime segment is
+    # comparable and archimedean but not locally invariant, so the converse
+    # that search_converse_candidates looks for fails at order 7
+    from sgideals.segments import classify_segment, is_locally_invariant, prime_segments
+
+    rows = ["0000000", "0123456", "0200003", "0300002", "0400235", "0500234", "0623451"]
+    s = Semigroup([[int(c) for c in r] for r in rows], one=1, zero=0)
+    assert s.is_left_cancellative()
+    assert mask_elems(s.units_mask()) == [1, 6]
+    (seg,) = prime_segments(s)
+    n_mask = mask_of([0, 2, 3, 4, 5])
+    assert seg.upper == n_mask
+    assert is_right_p_comparable(s, n_mask).holds
+    assert classify_segment(s, seg).branches == {
+        "archimedean": True, "simple": False, "exceptional": False,
+    }
+    assert not is_locally_invariant(s, seg)
+    assert mask_elems(s.right_mul(n_mask, 4)) == [0, 2]
+    assert mask_elems(s.left_mul(4, n_mask)) == [0, 2, 3]
+    tally = Counter(v.status for _, v in run_suite(s))
+    assert tally == {"holds": 43, "vacuous": 11}
