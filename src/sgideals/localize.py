@@ -3,6 +3,7 @@ completely prime right ideal."""
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized
@@ -54,10 +55,11 @@ def right_ore_condition(s: Semigroup, t_mask: Mask) -> bool:
     Neither requires T to be multiplicatively closed nor warns when it
     lacks the identity; is_right_ore_set adds both.
     """
-    for t in mask_elems(t_mask):
-        t_s = s.right_principal(t)
-        for a in range(s.n):
-            if s.left_mul(a, t_mask) & t_s == 0:
+    t_principals = [s.right_principal(t) for t in mask_elems(t_mask)]
+    for a in range(s.n):
+        a_t = s.left_mul(a, t_mask)
+        for t_s in t_principals:
+            if a_t & t_s == 0:
                 return False
     return True
 
@@ -76,6 +78,98 @@ def saturate(s: Semigroup, x_mask: Mask, t_mask: Mask) -> Mask:
         if any(mask_contains(x_mask, row[t]) for t in members):
             out |= 1 << y
     return out
+
+
+def _union_tables(masks: list[Mask], half: int) -> tuple[list[Mask], list[Mask]]:
+    """Tables lo, hi such that lo[X & low] | hi[X >> half], where
+    low = (1 << half) - 1, is the OR of masks[x] over the x in X."""
+    out = []
+    for part in (masks[:half], masks[half:]):
+        table = [0]
+        for m in part:
+            table += [v | m for v in table]
+        out.append(table)
+    return out[0], out[1]
+
+
+class OreSweep:
+    """The multiplicatively closed right Ore sets T of s, and the
+    saturations sat(aS, T), read from half-width lookup tables over the
+    subsets of the carrier (README, "The Lem3.1 sweep").
+
+    Iterating yields every such T in increasing order, at O(n) table reads
+    per subset; the tables are built once, in the constructor.
+    """
+
+    def __init__(self, s: Semigroup):
+        n, rows = s.n, s.rows
+        self.n = n
+        self.half = half = n // 2
+        self.low = (1 << half) - 1
+        principals = [s.right_principal(a) for a in range(n)]
+        # T -> a*T, one table per a
+        self._times_t = [_union_tables([1 << v for v in rows[a]], half) for a in range(n)]
+        # Y -> {t : tS meets Y}
+        meets = [0] * n
+        for t in range(n):
+            for v in rows[t]:
+                meets[v] |= 1 << t
+        self._meets = _union_tables(meets, half)
+        # Y -> Y*S
+        self._times_s = _union_tables(principals, half)
+        # T -> sat(aS, T), one table per distinct aS
+        by_ideal: dict[Mask, tuple[list[Mask], list[Mask]]] = {}
+        self._sat = []
+        for a_s in principals:
+            got = by_ideal.get(a_s)
+            if got is None:
+                pulled_in = [0] * n  # t -> {y : y*t in aS}
+                for y in range(n):
+                    row = rows[y]
+                    for t in range(n):
+                        if a_s >> row[t] & 1:
+                            pulled_in[t] |= 1 << y
+                got = by_ideal[a_s] = _union_tables(pulled_in, half)
+            self._sat.append(got)
+
+    def __iter__(self) -> Iterator[Mask]:
+        n, half, low = self.n, self.half, self.low
+        times_t = self._times_t
+        meets_lo, meets_hi = self._meets
+        for t in range(1 << n):
+            t_lo, t_hi = t & low, t >> half
+            outside = ~t
+            # closed: a*T inside T for every a in T
+            rest = t
+            while rest:
+                bit = rest & -rest
+                lo, hi = times_t[bit.bit_length() - 1]
+                if (lo[t_lo] | hi[t_hi]) & outside:
+                    break
+                rest ^= bit
+            if rest:
+                continue
+            # right Ore: every t in T has tS meeting a*T, for every a in S
+            for lo, hi in times_t:
+                a_t = lo[t_lo] | hi[t_hi]
+                if t & ~(meets_lo[a_t & low] | meets_hi[a_t >> half]):
+                    break
+            else:
+                yield t
+
+    def saturations(self, t_mask: Mask) -> list[Mask]:
+        """sat(aS, T) for every a, in increasing a."""
+        t_lo, t_hi = t_mask & self.low, t_mask >> self.half
+        return [lo[t_lo] | hi[t_hi] for lo, hi in self._sat]
+
+    def is_right_ideal(self, x: Mask) -> bool:
+        lo, hi = self._times_s
+        return (lo[x & self.low] | hi[x >> self.half]) & ~x == 0
+
+
+def right_ore_sets(s: Semigroup) -> tuple[Mask, ...]:
+    """Every multiplicatively closed right Ore set of s, in increasing order."""
+    return tuple(OreSweep(s))
 
 
 def _validate_cp_right(s: Semigroup, p_mask: Mask) -> None:

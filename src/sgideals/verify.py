@@ -43,11 +43,9 @@ from .ideals import (
     right_annihilator,
 )
 from .localize import (
+    OreSweep,
     equivalence_class,
-    is_mult_closed,
     is_right_p_comparable,
-    right_ore_condition,
-    saturate,
     saturation_by_element,
 )
 from .segments import (
@@ -199,7 +197,8 @@ COMPARIZER_RADICAL_NONNILPOTENT = Gate(
     "comparizer_radical_nonnilpotent",
     lambda s, cap: not is_nilpotent_ideal(s, comparizer_radical(s)),
 )
-# Lem3.1 filters all 2^n subsets of the carrier
+# Lem3.1 quantifies over all 2^n subsets of the carrier; each costs O(n)
+# table reads (localize.OreSweep), so the 2^n count is what sets the limit
 SUBSET_ENUMERATION_FEASIBLE = Gate("subset_enumeration_feasible", lambda s, cap: s.n <= 12)
 
 
@@ -670,12 +669,10 @@ def _co214(s: Semigroup, cap: int) -> Verdict:
 @_register("Lem3.1", "saturation of a principal right ideal by a right Ore set is "
                      "a right ideal", requires=(SUBSET_ENUMERATION_FEASIBLE,))
 def _lem31(s: Semigroup, cap: int) -> Verdict:
-    for t_mask in range(1 << s.n):
-        if not is_mult_closed(s, t_mask) or not right_ore_condition(s, t_mask):
-            continue
-        for a in range(s.n):
-            sat = saturate(s, s.right_principal(a), t_mask)
-            if not is_ideal(s, sat, IdealKind.RIGHT):
+    sweep = OreSweep(s)
+    for t_mask in sweep:
+        for a, sat in enumerate(sweep.saturations(t_mask)):
+            if not sweep.is_right_ideal(sat):
                 return discrepancy((), {"ore_set": _w(t_mask), "a": a})
     return holds()
 

@@ -4,9 +4,13 @@ Everything here quantifies over raw subsets or element tuples straight from
 the definitions, deliberately ignoring the library's smarter enumeration
 and bitmask shortcuts, so the two sides stay independent.
 """
+import random
 from itertools import permutations, product
 
 from sgideals.core import Semigroup, mask_elems, mask_of
+from sgideals.ideals import IdealKind, is_ideal
+from sgideals.localize import is_mult_closed, right_ore_condition, saturate
+from sgideals.verdict import Verdict, discrepancy, holds
 
 
 def subsets(n):
@@ -151,6 +155,52 @@ def saturate_scan(s: Semigroup, x_members, t_members) -> int:
     return mask_of(
         y for y in range(s.n) if any(s.mul(y, t) in x_members for t in t_members)
     )
+
+
+def right_ore_sets_bruteforce(s: Semigroup) -> list[int]:
+    """Every subset T with T*T inside T such that for every a in S and t in T
+    some a' in S and t' in T satisfy a*t' == t*a', in increasing order."""
+    rows = s.rows
+    out = []
+    for t_mask in subsets(s.n):
+        members = mask_elems(t_mask)
+        if any(rows[a][b] not in members for a in members for b in members):
+            continue
+        if all(
+            {rows[a][u] for u in members} & set(rows[t])
+            for t in members
+            for a in range(s.n)
+        ):
+            out.append(t_mask)
+    return out
+
+
+def lem31_bruteforce(s: Semigroup) -> Verdict:
+    """Lem3.1's body as a filter over all 2^n subsets, with the library's
+    per-subset predicates (the sweep before it read lookup tables)."""
+    for t_mask in range(1 << s.n):
+        if not is_mult_closed(s, t_mask) or not right_ore_condition(s, t_mask):
+            continue
+        for a in range(s.n):
+            sat = saturate(s, s.right_principal(a), t_mask)
+            if not is_ideal(s, sat, IdealKind.RIGHT):
+                return discrepancy((), {"ore_set": mask_elems(t_mask), "a": a})
+    return holds()
+
+
+def null_monoid(n: int) -> Semigroup:
+    """The monoid with zero in which every non-identity product is 0."""
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        table[1][i] = table[i][1] = i
+    return Semigroup(table, 1, 0)
+
+
+def shuffled(s: Semigroup, seed: int) -> Semigroup:
+    """s under a seeded relabelling of all its elements, one and zero too."""
+    perm = list(range(s.n))
+    random.Random(seed).shuffle(perm)
+    return s.relabel(perm)
 
 
 def isomorphic_bruteforce(a: Semigroup, b: Semigroup) -> bool:

@@ -35,7 +35,13 @@ from sgideals.localize import is_right_p_comparable, saturation_by_element
 from sgideals.verdict import VACUOUS
 from sgideals.verify import run_check, run_suite
 
-from oracles import canonical_form_bruteforce, power_scan, right_principal_scan
+from oracles import (
+    canonical_form_bruteforce,
+    null_monoid,
+    power_scan,
+    right_principal_scan,
+    shuffled,
+)
 
 
 def test_minimal_monoid_is_valid():
@@ -167,21 +173,6 @@ def test_canonical_form_orbit_invariance(data):
     assert s.relabel(perm).canonical_form() == s.canonical_form()
 
 
-def _null(n: int) -> Semigroup:
-    """The monoid with zero in which every non-identity product is 0."""
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        table[1][i] = table[i][1] = i
-    return Semigroup(table, 1, 0)
-
-
-def _shuffled(s: Semigroup, seed: int) -> Semigroup:
-    """s under a seeded relabelling of all its elements, one and zero too."""
-    perm = list(range(s.n))
-    random.Random(seed).shuffle(perm)
-    return s.relabel(perm)
-
-
 def _own_blob(s: Semigroup) -> bytes:
     """The encoding of s's own table, which is canonical when every
     labelling of s gives the same table."""
@@ -192,23 +183,23 @@ def _own_blob(s: Semigroup) -> bytes:
 def test_canonical_form_matches_bruteforce_pool(order):
     for i, s in enumerate(all_monoids_with_zero(order)):
         for seed in range(3):
-            t = _shuffled(s, 1000 * order + 3 * i + seed)
+            t = shuffled(s, 1000 * order + 3 * i + seed)
             assert t.canonical_form() == canonical_form_bruteforce(t)
 
 
 @pytest.mark.slow
 def test_canonical_form_matches_bruteforce_order6():
     for i, s in enumerate(all_monoids_with_zero(6)):
-        t = _shuffled(s, i)
+        t = shuffled(s, i)
         assert t.canonical_form() == canonical_form_bruteforce(t)
 
 
 def test_canonical_form_matches_bruteforce_corpus_and_families():
     samples = [e.semigroup for e in corpus().values()]
-    samples += [_null(n) for n in range(2, 10)]
+    samples += [null_monoid(n) for n in range(2, 10)]
     samples += [build_delta(count) for count in range(2, 8)]
     for seed, s in enumerate(samples):
-        for t in (s, _shuffled(s, seed)):
+        for t in (s, shuffled(s, seed)):
             assert t.canonical_form() == canonical_form_bruteforce(t)
 
 
@@ -233,7 +224,7 @@ def test_canonical_form_matches_bruteforce_random_nilpotent():
     rng = random.Random(0)
     for _ in range(1000):
         s = _nilpotent3(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3]), rng.choice([0.2, 0.4]))
-        t = _shuffled(s, rng.randrange(1 << 30))
+        t = shuffled(s, rng.randrange(1 << 30))
         assert t.canonical_form() == canonical_form_bruteforce(t)
 
 
@@ -250,11 +241,11 @@ def test_canonical_form_beyond_the_bruteforce_range():
     # every relabelling fixes the null monoid's table and delta(14)'s, so
     # each is its own canonical form; a search that stops pruning symmetric
     # branches runs through 14! labellings here instead of finishing
-    null16 = _null(16)
+    null16 = null_monoid(16)
     assert null16.canonical_form() == _own_blob(null16)
     delta14 = build_delta(14)
     assert delta14.canonical_form() == _own_blob(delta14)
-    assert _shuffled(delta14, 14).canonical_form() == delta14.canonical_form()
+    assert shuffled(delta14, 14).canonical_form() == delta14.canonical_form()
 
 
 def test_canonical_form_separates():

@@ -4,17 +4,25 @@ from sgideals.core import Semigroup, mask_elems, mask_of
 from sgideals.localize import (
     NotCompletelyPrime,
     NotMultClosed,
+    OreSweep,
     equivalence_class,
     is_mult_closed,
     is_right_ore_set,
     is_right_p_comparable,
     nested_saturation_inclusion_check,
+    right_ore_sets,
     saturate,
 )
-from sgideals.corpus import build_chain_x, build_delta
+from sgideals.corpus import all_monoids_with_zero, build_chain_x, build_delta, build_min_chain
 from sgideals.verify import run_check
 
-from oracles import saturate_scan
+from oracles import (
+    lem31_bruteforce,
+    null_monoid,
+    right_ore_sets_bruteforce,
+    saturate_scan,
+    shuffled,
+)
 
 P_EF = mask_of([0, 5, 6, 7, 8])
 
@@ -174,3 +182,40 @@ def test_saturate_contains_input_when_identity_present(pool234):
             for a in range(s.n):
                 x = s.right_principal(a)
                 assert x & ~saturate(s, x, t_mask) == 0
+
+
+def _assert_sweep_matches_bruteforce(s):
+    ore = right_ore_sets_bruteforce(s)
+    assert right_ore_sets(s) == tuple(ore)
+    sweep = OreSweep(s)
+    for t_mask in ore:
+        members = mask_elems(t_mask)
+        assert sweep.saturations(t_mask) == [
+            saturate_scan(s, set(s.rows[a]), members) for a in range(s.n)
+        ]
+
+
+def test_ore_sweep_matches_bruteforce_pools_and_corpus(pool234, pool5, corpus_entries):
+    for s in [*pool234, *pool5, *(e.semigroup for e in corpus_entries)]:
+        _assert_sweep_matches_bruteforce(s)
+
+
+FAMILIES = {"null": null_monoid, "delta": lambda n: build_delta(n - 2),
+            "min_chain": lambda n: build_min_chain(n - 2)}
+
+
+@pytest.mark.parametrize("n", [
+    4, 6, 8, 10, pytest.param(12, marks=pytest.mark.slow),
+])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_ore_sweep_matches_bruteforce_relabelled_families(family, n):
+    _assert_sweep_matches_bruteforce(shuffled(FAMILIES[family](n), 100 * n + len(family)))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_lem31_matches_bruteforce(order):
+    for s in all_monoids_with_zero(order):
+        got = run_check(s, "Lem3.1")
+        want = lem31_bruteforce(s)
+        assert got.hypothesis_trace == (("subset_enumeration_feasible", True),)
+        assert (got.status, got.witness) == (want.status, want.witness)
