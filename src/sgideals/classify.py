@@ -25,10 +25,12 @@ class PrimenessKind(str, Enum):
     COMPLETELY_SEMIPRIME = "completely-semiprime"
 
 
-# -- primeness (internal predicates are total over masks) --------------------
+# -- primeness (total predicates: any mask, no ideal check, False for the empty
+# set; is_prime_variant is the validating entry point) -------------------------
 
 
-def _prime(s: Semigroup, x: Mask) -> bool:
+def is_prime(s: Semigroup, x: Mask) -> bool:
+    """Nonempty, and aSb inside X forces a or b into X."""
     if x == 0:
         return False
     rows = s.rows
@@ -41,7 +43,8 @@ def _prime(s: Semigroup, x: Mask) -> bool:
     return True
 
 
-def _completely_prime(s: Semigroup, x: Mask) -> bool:
+def is_completely_prime(s: Semigroup, x: Mask) -> bool:
+    """Nonempty, and ab in X forces a or b into X."""
     if x == 0:
         return False
     # equivalent: the complement is multiplicatively closed
@@ -55,7 +58,8 @@ def _completely_prime(s: Semigroup, x: Mask) -> bool:
     return True
 
 
-def _semiprime(s: Semigroup, x: Mask) -> bool:
+def is_semiprime(s: Semigroup, x: Mask) -> bool:
+    """Nonempty, and aSa inside X forces a into X."""
     if x == 0:
         return False
     rows = s.rows
@@ -67,7 +71,8 @@ def _semiprime(s: Semigroup, x: Mask) -> bool:
     return True
 
 
-def _completely_semiprime(s: Semigroup, x: Mask) -> bool:
+def is_completely_semiprime(s: Semigroup, x: Mask) -> bool:
+    """Nonempty, and a*a in X forces a into X."""
     if x == 0:
         return False
     rows = s.rows
@@ -78,10 +83,10 @@ def _completely_semiprime(s: Semigroup, x: Mask) -> bool:
 
 
 _PRIME_FNS = {
-    PrimenessKind.PRIME: _prime,
-    PrimenessKind.COMPLETELY_PRIME: _completely_prime,
-    PrimenessKind.SEMIPRIME: _semiprime,
-    PrimenessKind.COMPLETELY_SEMIPRIME: _completely_semiprime,
+    PrimenessKind.PRIME: is_prime,
+    PrimenessKind.COMPLETELY_PRIME: is_completely_prime,
+    PrimenessKind.SEMIPRIME: is_semiprime,
+    PrimenessKind.COMPLETELY_SEMIPRIME: is_completely_semiprime,
 }
 
 
@@ -113,10 +118,19 @@ def prime_family(
     return tuple(m for m in fam if m and m != s.full and fn(s, m))
 
 
+@memoized
+def exceptional_primes(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
+    """The prime, not completely prime, two-sided ideals, in family order:
+    the primes on which the exceptional branch of a prime segment turns."""
+    complete = prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED, cap)
+    primes = prime_family(s, PrimenessKind.PRIME, IdealKind.TWO_SIDED, cap)
+    return tuple(q for q in primes if q not in complete)
+
+
 # -- waists -------------------------------------------------------------------
 
 
-def _waist(s: Semigroup, i_mask: Mask) -> bool:
+def is_waist(s: Semigroup, i_mask: Mask) -> bool:
     """Comparable with every right ideal; improper input reports False.
 
     Comparability with all right ideals reduces to comparability with all
@@ -137,14 +151,14 @@ def is_right_waist(s: Semigroup, i_mask: Mask) -> bool:
         raise NotAnIdeal("right waists must be right ideals")
     if i_mask == s.full:
         raise NotProper("right waists are proper")
-    return _waist(s, i_mask)
+    return is_waist(s, i_mask)
 
 
 @memoized
 def right_waists(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
     """All proper right ideals comparable with every right ideal."""
     fam = exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap))
-    return tuple(m for m in fam if m != s.full and _waist(s, m))
+    return tuple(m for m in fam if m != s.full and is_waist(s, m))
 
 
 # -- comparizer ideals ----------------------------------------------------------
@@ -168,9 +182,9 @@ def comparizer_bounds(s: Semigroup, within: Mask) -> tuple[Mask, ...]:
     return tuple(out)
 
 
-def _comparizer(s: Semigroup, i_mask: Mask, within: Mask | None = None) -> bool:
+def is_comparizer(s: Semigroup, i_mask: Mask, within: Mask | None = None) -> bool:
     """For every a, b: a in bS, or b*I inside aS; with `within`, a and b
-    range over that set only."""
+    range over that set only.  Total: any mask, no ideal check."""
     if within is None:
         within = s.full
     bounds = comparizer_bounds(s, within)
@@ -184,7 +198,15 @@ def is_right_comparizer(s: Semigroup, i_mask: Mask) -> bool:
     """For every a, b: aS inside bS, or b*I inside aS."""
     if not is_ideal(s, i_mask, IdealKind.RIGHT):
         raise NotAnIdeal("comparizer candidates must be right ideals")
-    return _comparizer(s, i_mask)
+    return is_comparizer(s, i_mask)
+
+
+@memoized
+def comparizer_ideals(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
+    """Every right ideal passing the comparizer test, in family order; the
+    empty ideal always passes, and the full one when S is a right chain."""
+    fam = exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap))
+    return tuple(m for m in fam if is_comparizer(s, m))
 
 
 def is_strongly_comparizer(s: Semigroup, a_mask: Mask) -> bool:

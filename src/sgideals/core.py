@@ -177,6 +177,20 @@ class Semigroup:
                 base = rows[base][base]
         return acc
 
+    def powers(self, a: int) -> list[int]:
+        """a, a^2, a^3, .. up to the first repeat, each once.  The sequence
+        then cycles through its tail, so it holds every power of a; a
+        nilpotent a ends in the zero."""
+        rows = self.rows
+        out = []
+        seen = set()
+        v = a
+        while v not in seen:
+            seen.add(v)
+            out.append(v)
+            v = rows[v][a]
+        return out
+
     # -- masks ---------------------------------------------------------------
 
     @property
@@ -299,15 +313,7 @@ class Semigroup:
     # -- nilpotency ----------------------------------------------------------
 
     def is_nilpotent_element(self, a: int) -> bool:
-        # the power sequence cycles within n steps, so it reaches 0 iff it
-        # reaches 0 within n steps
-        zero, rows = self.zero, self.rows
-        v = a
-        for _ in range(self.n):
-            if v == zero:
-                return True
-            v = rows[v][a]
-        return v == zero
+        return self.powers(a)[-1] == self.zero
 
     @memoized
     def nilpotent_elements(self) -> Mask:
@@ -333,12 +339,8 @@ class Semigroup:
         l = popcount(self.left_principal(a))
         idem = rows[a][a] == a
         # least k with a^k == 0, or 0 when the element is not nilpotent
-        v, idx = a, 0
-        for step in range(1, n + 1):
-            if v == zero:
-                idx = step
-                break
-            v = rows[v][a]
+        pw = self.powers(a)
+        idx = len(pw) if pw[-1] == zero else 0
         kills_r = sum(1 for b in range(n) if rows[a][b] == zero)
         kills_l = sum(1 for b in range(n) if rows[b][a] == zero)
         return (r, l, idem, idx, kills_r, kills_l)

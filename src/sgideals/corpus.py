@@ -332,9 +332,9 @@ def evaluate_expected(entry: CorpusEntry) -> list[tuple[str, bool, object]]:
 MAX_ENUM_ORDER = 6
 
 
-def enumerate_monoids_with_zero(order: int, sink=None, dedupe: bool = True) -> int:
+def enumerate_monoids_with_zero(order: int, sink=None) -> int:
     """Stream every associative order-n table with absorbing 0 and identity 1,
-    one representative per isomorphism class when dedupe is set.
+    one representative per isomorphism class.
 
     The search fills the free block (rows and columns 2..n-1) in row-major
     order, trying values in ascending order, so complete tables are reached
@@ -342,15 +342,14 @@ def enumerate_monoids_with_zero(order: int, sink=None, dedupe: bool = True) -> i
     the associativity triples whose inputs touch the just-assigned cell, and
     complete tables get the full associativity check.
 
-    With dedupe set, each class is emitted as its lex-minimal labelling, and
-    the classes come in increasing lex order of those labellings.  Two
-    tables are isomorphic exactly when a relabelling of 2..n-1 carries one
-    to the other, so a partial table is pruned as soon as some relabelling
-    sigma makes it lex-larger than sigma(T) on the cells known on both sides
-    (lex-leader symmetry breaking).  At a complete table that comparison is
-    exact.  Without dedupe every labelled table is emitted.  Returns the
-    number of emitted semigroups.  Orders beyond MAX_ENUM_ORDER are out of
-    range for this search strategy.
+    Each class is emitted as its lex-minimal labelling, and the classes come
+    in increasing lex order of those labellings.  Two tables are isomorphic
+    exactly when a relabelling of 2..n-1 carries one to the other, so a
+    partial table is pruned as soon as some relabelling sigma makes it
+    lex-larger than sigma(T) on the cells known on both sides (lex-leader
+    symmetry breaking).  At a complete table that comparison is exact.
+    Returns the number of emitted semigroups.  Orders beyond MAX_ENUM_ORDER
+    are out of range for this search strategy.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -369,16 +368,15 @@ def enumerate_monoids_with_zero(order: int, sink=None, dedupe: bool = True) -> i
     vals = [-1] * len(free)
     position = {cell: k for k, cell in enumerate(free)}
     relabellings = []
-    if dedupe:
-        for perm in permutations(range(2, n)):
-            sigma = (0, 1) + perm
-            if sigma == tuple(range(n)):
-                continue
-            inv = [0] * n
-            for x, y in enumerate(sigma):
-                inv[y] = x
-            src = [position[inv[i], inv[j]] for i, j in free]
-            relabellings.append((sigma, src))
+    for perm in permutations(range(2, n)):
+        sigma = (0, 1) + perm
+        if sigma == tuple(range(n)):
+            continue
+        inv = [0] * n
+        for x, y in enumerate(sigma):
+            inv[y] = x
+        src = [position[inv[i], inv[j]] for i, j in free]
+        relabellings.append((sigma, src))
     count = 0
 
     def partial_ok(i: int, j: int) -> bool:

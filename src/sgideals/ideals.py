@@ -75,28 +75,17 @@ def power_sequence(s: Semigroup, x: Mask) -> list[Mask]:
 def ideal_power(s: Semigroup, x: Mask, k: int) -> Mask:
     """X^k by iterated elementwise product; exact for arbitrary subsets.
 
-    Powers of a one-sided ideal strictly decrease until they stabilize, so
-    for ideals the loop runs at most n times regardless of k.
+    Read from the power sequence: past its end the powers cycle back to the
+    first occurrence of its last value.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
-    cur = x
-    seen: dict[Mask, int] = {x: 1}
-    for step in range(2, k + 1):
-        nxt = s.product(cur, x)
-        if nxt == cur:
-            return nxt
-        if nxt in seen:
-            # entered a cycle: reduce the remaining exponent modulo its length
-            start = seen[nxt]
-            period = step - start
-            idx = start + (k - start) % period
-            for m, st in seen.items():
-                if st == idx:
-                    return m
-        seen[nxt] = step
-        cur = nxt
-    return cur
+    seq = power_sequence(s, x)
+    if k <= len(seq):
+        return seq[k - 1]
+    start = seq.index(seq[-1])
+    period = len(seq) - 1 - start
+    return seq[start + (k - 1 - start) % period]
 
 
 def intersect_powers(s: Semigroup, x: Mask) -> Mask:

@@ -4,7 +4,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, popcount
-from .classify import PrimenessKind, _completely_prime, _prime, _waist, prime_family
+from .classify import (
+    PrimenessKind,
+    exceptional_primes,
+    is_completely_prime,
+    is_waist,
+    prime_family,
+)
 from .ideals import (
     DEFAULT_CAP,
     IdealKind,
@@ -90,7 +96,8 @@ def segment_base(s: Semigroup, seg: PrimeSegment) -> Mask:
     return s.zero_mask if seg.bottom else seg.lower
 
 
-def _strictly_between(s: Semigroup, lo: Mask, hi: Mask, cap: int) -> list[Mask]:
+def strictly_between(s: Semigroup, lo: Mask, hi: Mask, cap: int = DEFAULT_CAP) -> list[Mask]:
+    """The two-sided ideals strictly between lo and hi, in family order."""
     return [
         m
         for m in exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
@@ -135,7 +142,7 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
     if arch:
         witnesses["archimedean_ideals"] = arch_picks
 
-    between = _strictly_between(s, base, p1, cap)
+    between = strictly_between(s, base, p1, cap)
     simple = not between
     if between:
         witnesses["intermediate_ideal"] = mask_elems(
@@ -143,11 +150,11 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
         )
 
     q_found = None
+    candidates = exceptional_primes(s, cap)
     for q in between:
-        if _prime(s, q) and not _completely_prime(s, q):
-            if not _strictly_between(s, q, p1, cap):
-                q_found = q
-                break
+        if q in candidates and not strictly_between(s, q, p1, cap):
+            q_found = q
+            break
     exceptional = q_found is not None
 
     branches = {ARCHIMEDEAN: arch, SIMPLE: simple, EXCEPTIONAL: exceptional}
@@ -188,7 +195,7 @@ def pairing_ideal(s: Semigroup, q_mask: Mask, cap: int = DEFAULT_CAP) -> Mask | 
     above = [
         m
         for m in exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
-        if m != q_mask and is_subset(q_mask, m) and m != s.full and _waist(s, m)
+        if m != q_mask and is_subset(q_mask, m) and m != s.full and is_waist(s, m)
     ]
     if not above:
         return None
@@ -234,12 +241,8 @@ def tail_intersection(s: Semigroup, t: int) -> Mask:
     intersection over all n is exact.
     """
     out = s.full
-    v = t
-    seen = set()
-    while v not in seen:
-        seen.add(v)
+    for v in s.powers(t):
         out &= s.right_principal(v)
-        v = s.rows[v][t]
     return out
 
 
@@ -247,20 +250,12 @@ def power_tail_report(s: Semigroup, t: int, p_mask: Mask) -> dict:
     """Diagnostic bundle for the tail intersection of one element relative
     to a distinguished completely prime ideal."""
     tail = tail_intersection(s, t)
-    nonzero_tails = True
-    v = t
-    seen = set()
-    while v not in seen:
-        seen.add(v)
-        if s.right_principal(v) == s.zero_mask:
-            nonzero_tails = False
-            break
-        v = s.rows[v][t]
     return {
         "element": t,
         "tail": mask_elems(tail),
         "two_sided": is_ideal(s, tail, IdealKind.TWO_SIDED),
-        "completely_prime": bool(tail and tail != s.full and _completely_prime(s, tail)),
+        "completely_prime": bool(tail and tail != s.full and is_completely_prime(s, tail)),
         "t_in_p": mask_contains(p_mask, t),
-        "all_power_ideals_nonzero": nonzero_tails,
+        # v lies in vS, so every power ideal is nonzero iff no power is 0
+        "all_power_ideals_nonzero": not mask_contains(s.nilpotent_elements(), t),
     }

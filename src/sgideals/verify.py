@@ -16,15 +16,15 @@ from typing import Callable
 from .core import Mask, Semigroup, is_subset, mask_elems, memoized
 from .classify import (
     PrimenessKind,
-    _comparizer,
-    _completely_prime,
-    _completely_semiprime,
-    _prime,
-    _semiprime,
-    _waist,
     associated_prime,
+    comparizer_ideals,
     comparizer_radical,
+    exceptional_primes,
+    is_comparizer,
+    is_completely_prime,
+    is_prime,
     is_right_chain,
+    is_waist,
     prime_family,
     radicals,
     right_waists,
@@ -59,6 +59,7 @@ from .segments import (
     pairing_ideal,
     prime_segments,
     segment_base,
+    strictly_between,
     tail_intersection,
 )
 from .verdict import Verdict, discrepancy, holds, vacuous
@@ -208,21 +209,21 @@ SUBSET_ENUMERATION_FEASIBLE = Gate("subset_enumeration_feasible", lambda s, cap:
 
 @_register("Lem2.1.i", "the zero ideal is a right comparizer ideal")
 def _lem21i(s: Semigroup, cap: int) -> Verdict:
-    if _comparizer(s, s.zero_mask):
+    if is_comparizer(s, s.zero_mask):
         return holds()
     return discrepancy((), {"ideal": _w(s.zero_mask)})
 
 
 @_register("Lem2.1.ii", "unions of right comparizer ideals are right comparizers")
 def _lem21ii(s: Semigroup, cap: int) -> Verdict:
-    comps = [m for m in _right_fam(s, cap) if _comparizer(s, m)]
+    comps = comparizer_ideals(s, cap)
     total = 0
     for i, a in enumerate(comps):
         total |= a
         for b in comps[i + 1:]:
-            if not _comparizer(s, a | b):
+            if not is_comparizer(s, a | b):
                 return discrepancy((), {"left": _w(a), "right": _w(b)})
-    if comps and not _comparizer(s, total):
+    if comps and not is_comparizer(s, total):
         return discrepancy((), {"union_of_all": _w(total)})
     return holds()
 
@@ -231,7 +232,7 @@ def _lem21ii(s: Semigroup, cap: int) -> Verdict:
 def _lem21iii(s: Semigroup, cap: int) -> Verdict:
     big = comparizer_radical(s)
     for m in _right_fam(s, cap):
-        if is_subset(m, big) and not _comparizer(s, m):
+        if is_subset(m, big) and not is_comparizer(s, m):
             return discrepancy((), {"ideal": _w(m)})
     return holds()
 
@@ -239,7 +240,7 @@ def _lem21iii(s: Semigroup, cap: int) -> Verdict:
 @_register("Lem2.2.i", "an idempotent two-sided right waist I satisfies I == a*I off I")
 def _lem22i(s: Semigroup, cap: int) -> Verdict:
     for m in _nonempty_proper(s, _two_fam(s, cap)):
-        if s.product(m, m) != m or not _waist(s, m):
+        if s.product(m, m) != m or not is_waist(s, m):
             continue
         for a in mask_elems(s.full & ~m):
             if s.left_mul(a, m) != m:
@@ -254,7 +255,7 @@ def _lem22ii(s: Semigroup, cap: int) -> Verdict:
         translate = all(
             s.left_mul(a, p) == p for a in mask_elems(s.full & ~p)
         )
-        if _waist(s, p) != translate:
+        if is_waist(s, p) != translate:
             return discrepancy((), {"ideal": _w(p), "translates": translate})
     return holds()
 
@@ -276,7 +277,7 @@ def _pr23i(s: Semigroup, cap: int) -> Verdict:
                        "prime ideal", requires=(CANCELLATIVE,))
 def _pr23ii(s: Semigroup, cap: int) -> Verdict:
     j = s.nonunits_mask()
-    ok = is_ideal(s, j, IdealKind.TWO_SIDED) and _completely_prime(s, j)
+    ok = is_ideal(s, j, IdealKind.TWO_SIDED) and is_completely_prime(s, j)
     return holds() if ok else discrepancy((), {"nonunits": _w(j)})
 
 
@@ -306,31 +307,26 @@ def _pr23iv(s: Semigroup, cap: int) -> Verdict:
     return holds()
 
 
-@memoized
-def _comparizer_right_ideals(s: Semigroup, cap: int) -> tuple[Mask, ...]:
-    return tuple(m for m in _nonempty_proper(s, _right_fam(s, cap)) if _comparizer(s, m))
-
-
-@memoized
-def _comparizer_two_sided(s: Semigroup, cap: int) -> tuple[Mask, ...]:
-    return tuple(m for m in _nonempty_proper(s, _two_fam(s, cap)) if _comparizer(s, m))
+def _two_sided_comparizers(s: Semigroup, cap: int) -> list[Mask]:
+    two = set(_two_fam(s, cap))
+    return [m for m in _nonempty_proper(s, comparizer_ideals(s, cap)) if m in two]
 
 
 @_register("Thm2.4.i", "an idempotent right comparizer ideal is a right waist")
 def _thm24i(s: Semigroup, cap: int) -> Verdict:
-    for m in _comparizer_right_ideals(s, cap):
-        if s.product(m, m) == m and not _waist(s, m):
+    for m in _nonempty_proper(s, comparizer_ideals(s, cap)):
+        if s.product(m, m) == m and not is_waist(s, m):
             return discrepancy((), {"ideal": _w(m)})
     return holds()
 
 
 @_register("Thm2.4.ii", "left translates of a comparizer right waist are right waists")
 def _thm24ii(s: Semigroup, cap: int) -> Verdict:
-    for m in _comparizer_right_ideals(s, cap):
-        if not _waist(s, m):
+    for m in _nonempty_proper(s, comparizer_ideals(s, cap)):
+        if not is_waist(s, m):
             continue
         for a in range(s.n):
-            if not _waist(s, s.left_mul(a, m)):
+            if not is_waist(s, s.left_mul(a, m)):
                 return discrepancy((), {"ideal": _w(m), "a": a})
     return holds()
 
@@ -340,9 +336,9 @@ def _thm24ii(s: Semigroup, cap: int) -> Verdict:
                          "ideals inside I form a chain")
 def _thm24iii(s: Semigroup, cap: int) -> Verdict:
     primes = prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap)
-    for i_mask in _comparizer_right_ideals(s, cap):
+    for i_mask in _nonempty_proper(s, comparizer_ideals(s, cap)):
         for p in primes:
-            if not is_subset(i_mask, p) and not (_waist(s, p) and is_subset(p, i_mask)):
+            if not is_subset(i_mask, p) and not (is_waist(s, p) and is_subset(p, i_mask)):
                 return discrepancy((), {"comparizer": _w(i_mask), "prime": _w(p)})
         pair = _incomparable_pair([p for p in primes if is_subset(p, i_mask)])
         if pair:
@@ -354,11 +350,11 @@ def _thm24iii(s: Semigroup, cap: int) -> Verdict:
                         "nonnilpotent two-sided comparizer ideal is completely prime",
            requires=(LEFT_CANCELLATIVE,))
 def _thm24iv(s: Semigroup, cap: int) -> Verdict:
-    for m in _comparizer_two_sided(s, cap):
+    for m in _two_sided_comparizers(s, cap):
         if is_nilpotent_ideal(s, m):
             continue
         core = intersect_powers(s, m)
-        if not _completely_prime(s, core):
+        if not is_completely_prime(s, core):
             return discrepancy((), {"ideal": _w(m), "core": _w(core)})
     return holds()
 
@@ -367,10 +363,10 @@ def _thm24iv(s: Semigroup, cap: int) -> Verdict:
                        "two-sided comparizer ideal is completely prime",
            requires=(LEFT_CANCELLATIVE,))
 def _thm24v(s: Semigroup, cap: int) -> Verdict:
-    for m in _comparizer_two_sided(s, cap):
+    for m in _two_sided_comparizers(s, cap):
         if s.product(m, m) != m or is_nilpotent_ideal(s, m):
             continue
-        if not _completely_prime(s, m):
+        if not is_completely_prime(s, m):
             return discrepancy((), {"ideal": _w(m)})
     return holds()
 
@@ -379,13 +375,14 @@ def _thm24v(s: Semigroup, cap: int) -> Verdict:
                        "contained right ideals equals global comparizer behaviour")
 def _lem25i(s: Semigroup, cap: int) -> Verdict:
     fam = _right_fam(s, cap)
+    comps = set(comparizer_ideals(s, cap))
     for w in right_waists(s, cap):
         if not w:
             continue
         for c in fam:
             if not is_subset(c, w):
                 continue
-            if _comparizer(s, c, w) != _comparizer(s, c):
+            if is_comparizer(s, c, w) != (c in comps):
                 return discrepancy((), {"waist": _w(w), "ideal": _w(c)})
     return holds()
 
@@ -397,7 +394,7 @@ def _lem25ii(s: Semigroup, cap: int) -> Verdict:
         if not w:
             continue
         c = w & right_annihilator(s, w)
-        if not _comparizer(s, c):
+        if not is_comparizer(s, c):
             return discrepancy((), {"waist": _w(w), "ideal": _w(c)})
     return holds()
 
@@ -418,7 +415,7 @@ def _lem25iii(s: Semigroup, cap: int) -> Verdict:
         if index is None or index < 2:
             continue
         prev = seq[index - 2]
-        if not _comparizer(s, prev):
+        if not is_comparizer(s, prev):
             return discrepancy((), {"waist": _w(w), "power": index - 1})
     return holds()
 
@@ -427,9 +424,8 @@ def _lem25iii(s: Semigroup, cap: int) -> Verdict:
                        "comparizer right ideals and obeys the elementwise formula")
 def _lem26i(s: Semigroup, cap: int) -> Verdict:
     union = 0
-    for m in _right_fam(s, cap):
-        if _comparizer(s, m):
-            union |= m
+    for m in comparizer_ideals(s, cap):
+        union |= m
     c = comparizer_radical(s)
     if c != union:
         return discrepancy((), {"elementwise": _w(c), "union": _w(union)})
@@ -471,7 +467,7 @@ def _thm27i(s: Semigroup, cap: int) -> Verdict:
 def _thm27ii(s: Semigroup, cap: int) -> Verdict:
     c = comparizer_radical(s)
     nrad = radicals(s, cap).completely_prime_radical
-    ok = is_subset(nrad, c) and _completely_prime(s, nrad) and _waist(s, nrad)
+    ok = is_subset(nrad, c) and is_completely_prime(s, nrad) and is_waist(s, nrad)
     if not ok:
         return discrepancy((), {"completely_prime_radical": _w(nrad)})
     return holds()
@@ -482,7 +478,7 @@ def _thm27ii(s: Semigroup, cap: int) -> Verdict:
            requires=(COMPARIZER_RADICAL_NONNILPOTENT,))
 def _thm27iii(s: Semigroup, cap: int) -> Verdict:
     beta = radicals(s, cap).prime_radical
-    if not (_prime(s, beta) and _waist(s, beta)):
+    if not (is_prime(s, beta) and is_waist(s, beta)):
         return discrepancy((), {"prime_radical": _w(beta)})
     return holds()
 
@@ -529,7 +525,7 @@ def _thm28ii(s: Semigroup, cap: int) -> Verdict:
 def _thm28iii(s: Semigroup, cap: int) -> Verdict:
     rad = radicals(s, cap)
     same = rad.nilpotent_union == rad.prime_radical == rad.nil_radical
-    good = same and _prime(s, rad.prime_radical) and _waist(s, rad.prime_radical)
+    good = same and is_prime(s, rad.prime_radical) and is_waist(s, rad.prime_radical)
     if not good:
         return discrepancy(
             (),
@@ -566,7 +562,7 @@ def _thm210(s: Semigroup, cap: int) -> Verdict:
     t_mask = s.nilpotent_elements()
     b1 = is_ideal(s, t_mask, IdealKind.TWO_SIDED)
     b2 = t_mask == rad.prime_radical
-    b3 = _completely_prime(s, rad.prime_radical)
+    b3 = is_completely_prime(s, rad.prime_radical)
     if not (b1 == b2 == b3):
         return discrepancy((), {"ideal": b1, "equals_prime_radical": b2,
                                 "radical_completely_prime": b3})
@@ -583,7 +579,7 @@ def _lem212i(s: Semigroup, cap: int) -> Verdict:
     for a_mask in _nonempty_proper(s, _right_fam(s, cap)):
         p = associated_prime(s, a_mask)
         if not (is_ideal(s, p, IdealKind.RIGHT) and p != s.full
-                and _completely_prime(s, p)):
+                and is_completely_prime(s, p)):
             return discrepancy((), {"ideal": _w(a_mask), "associated": _w(p)})
     return holds()
 
@@ -629,7 +625,7 @@ def _lem213(s: Semigroup, cap: int) -> Verdict:
                     ):
                         rhs = True
                         break
-        if _waist(s, t_mask) != rhs:
+        if is_waist(s, t_mask) != rhs:
             return discrepancy(
                 (), {"ideal": _w(t_mask), "intersection": _w(inter), "rhs": rhs}
             )
@@ -685,13 +681,13 @@ def _lem34(s: Semigroup, cap: int) -> Verdict:
     spec = completely_prime_spectrum(s, cap)
     rad = radicals(s, cap)
     for p in comparability_ideals(s, cap):
-        if not _waist(s, p):
+        if not is_waist(s, p):
             return discrepancy((), {"p": _w(p), "fails": "waist"})
         pair = _incomparable_pair([q for q in spec if is_subset(q, p)])
         if pair:
             return discrepancy((), {"p": _w(p), "pair": _w(pair)})
     nrad = rad.completely_prime_radical
-    if not (_completely_prime(s, nrad) and _waist(s, nrad)):
+    if not (is_completely_prime(s, nrad) and is_waist(s, nrad)):
         return discrepancy((), {"completely_prime_radical": _w(nrad)})
     return holds()
 
@@ -713,14 +709,11 @@ def _pr35(s: Semigroup, cap: int) -> Verdict:
            requires=(HAS_COMPARABILITY_IDEAL,))
 def _thm36i(s: Semigroup, cap: int) -> Verdict:
     semi = prime_family(s, PrimenessKind.SEMIPRIME, IdealKind.RIGHT, cap)
-    good: dict[Mask, bool] = {}
+    primes = set(prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap))
+    waists = set(right_waists(s, cap))
     for p in comparability_ideals(s, cap):
         for q in semi:
-            if not is_subset(q, p):
-                continue
-            if q not in good:
-                good[q] = _prime(s, q) and _waist(s, q)
-            if not good[q]:
+            if is_subset(q, p) and not (q in primes and q in waists):
                 return discrepancy((), {"p": _w(p), "ideal": _w(q)})
     return holds()
 
@@ -735,7 +728,7 @@ def _thm36ii(s: Semigroup, cap: int) -> Verdict:
         if pair:
             return discrepancy((), {"p": _w(p), "pair": _w(pair)})
     beta = radicals(s, cap).prime_radical
-    if not (_prime(s, beta) and _waist(s, beta)):
+    if not (is_prime(s, beta) and is_waist(s, beta)):
         return discrepancy((), {"prime_radical": _w(beta)})
     return holds()
 
@@ -744,11 +737,13 @@ def _thm36ii(s: Semigroup, cap: int) -> Verdict:
                          "completely prime exactly when completely semiprime",
            requires=(HAS_COMPARABILITY_IDEAL,))
 def _thm36iii(s: Semigroup, cap: int) -> Verdict:
+    complete = set(prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED, cap))
+    semi = set(prime_family(s, PrimenessKind.COMPLETELY_SEMIPRIME, IdealKind.TWO_SIDED, cap))
     for p in comparability_ideals(s, cap):
         for q in _nonempty_proper(s, _two_fam(s, cap)):
             if not is_subset(q, p):
                 continue
-            if _completely_prime(s, q) != _completely_semiprime(s, q):
+            if (q in complete) != (q in semi):
                 return discrepancy((), {"p": _w(p), "ideal": _w(q)})
     return holds()
 
@@ -764,7 +759,7 @@ def _lem37(s: Semigroup, cap: int) -> Verdict:
                 continue
             if w not in first_bad:
                 first_bad[w] = next(
-                    (a for a in range(s.n) if not _waist(s, s.left_mul(a, w))), None
+                    (a for a in range(s.n) if not is_waist(s, s.left_mul(a, w))), None
                 )
             if first_bad[w] is not None:
                 return discrepancy((), {"p": _w(p), "waist": _w(w), "a": first_bad[w]})
@@ -840,7 +835,7 @@ def _pr310(s: Semigroup, cap: int) -> Verdict:
             if cls != sat[a]:
                 return discrepancy((), {"p": _w(p), "a": a, "class": _w(cls),
                                         "saturation": _w(sat[a])})
-            if sat[a] != s.full and not _waist(s, sat[a]):
+            if sat[a] != s.full and not is_waist(s, sat[a]):
                 return discrepancy((), {"p": _w(p), "a": a, "fails": "waist"})
             for b in range(s.n):
                 if s.left_mul(b, p) == a_p and sat[b] != sat[a]:
@@ -865,7 +860,7 @@ def _lem311(s: Semigroup, cap: int) -> Verdict:
             union = 0
             for a in mask_elems(m):
                 union |= sat[a]
-            if union != m or not _waist(s, m):
+            if union != m or not is_waist(s, m):
                 return discrepancy((), {"p": _w(p), "ideal": _w(m),
                                         "union": _w(union)})
     return holds()
@@ -909,7 +904,7 @@ def _thm313(s: Semigroup, cap: int) -> Verdict:
         union = 0
         for a in mask_elems(m):
             union |= sat[a]
-        ok = is_subset(p0, j) and ip == m and union == m and _waist(s, m)
+        ok = is_subset(p0, j) and ip == m and union == m and is_waist(s, m)
         if not ok:
             return discrepancy((), {"ideal": _w(m), "associated": _w(p0)})
     return _found("has_qualifying_right_ideal", count)
@@ -939,22 +934,14 @@ def _lem314(s: Semigroup, cap: int) -> Verdict:
 def _pr315(s: Semigroup, cap: int) -> Verdict:
     count = 0
     for p in comparability_ideals(s, cap):
-        for t in mask_elems(p):
-            # every power ideal nonzero?
-            v, ok_powers, seen = t, True, set()
-            while v not in seen:
-                seen.add(v)
-                if s.right_principal(v) == s.zero_mask:
-                    ok_powers = False
-                    break
-                v = s.rows[v][t]
-            if not ok_powers:
-                continue
+        # v lies in vS, so every power ideal t^k S is nonzero exactly when
+        # t is not nilpotent
+        for t in mask_elems(p & ~s.nilpotent_elements()):
             count += 1
             q = tail_intersection(s, t)
-            good = _prime(s, q) and _waist(s, q)
+            good = is_prime(s, q) and is_waist(s, q)
             if good and is_ideal(s, q, IdealKind.TWO_SIDED):
-                good = _completely_prime(s, q)
+                good = is_completely_prime(s, q)
             if not good:
                 return discrepancy((), {"p": _w(p), "t": t, "tail": _w(q)})
     return _found("has_element_with_nonzero_power_tails", count)
@@ -964,33 +951,24 @@ def _pr315(s: Semigroup, cap: int) -> Verdict:
 # prime segments
 
 
-def _exceptional_primes_inside(s: Semigroup, cap: int, p: Mask):
-    for q in _nonempty_proper(s, _two_fam(s, cap)):
-        if q != p and is_subset(q, p) and _prime(s, q) and not _completely_prime(s, q):
-            yield q
-
-
 @_register("Lem4.4", "an exceptional prime inside a comparability ideal has a "
                      "unique idempotent waist ideal minimal over it",
            requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _lem44(s: Semigroup, cap: int) -> Verdict:
     count = 0
-    two = _two_fam(s, cap)
     for p in comparability_ideals(s, cap):
-        for q in _exceptional_primes_inside(s, cap, p):
+        for q in exceptional_primes(s, cap):
+            if q == p or not is_subset(q, p):
+                continue
             count += 1
             d = pairing_ideal(s, q, cap)
             if d is None:
                 return discrepancy((), {"q": _w(q), "fails": "no waist ideal above"})
-            between = [
-                m for m in two
-                if m not in (q, d) and is_subset(q, m) and is_subset(m, d)
-            ]
             ok = (
                 d != q
                 and is_subset(q, d)
-                and _waist(s, d)
-                and not between
+                and is_waist(s, d)
+                and not strictly_between(s, q, d, cap)
                 and s.product(d, d) == d
             )
             if not ok:
@@ -1004,7 +982,9 @@ def _lem44(s: Semigroup, cap: int) -> Verdict:
 def _lem45(s: Semigroup, cap: int) -> Verdict:
     count = 0
     for p in comparability_ideals(s, cap):
-        for q in _exceptional_primes_inside(s, cap, p):
+        for q in exceptional_primes(s, cap):
+            if q == p or not is_subset(q, p):
+                continue
             d = pairing_ideal(s, q, cap)
             if d is None:
                 continue
@@ -1014,12 +994,9 @@ def _lem45(s: Semigroup, cap: int) -> Verdict:
     return _found("has_exceptional_prime", count)
 
 
-def _alpha_family(s: Semigroup, cap: int, p: Mask):
-    return [
-        m
-        for m in _nonempty_proper(s, _two_fam(s, cap))
-        if m != p and is_subset(m, p) and _semiprime(s, m)
-    ]
+def _alpha_family(s: Semigroup, cap: int, p: Mask) -> list[Mask]:
+    semi = prime_family(s, PrimenessKind.SEMIPRIME, IdealKind.TWO_SIDED, cap)
+    return [m for m in semi if m != p and is_subset(m, p)]
 
 
 @_register("Lem4.6.i", "semiprime two-sided ideals strictly below a comparability "
@@ -1069,9 +1046,10 @@ def _lem46iii(s: Semigroup, cap: int) -> Verdict:
 def _lem46iv(s: Semigroup, cap: int) -> Verdict:
     spec = completely_prime_spectrum(s, cap)
     count = 0
+    semi = prime_family(s, PrimenessKind.COMPLETELY_SEMIPRIME, IdealKind.TWO_SIDED, cap)
     for p in comparability_ideals(s, cap):
-        for m in _nonempty_proper(s, _two_fam(s, cap)):
-            if m == p or not is_subset(m, p) or not _completely_semiprime(s, m):
+        for m in semi:
+            if m == p or not is_subset(m, p):
                 continue
             count += 1
             found = False
@@ -1168,9 +1146,7 @@ def search_exceptional_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> l
         comp = comparability_ideals(s, cap)
         if not comp:
             continue
-        for q in _nonempty_proper(s, _two_fam(s, cap)):
-            if not (_prime(s, q) and not _completely_prime(s, q)):
-                continue
+        for q in exceptional_primes(s, cap):
             for p in comp:
                 if q != p and is_subset(q, p):
                     found.append({**where, "q": _w(q), "p": _w(p)})

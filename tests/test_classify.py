@@ -5,9 +5,11 @@ from sgideals.core import is_subset, mask_of
 from sgideals.ideals import IdealKind, NotAnIdeal, NotProper, enumerate_ideals
 from sgideals.classify import (
     PrimenessKind,
-    _comparizer,
     associated_prime,
+    comparizer_ideals,
     comparizer_radical,
+    exceptional_primes,
+    is_comparizer,
     is_prime_variant,
     is_right_chain,
     is_right_comparizer,
@@ -18,6 +20,7 @@ from sgideals.classify import (
     right_waists,
 )
 from sgideals.corpus import (
+    all_monoids_with_zero,
     build_chain_x,
     build_delta,
     build_min_chain,
@@ -29,6 +32,7 @@ from oracles import (
     comparizer_bruteforce,
     comparizer_union_bruteforce,
     completely_prime_scan,
+    ideals_bruteforce,
     prime_scan,
     restricted_comparizer_bruteforce,
     semiprime_scan,
@@ -145,6 +149,15 @@ def test_comparizer_matches_pair_form(pool234, pool5, corpus_entries):
             assert is_right_comparizer(s, m) == comparizer_bruteforce(s, m)
 
 
+def test_comparizer_ideals_match_pair_form(pool234, pool5, corpus_entries):
+    for s in _oracle_targets(pool234, pool5, corpus_entries):
+        want = [m for m in ideals_bruteforce(s, "right") if comparizer_bruteforce(s, m)]
+        got = comparizer_ideals(s)
+        assert list(got) == want
+        assert got[0] == 0  # the empty ideal always passes
+        assert (s.full in got) == is_right_chain(s)
+
+
 def test_restricted_comparizer_matches_double_loop(pool234, pool5, corpus_entries):
     # Lem2.5.i restricts to right waists, where the restricted and global
     # answers agree; every right ideal W is swept so that a kernel ignoring
@@ -154,7 +167,7 @@ def test_restricted_comparizer_matches_double_loop(pool234, pool5, corpus_entrie
         for w in fam:
             for c in fam:
                 if is_subset(c, w):
-                    assert _comparizer(s, c, w) == restricted_comparizer_bruteforce(s, w, c)
+                    assert is_comparizer(s, c, w) == restricted_comparizer_bruteforce(s, w, c)
 
 
 def test_strongly_comparizer_is_comparizer(pool234):
@@ -312,3 +325,21 @@ def test_brandt_monoid_zero_ideal_is_exceptional_prime():
     assert is_prime_variant(s, z, PrimenessKind.PRIME, IdealKind.TWO_SIDED)
     assert not is_prime_variant(s, z, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED)
     assert not s.is_left_cancellative()
+
+
+@pytest.mark.parametrize(
+    "order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+)
+def test_exceptional_primes_match_scans(order):
+    # no class below order 6 has a prime, not completely prime, two-sided
+    # ideal, and two of the 1,101 order-6 classes do, so only the order-6
+    # sweep tells the family apart from an empty one
+    with_exceptional = 0
+    for s in all_monoids_with_zero(order):
+        want = [
+            m for m in ideals_bruteforce(s, "two-sided")
+            if prime_scan(s, m) and not completely_prime_scan(s, m)
+        ]
+        assert list(exceptional_primes(s)) == want
+        with_exceptional += bool(want)
+    assert with_exceptional == (2 if order == 6 else 0)

@@ -106,6 +106,18 @@ def test_power_additivity(pool234):
                     assert s.power(a, j + k) == s.mul(s.power(a, j), s.power(a, k))
 
 
+def test_powers_match_scan(pool234, pool5, corpus_entries):
+    for s in [*pool234, *pool5, *(e.semigroup for e in corpus_entries)]:
+        for a in range(s.n):
+            want = []
+            k = 1
+            while power_scan(s, a, k) not in want:
+                want.append(power_scan(s, a, k))
+                k += 1
+            assert s.powers(a) == want
+            assert s.is_nilpotent_element(a) == (s.zero in want)
+
+
 def test_nilpotent_elements(ef4):
     s = ef4.semigroup
     x = ef4.element_names.index("x")

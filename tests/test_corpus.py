@@ -100,9 +100,25 @@ def test_enumeration_counts():
         enumerate_monoids_with_zero(1)
 
 
-def test_enumeration_no_dedupe_counts_raw_tables():
-    assert enumerate_monoids_with_zero(4, dedupe=False) == 25
-    assert enumerate_monoids_with_zero(5, dedupe=False) == 533
+def _labelled_count(pool, n):
+    """The labelled tables the classes account for, by orbit-stabilizer:
+    the sum of (n-2)!/|Aut S|, with |Aut S| counted over all relabellings of
+    2..n-1, independently of the enumerator."""
+    labelled = 0
+    relabellings = [(0, 1) + p for p in permutations(range(2, n))]
+    for s in pool:
+        aut = sum(
+            all(p[s.rows[i][j]] == s.rows[p[i]][p[j]] for i in range(n) for j in range(n))
+            for p in relabellings
+        )
+        assert len(relabellings) % aut == 0
+        labelled += len(relabellings) // aut
+    return labelled
+
+
+@pytest.mark.parametrize("order, labelled", [(4, 25), (5, 533), (6, 21010)])
+def test_enumeration_accounts_for_every_labelled_table(order, labelled):
+    assert _labelled_count(all_monoids_with_zero(order), order) == labelled
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -119,20 +135,8 @@ def test_enumeration_complete_at_6():
     pool = all_monoids_with_zero(6)
     assert len(pool) == 1101
     assert len({s.canonical_form() for s in pool}) == 1101
-    # orbit-stabilizer: the classes account for the 21,010 labelled tables
-    # that a search without dedupe reaches; |Aut S| is counted over all 4!
-    # relabellings, independently of the enumerator
-    labelled = 0
-    for s in pool:
-        aut = 0
-        for p in permutations(range(2, 6)):
-            p = (0, 1) + p
-            if all(p[s.rows[i][j]] == s.rows[p[i]][p[j]]
-                   for i in range(6) for j in range(6)):
-                aut += 1
-        assert 24 % aut == 0
-        labelled += 24 // aut
-    assert labelled == 21010
+    # orbit-stabilizer: the classes account for all 21,010 labelled tables
+    assert _labelled_count(pool, 6) == 21010
 
 
 def test_enumeration_emits_valid_deduped(pool234):

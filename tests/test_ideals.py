@@ -76,6 +76,16 @@ def test_ideal_power_large_exponent_cycles():
     assert ideal_power(s, x, 100) == 1 << s.one
 
 
+def test_ideal_power_matches_iterated_product(pool234):
+    # every subset, through and past the cycle of its powers
+    for s in pool234:
+        for x in range(1 << s.n):
+            cur = x
+            for k in range(1, 2 * s.n + 4):
+                assert ideal_power(s, x, k) == cur
+                cur = set_product_scan(s, mask_elems(cur), mask_elems(x))
+
+
 def build_semigroup_c2():
     from sgideals.core import Semigroup
 

@@ -179,12 +179,12 @@ def test_search_exceptional_candidates_completes():
     found = search_exceptional_candidates(4)
     # any candidate would be a small finite exceptional configuration, which
     # is not known to exist; revalidate rather than assert emptiness
-    from sgideals.classify import _completely_prime, _prime
+    from sgideals.classify import is_completely_prime, is_prime
 
     for cand in found:
         s = Semigroup(cand["table"], 1, 0)
         q = mask_of(cand["q"])
-        assert _prime(s, q) and not _completely_prime(s, q)
+        assert is_prime(s, q) and not is_completely_prime(s, q)
 
 
 def test_searches_empty_through_order_6():
