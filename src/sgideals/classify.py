@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized
+from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, mask_of, memoized
 from .ideals import (
     DEFAULT_CAP,
     IdealKind,
@@ -139,11 +139,7 @@ def is_waist(s: Semigroup, i_mask: Mask) -> bool:
     """
     if i_mask == s.full:
         return False
-    for b in range(s.n):
-        bs = s.right_principal(b)
-        if not is_subset(bs, i_mask) and not is_subset(i_mask, bs):
-            return False
-    return True
+    return all(is_subset(bs, i_mask) or is_subset(i_mask, bs) for bs in s.right_principals)
 
 
 def is_right_waist(s: Semigroup, i_mask: Mask) -> bool:
@@ -165,33 +161,32 @@ def right_waists(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
 
 
 @memoized
-def comparizer_bounds(s: Semigroup, within: Mask) -> tuple[Mask, ...]:
-    """B[b] for every element b: the intersection of aS over the a in
-    `within` that lie outside bS (the whole carrier when no a qualifies).
+def comparizer_support(s: Semigroup, within: Mask) -> Mask:
+    """G(W): the c with b*c in B[b] for every b in W = `within`, where B[b]
+    is the intersection of aS over the a in W outside bS (the whole carrier
+    when no a qualifies).
 
-    A set I passes the comparizer test over W, "for all a, b in W: a in bS
-    or b*I inside aS", exactly when b*I lies inside B[b] for every b in W:
-    the two universal quantifiers trade places and nothing else changes.
+    The comparizer test over W, "for all a, b in W: a in bS or b*I inside
+    aS", is elementwise in I: it holds exactly when each c in I has b*c in
+    aS for every such pair, that is, when I lies inside G(W).
     """
-    out = []
-    for b in range(s.n):
+    princ = s.right_principals
+    rows = s.rows
+    out = s.full
+    for b in mask_elems(within):
         bound = s.full
-        for a in mask_elems(within & ~s.right_principal(b)):
-            bound &= s.right_principal(a)
-        out.append(bound)
-    return tuple(out)
+        for a in mask_elems(within & ~princ[b]):
+            bound &= princ[a]
+        row = rows[b]
+        out = mask_of(c for c in mask_elems(out) if mask_contains(bound, row[c]))
+    return out
 
 
 def is_comparizer(s: Semigroup, i_mask: Mask, within: Mask | None = None) -> bool:
     """For every a, b: a in bS, or b*I inside aS; with `within`, a and b
-    range over that set only.  Total: any mask, no ideal check."""
-    if within is None:
-        within = s.full
-    bounds = comparizer_bounds(s, within)
-    for b in mask_elems(within):
-        if not is_subset(s.left_mul(b, i_mask), bounds[b]):
-            return False
-    return True
+    range over that set only.  Total: any mask, no ideal check.  One subset
+    test against comparizer_support."""
+    return is_subset(i_mask, comparizer_support(s, s.full if within is None else within))
 
 
 def is_right_comparizer(s: Semigroup, i_mask: Mask) -> bool:
@@ -223,22 +218,13 @@ def is_strongly_comparizer(s: Semigroup, a_mask: Mask) -> bool:
     return True
 
 
-@memoized
 def comparizer_radical(s: Semigroup) -> Mask:
-    """The largest right comparizer ideal.
-
-    Elementwise: c belongs iff for all a, b either a is in bS or b*c is in
-    aS, that is, iff b*c lies in comparizer_bounds(s, S)[b] for every b.
-    Equals the union of all comparizer right ideals, which is the whole
-    carrier exactly when the principal right ideals form a chain.
+    """The largest right comparizer ideal: comparizer_support over the whole
+    carrier (a right ideal, since b*c in aS puts b*c*t in aS).  Equals the
+    union of all comparizer right ideals, which is the whole carrier exactly
+    when the principal right ideals form a chain.
     """
-    rows = s.rows
-    bounds = comparizer_bounds(s, s.full)
-    out = 0
-    for c in range(s.n):
-        if all(mask_contains(bound, row[c]) for row, bound in zip(rows, bounds)):
-            out |= 1 << c
-    return out
+    return comparizer_support(s, s.full)
 
 
 def is_right_chain(s: Semigroup) -> bool:

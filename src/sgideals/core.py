@@ -223,6 +223,11 @@ class Semigroup:
         self._cache[key] = out
         return out
 
+    @property
+    def right_principals(self) -> tuple[Mask, ...]:
+        """aS for every a, indexed by a."""
+        return self._principals("right")
+
     def right_principal(self, a: int) -> Mask:
         """aS, the principal right ideal of a (contains a)."""
         return self._principals("right")[a]

@@ -237,7 +237,7 @@ def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
     n = s.n
     t_mask = s.full & ~p_mask
     sat = saturation_by_element(s, p_mask)
-    princ = [s.right_principal(a) for a in range(n)]
+    princ = s.right_principals
 
     witness = None
     cond1 = True

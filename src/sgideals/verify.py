@@ -1048,21 +1048,19 @@ def _lem46iv(s: Semigroup, cap: int) -> Verdict:
     count = 0
     semi = prime_family(s, PrimenessKind.COMPLETELY_SEMIPRIME, IdealKind.TWO_SIDED, cap)
     for p in comparability_ideals(s, cap):
+        # the p0 in spec that form a prime segment with p: below p, with
+        # nothing of spec strictly between
+        covers = [
+            p0 for p0 in spec
+            if p0 != p and is_subset(p0, p) and not any(
+                q not in (p0, p) and is_subset(p0, q) and is_subset(q, p) for q in spec
+            )
+        ]
         for m in semi:
             if m == p or not is_subset(m, p):
                 continue
             count += 1
-            found = False
-            for p0 in spec:
-                if not (is_subset(m, p0) and p0 != p and is_subset(p0, p)):
-                    continue
-                if not any(
-                    q not in (p0, p) and is_subset(p0, q) and is_subset(q, p)
-                    for q in spec
-                ):
-                    found = True
-                    break
-            if not found:
+            if not any(is_subset(m, p0) for p0 in covers):
                 return discrepancy((), {"p": _w(p), "ideal": _w(m)})
     return _found("has_completely_semiprime_below", count)
 

@@ -8,6 +8,7 @@ from sgideals.classify import (
     associated_prime,
     comparizer_ideals,
     comparizer_radical,
+    comparizer_support,
     exceptional_primes,
     is_comparizer,
     is_prime_variant,
@@ -15,6 +16,7 @@ from sgideals.classify import (
     is_right_comparizer,
     is_right_waist,
     is_strongly_comparizer,
+    is_waist,
     prime_family,
     radicals,
     right_waists,
@@ -124,6 +126,13 @@ def test_waist_matches_bruteforce(pool234):
             assert is_right_waist(s, m) == waist_bruteforce(s, m)
 
 
+def test_waist_total(pool234):
+    # any mask, not only right ideals; the full carrier answers False
+    for s in pool234:
+        for x in range(1 << s.n):
+            assert is_waist(s, x) == waist_bruteforce(s, x)
+
+
 # -- comparizers ------------------------------------------------------------------
 
 
@@ -170,6 +179,16 @@ def test_restricted_comparizer_matches_double_loop(pool234, pool5, corpus_entrie
                     assert is_comparizer(s, c, w) == restricted_comparizer_bruteforce(s, w, c)
 
 
+def test_comparizer_total(pool234):
+    # every pair of masks I, W, not only right ideals, the empty W included
+    for s in pool234:
+        for w in range(1 << s.n):
+            for c in range(1 << s.n):
+                assert is_comparizer(s, c, w) == restricted_comparizer_bruteforce(s, w, c)
+        for c in range(1 << s.n):
+            assert is_comparizer(s, c) == is_comparizer(s, c, s.full)
+
+
 def test_strongly_comparizer_is_comparizer(pool234):
     # b*A inside a*A inside aS, so the strong form implies the plain form
     for s in pool234:
@@ -196,6 +215,12 @@ def test_comparizer_radical_frozen(ef4):
 
 def test_comparizer_radical_matches_union(pool234):
     for s in pool234:
+        assert comparizer_radical(s) == comparizer_union_bruteforce(s)
+
+
+def test_comparizer_radical_is_support_over_carrier(pool5, corpus_entries):
+    for s in [*pool5, *(e.semigroup for e in corpus_entries)]:
+        assert comparizer_radical(s) == comparizer_support(s, s.full)
         assert comparizer_radical(s) == comparizer_union_bruteforce(s)
 
 

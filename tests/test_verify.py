@@ -2,9 +2,10 @@ from collections import Counter
 
 import pytest
 
+from sgideals import verify
 from sgideals.core import Semigroup, mask_elems, mask_of
-from sgideals.classify import comparizer_radical
-from sgideals.ideals import is_nilpotent_ideal
+from sgideals.classify import PrimenessKind, comparizer_radical
+from sgideals.ideals import DEFAULT_CAP, IdealKind, is_nilpotent_ideal
 from sgideals.localize import is_right_p_comparable
 from sgideals.segments import completely_prime_spectrum
 from sgideals.corpus import build_chain_x, build_delta, build_minimal, corpus
@@ -216,3 +217,71 @@ def test_order7_converse_of_lem410_fails():
     assert mask_elems(s.left_mul(4, n_mask)) == [0, 2, 3]
     tally = Counter(v.status for _, v in run_suite(s))
     assert tally == {"holds": 43, "vacuous": 11}
+
+
+# -- negative controls: each body below is fed one wrong answer and must report
+# a discrepancy, so a check made lenient enough never to fail is caught; the
+# inputs are rebuilt under the patch because the families are memoized on the
+# instance
+
+
+def _toggle(family, *masks):
+    """family with the membership of each mask flipped, order kept."""
+    return tuple([m for m in family if m not in masks] + [m for m in masks if m not in family])
+
+
+def _patch_two_sided_family(monkeypatch, kind, *masks):
+    real = verify.prime_family
+
+    def patched(s, k, ik, cap=DEFAULT_CAP):
+        fam = real(s, k, ik, cap)
+        return _toggle(fam, *masks) if (k, ik) == (kind, IdealKind.TWO_SIDED) else fam
+
+    monkeypatch.setattr(verify, "prime_family", patched)
+
+
+@pytest.mark.parametrize("cid", ["Lem2.1.ii", "Lem2.1.iii"])
+def test_comparizer_checks_flag_a_flipped_test(monkeypatch, cid):
+    assert run_check(build_chain_x(4), cid).status == "holds"
+    real = verify.is_comparizer
+    monkeypatch.setattr(verify, "is_comparizer",
+                        lambda s, i, within=None: real(s, i, within) != (i == s.zero_mask))
+    assert run_check(build_chain_x(4), cid).status == "discrepancy"
+
+
+def test_lem25i_flags_a_flipped_comparizer_family(monkeypatch):
+    assert run_check(build_chain_x(4), "Lem2.5.i").status == "holds"
+    real = verify.comparizer_ideals
+    monkeypatch.setattr(verify, "comparizer_ideals",
+                        lambda s, cap=DEFAULT_CAP: _toggle(real(s, cap), s.zero_mask))
+    assert run_check(build_chain_x(4), "Lem2.5.i").status == "discrepancy"
+
+
+def test_thm36iii_flags_a_flipped_completely_semiprime_family(monkeypatch):
+    # {0} of ef4 is neither completely prime nor completely semiprime, and
+    # lies below the comparability ideal
+    ef4 = corpus()["ef4"].semigroup
+    assert run_check(ef4, "Thm3.6.iii").status == "holds"
+    _patch_two_sided_family(monkeypatch, PrimenessKind.COMPLETELY_SEMIPRIME, ef4.zero_mask)
+    fresh = Semigroup(ef4.rows, ef4.one, ef4.zero)
+    assert run_check(fresh, "Thm3.6.iii").status == "discrepancy"
+
+
+@pytest.mark.parametrize("cid", ["Lem4.6.i", "Lem4.6.ii", "Lem4.6.iii"])
+def test_lem46_flags_incomparable_semiprimes(monkeypatch, cid):
+    # P = {0, 2, 3} is a comparability ideal with no semiprime two-sided ideal
+    # strictly below it, but two incomparable two-sided ideals {0, 2}, {0, 3};
+    # declared semiprime, they form no chain, their union is P (outside the
+    # family) and their meet {0} is no member
+    table = [
+        [0, 0, 0, 0, 0],
+        [0, 1, 2, 3, 4],
+        [0, 2, 0, 0, 0],
+        [0, 3, 0, 0, 0],
+        [0, 4, 2, 3, 4],
+    ]
+    s = Semigroup(table, one=1, zero=0)
+    assert verify.comparability_ideals(s) == (mask_of([0, 2, 3]),)
+    assert run_check(s, cid).status != "discrepancy"
+    _patch_two_sided_family(monkeypatch, PrimenessKind.SEMIPRIME, mask_of([0, 2]), mask_of([0, 3]))
+    assert run_check(Semigroup(table, one=1, zero=0), cid).status == "discrepancy"
