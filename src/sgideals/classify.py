@@ -29,18 +29,23 @@ class PrimenessKind(str, Enum):
 # set; is_prime_variant is the validating entry point) -------------------------
 
 
+@memoized
+def sandwiches(s: Semigroup) -> tuple[tuple[Mask, ...], ...]:
+    """aSb for every a and b, indexed [a][b]; one row per distinct aS."""
+    by_ideal = {
+        a_s: tuple(s.right_mul(a_s, b) for b in range(s.n)) for a_s in set(s.right_principals)
+    }
+    return tuple(by_ideal[a_s] for a_s in s.right_principals)
+
+
 def is_prime(s: Semigroup, x: Mask) -> bool:
     """Nonempty, and aSb inside X forces a or b into X."""
     if x == 0:
         return False
-    rows = s.rows
-    outside = [a for a in range(s.n) if not mask_contains(x, a)]
-    for a in outside:
-        a_s = mask_elems(s.right_principal(a))
-        for b in outside:
-            if all(mask_contains(x, rows[m][b]) for m in a_s):
-                return False
-    return True
+    sw = sandwiches(s)
+    not_x = ~x
+    outside = mask_elems(s.full & not_x)
+    return not any(sw[a][b] & not_x == 0 for a in outside for b in outside)
 
 
 def is_completely_prime(s: Semigroup, x: Mask) -> bool:
@@ -228,14 +233,10 @@ def comparizer_radical(s: Semigroup) -> Mask:
 
 
 def is_right_chain(s: Semigroup) -> bool:
-    """Every pair of principal right ideals is comparable by inclusion."""
-    for a in range(s.n):
-        a_s = s.right_principal(a)
-        for b in range(a + 1, s.n):
-            bs = s.right_principal(b)
-            if not is_subset(a_s, bs) and not is_subset(bs, a_s):
-                return False
-    return True
+    """Every pair of principal right ideals is comparable by inclusion: each
+    b has aS inside bS (b in left_divisors[a]) or bS inside aS (b in aS)."""
+    full = s.full
+    return all(d | a_s == full for d, a_s in zip(s.left_divisors, s.right_principals))
 
 
 # -- radicals -------------------------------------------------------------------

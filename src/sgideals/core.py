@@ -112,7 +112,8 @@ class Semigroup:
     absorbing zero, identity != zero) and raises a SemigroupError subclass
     with a witness on the first violation.  Instances are immutable; derived
     data is computed on first use and kept on the instance: the principal
-    ideals by _principals, everything else by @memoized functions.
+    ideals and the left divisors by _principals, everything else by
+    @memoized functions.
     """
 
     __slots__ = ("n", "one", "zero", "rows", "_cache")
@@ -209,6 +210,9 @@ class Semigroup:
         rows = self.rows
         if key == "right":
             out = tuple(mask_of(rows[a]) for a in range(n))
+        elif key == "divisors":  # entry a: the b with a in bS
+            right = self._principals("right")
+            out = tuple(mask_of(b for b in range(n) if right[b] >> a & 1) for a in range(n))
         elif key == "left":
             out = tuple(mask_of(rows[b][a] for b in range(n)) for a in range(n))
         else:  # two-sided: S a S
@@ -227,6 +231,12 @@ class Semigroup:
     def right_principals(self) -> tuple[Mask, ...]:
         """aS for every a, indexed by a."""
         return self._principals("right")
+
+    @property
+    def left_divisors(self) -> tuple[Mask, ...]:
+        """For every a, the b with a in bS, indexed by a.  With an identity,
+        a in bS exactly when aS is inside bS."""
+        return self._principals("divisors")
 
     def right_principal(self, a: int) -> Mask:
         """aS, the principal right ideal of a (contains a)."""
@@ -337,6 +347,10 @@ class Semigroup:
             for j in range(n):
                 new[pi][p[j]] = p[rows[i][j]]
         return Semigroup(new, p[self.one], p[self.zero])
+
+    def opposite(self) -> "Semigroup":
+        """The opposite monoid: the transposed table, a*b read as b*a."""
+        return Semigroup(tuple(zip(*self.rows)), self.one, self.zero)
 
     def _element_signature(self, a: int) -> tuple:
         n, zero, rows = self.n, self.zero, self.rows

@@ -6,9 +6,9 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized
+from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, mask_of, memoized
 from .classify import is_completely_prime, is_waist
-from .ideals import IdealKind, is_ideal
+from .ideals import IdealKind, ideal_closure, is_ideal
 from .verdict import Verdict, discrepancy, holds, vacuous
 
 
@@ -212,18 +212,16 @@ class ComparabilityReport:
 
 @memoized
 def saturation_by_element(s: Semigroup, p_mask: Mask) -> tuple[Mask, ...]:
-    """sat(aS, S-P) for every a, computed once per distinct principal ideal."""
+    """sat(aS, S-P) for every a.  y is in it exactly when y*(S-P) meets aS,
+    so the translates y*(S-P) are taken once and each distinct aS costs
+    one AND test per y."""
     t_mask = s.full & ~p_mask
-    cache: dict[Mask, Mask] = {}
-    out = []
-    for a in range(s.n):
-        a_s = s.right_principal(a)
-        got = cache.get(a_s)
-        if got is None:
-            got = saturate(s, a_s, t_mask)
-            cache[a_s] = got
-        out.append(got)
-    return tuple(out)
+    translates = [s.left_mul(y, t_mask) for y in range(s.n)]
+    by_ideal = {
+        a_s: mask_of(y for y, y_t in enumerate(translates) if y_t & a_s)
+        for a_s in set(s.right_principals)
+    }
+    return tuple(by_ideal[a_s] for a_s in s.right_principals)
 
 
 @memoized
@@ -231,65 +229,45 @@ def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
     """Pairwise comparability with respect to a completely prime right ideal.
 
     Evaluates the defining three-way condition over all pairs, plus the four
-    equivalent reformulations, each independently and exhaustively.
+    equivalent reformulations, each independently and exhaustively.  The
+    pairs are read from s.left_divisors: aS lies inside bS exactly when b
+    is in left_divisors[a], and bS inside aS exactly when b is in aS.
     """
     _validate_cp_right(s, p_mask)
-    n = s.n
-    t_mask = s.full & ~p_mask
+    n, full = s.n, s.full
+    t_mask = full & ~p_mask
     sat = saturation_by_element(s, p_mask)
     princ = s.right_principals
+    # outside[a]: the b with aS not inside bS; above[a]: the b > a with aS
+    # and bS incomparable
+    outside = [full & ~d for d in s.left_divisors]
+    above = [(outside[a] & ~princ[a]) >> (a + 1) << (a + 1) for a in range(n)]
 
-    witness = None
-    cond1 = True
-    for a in range(n):
-        for b in range(a + 1, n):
-            if is_subset(princ[a], princ[b]) or is_subset(princ[b], princ[a]):
-                continue
-            if sat[a] != sat[b]:
-                cond1 = False
-                witness = (a, b)
-                break
-        if not cond1:
-            break
-
-    cond2 = all(
-        is_subset(princ[a], princ[b]) or is_subset(sat[b], sat[a])
-        for a in range(n)
-        for b in range(n)
+    witness = next(
+        ((a, b) for a in range(n) for b in mask_elems(above[a]) if sat[b] != sat[a]), None
     )
+    cond1 = witness is None
+
+    cond2 = all(is_subset(sat[b], sat[a]) for a in range(n) for b in mask_elems(outside[a]))
     cond3 = all(
-        is_subset(princ[a], princ[b]) or is_subset(princ[b], sat[a])
-        for a in range(n)
-        for b in range(n)
+        is_subset(ideal_closure(s, outside[a], IdealKind.RIGHT), sat[a]) for a in range(n)
     )
     # S-P is multiplicatively closed and holds the identity, since P is
     # completely prime and proper: only the Ore condition is left to test
     cond4 = right_ore_condition(s, t_mask) and all(
-        is_subset(princ[a], princ[b]) or mask_contains(sat[a], b)
-        for a in range(n)
-        for b in range(n)
+        is_subset(outside[a], sat[a]) for a in range(n)
     )
-    improper = False
-    cond5 = True
-    for a in range(n):
-        if not is_ideal(s, sat[a], IdealKind.RIGHT):
-            cond5 = False
-            break
-        if sat[a] == s.full:
-            improper = True
-            continue
-        if not is_waist(s, sat[a]):
-            cond5 = False
-            break
+    # each sat[a] a right ideal and a waist, or the whole carrier, which is
+    # flagged improper when met before the first a that fails
+    admitted = {
+        m: is_ideal(s, m, IdealKind.RIGHT) and (m == full or is_waist(s, m)) for m in set(sat)
+    }
+    first_bad = next((a for a in range(n) if not admitted[sat[a]]), n)
+    cond5 = first_bad == n
+    improper = full in sat[:first_bad]
 
     trans = [s.left_mul(a, p_mask) for a in range(n)]
-    weak = all(
-        is_subset(princ[a], princ[b])
-        or is_subset(princ[b], princ[a])
-        or trans[a] == trans[b]
-        for a in range(n)
-        for b in range(a + 1, n)
-    )
+    weak = all(trans[b] == trans[a] for a in range(n) for b in mask_elems(above[a]))
     return ComparabilityReport(
         p=p_mask,
         holds=cond1,

@@ -322,11 +322,14 @@ def _thm24i(s: Semigroup, cap: int) -> Verdict:
 
 @_register("Thm2.4.ii", "left translates of a comparizer right waist are right waists")
 def _thm24ii(s: Semigroup, cap: int) -> Verdict:
+    # a left translate of a right ideal is a right ideal, so it is a right
+    # waist exactly when it is a member of the family
+    waists = set(right_waists(s, cap))
     for m in _nonempty_proper(s, comparizer_ideals(s, cap)):
-        if not is_waist(s, m):
+        if m not in waists:
             continue
         for a in range(s.n):
-            if not is_waist(s, s.left_mul(a, m)):
+            if s.left_mul(a, m) not in waists:
                 return discrepancy((), {"ideal": _w(m), "a": a})
     return holds()
 
@@ -752,6 +755,8 @@ def _thm36iii(s: Semigroup, cap: int) -> Verdict:
                      "right waists under left translation",
            requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem37(s: Semigroup, cap: int) -> Verdict:
+    # left translates of right ideals are right ideals: membership decides
+    waists = set(right_waists(s, cap))
     first_bad: dict[Mask, int | None] = {}
     for p in comparability_ideals(s, cap):
         for w in right_waists(s, cap):
@@ -759,7 +764,7 @@ def _lem37(s: Semigroup, cap: int) -> Verdict:
                 continue
             if w not in first_bad:
                 first_bad[w] = next(
-                    (a for a in range(s.n) if not is_waist(s, s.left_mul(a, w))), None
+                    (a for a in range(s.n) if s.left_mul(a, w) not in waists), None
                 )
             if first_bad[w] is not None:
                 return discrepancy((), {"p": _w(p), "waist": _w(w), "a": first_bad[w]})

@@ -7,9 +7,15 @@ and bitmask shortcuts, so the two sides stay independent.
 import random
 from itertools import permutations, product
 
-from sgideals.core import Semigroup, mask_elems, mask_of
+from sgideals.classify import is_waist
+from sgideals.core import Semigroup, is_subset, mask_contains, mask_elems, mask_of
 from sgideals.ideals import IdealKind, is_ideal
-from sgideals.localize import is_mult_closed, right_ore_condition, saturate
+from sgideals.localize import (
+    ComparabilityReport,
+    is_mult_closed,
+    right_ore_condition,
+    saturate,
+)
 from sgideals.verdict import Verdict, discrepancy, holds
 
 
@@ -186,6 +192,75 @@ def lem31_bruteforce(s: Semigroup) -> Verdict:
             if not is_ideal(s, sat, IdealKind.RIGHT):
                 return discrepancy((), {"ore_set": mask_elems(t_mask), "a": a})
     return holds()
+
+
+def p_comparability_bruteforce(s: Semigroup, p_mask: int):
+    """The comparability report for a completely prime right ideal P, and
+    sat(aS, S-P) for every a, by the pair loops over all (a, b) with
+    `saturate` per a (the analysis before it read per-monoid tables)."""
+    n = s.n
+    t_mask = s.full & ~p_mask
+    sat = tuple(saturate(s, s.right_principal(a), t_mask) for a in range(n))
+    princ = s.right_principals
+
+    witness = None
+    cond1 = True
+    for a in range(n):
+        for b in range(a + 1, n):
+            if is_subset(princ[a], princ[b]) or is_subset(princ[b], princ[a]):
+                continue
+            if sat[a] != sat[b]:
+                cond1 = False
+                witness = (a, b)
+                break
+        if not cond1:
+            break
+
+    cond2 = all(
+        is_subset(princ[a], princ[b]) or is_subset(sat[b], sat[a])
+        for a in range(n)
+        for b in range(n)
+    )
+    cond3 = all(
+        is_subset(princ[a], princ[b]) or is_subset(princ[b], sat[a])
+        for a in range(n)
+        for b in range(n)
+    )
+    cond4 = right_ore_condition(s, t_mask) and all(
+        is_subset(princ[a], princ[b]) or mask_contains(sat[a], b)
+        for a in range(n)
+        for b in range(n)
+    )
+    improper = False
+    cond5 = True
+    for a in range(n):
+        if not is_ideal(s, sat[a], IdealKind.RIGHT):
+            cond5 = False
+            break
+        if sat[a] == s.full:
+            improper = True
+            continue
+        if not is_waist(s, sat[a]):
+            cond5 = False
+            break
+
+    trans = [s.left_mul(a, p_mask) for a in range(n)]
+    weak = all(
+        is_subset(princ[a], princ[b])
+        or is_subset(princ[b], princ[a])
+        or trans[a] == trans[b]
+        for a in range(n)
+        for b in range(a + 1, n)
+    )
+    report = ComparabilityReport(
+        p=p_mask,
+        holds=cond1,
+        conditions=(cond1, cond2, cond3, cond4, cond5),
+        weak_holds=weak,
+        witness=witness,
+        improper_waist_admitted=improper,
+    )
+    return report, sat
 
 
 def null_monoid(n: int) -> Semigroup:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgideals.core import is_subset, mask_of
+from sgideals.core import is_subset, mask_elems, mask_of
 from sgideals.ideals import IdealKind, NotAnIdeal, NotProper, enumerate_ideals
 from sgideals.classify import (
     PrimenessKind,
@@ -11,6 +11,7 @@ from sgideals.classify import (
     comparizer_support,
     exceptional_primes,
     is_comparizer,
+    is_prime,
     is_prime_variant,
     is_right_chain,
     is_right_comparizer,
@@ -20,6 +21,7 @@ from sgideals.classify import (
     prime_family,
     radicals,
     right_waists,
+    sandwiches,
 )
 from sgideals.corpus import (
     all_monoids_with_zero,
@@ -37,7 +39,9 @@ from oracles import (
     ideals_bruteforce,
     prime_scan,
     restricted_comparizer_bruteforce,
+    right_principal_scan,
     semiprime_scan,
+    set_product_scan,
     waist_bruteforce,
 )
 
@@ -98,6 +102,24 @@ def test_primeness_matches_scans(pool234):
             assert is_prime_variant(
                 s, m, PrimenessKind.SEMIPRIME, IdealKind.TWO_SIDED
             ) == semiprime_scan(s, m)
+
+
+def test_prime_total(pool234, pool5):
+    # any mask, not only ideals; on the full carrier prime_scan answers
+    # False while is_prime holds vacuously (no pair lies outside).  Order 5
+    # is the first where testing only the pairs a <= b goes wrong
+    for s in [*pool234, *pool5]:
+        for x in range(s.full):
+            assert is_prime(s, x) == prime_scan(s, x)
+        assert is_prime(s, s.full)
+
+
+def test_sandwiches_match_scan(pool234):
+    for s in pool234:
+        sw = sandwiches(s)
+        for a in range(s.n):
+            a_s = mask_elems(right_principal_scan(s, a))
+            assert sw[a] == tuple(set_product_scan(s, a_s, [b]) for b in range(s.n))
 
 
 # -- waists ---------------------------------------------------------------------
@@ -222,6 +244,20 @@ def test_comparizer_radical_is_support_over_carrier(pool5, corpus_entries):
     for s in [*pool5, *(e.semigroup for e in corpus_entries)]:
         assert comparizer_radical(s) == comparizer_support(s, s.full)
         assert comparizer_radical(s) == comparizer_union_bruteforce(s)
+
+
+def test_right_chain_matches_pair_scan(pool234):
+    seen = set()
+    for s in pool234:
+        princ = [right_principal_scan(s, a) for a in range(s.n)]
+        want = all(
+            is_subset(princ[a], princ[b]) or is_subset(princ[b], princ[a])
+            for a in range(s.n)
+            for b in range(s.n)
+        )
+        assert is_right_chain(s) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_right_chain(ef4):

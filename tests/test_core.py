@@ -17,6 +17,7 @@ from sgideals.core import (
     SemigroupError,
     decode_canonical,
     format_cayley,
+    is_subset,
     mask_contains,
     mask_elems,
     mask_of,
@@ -167,6 +168,44 @@ def test_right_principal_matches_scan(pool234):
     for s in pool234:
         for a in range(s.n):
             assert s.right_principal(a) == right_principal_scan(s, a)
+
+
+def test_left_divisors_match_inclusion_scan(pool234):
+    for s in pool234:
+        princ = [right_principal_scan(s, a) for a in range(s.n)]
+        for a in range(s.n):
+            assert s.left_divisors[a] == mask_of(
+                b for b in range(s.n) if is_subset(princ[a], princ[b])
+            )
+
+
+# -- opposite monoid ---------------------------------------------------------
+
+
+def test_opposite_is_the_transpose(pool234, corpus_entries):
+    for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
+        op = s.opposite()
+        assert (op.one, op.zero) == (s.one, s.zero)
+        assert all(op.mul(a, b) == s.mul(b, a) for a in range(s.n) for b in range(s.n))
+        assert op.opposite() == s
+
+
+def test_opposite_swaps_left_and_right(pool234, pool5, corpus_entries):
+    # metamorphic: left notions of S are the right notions of S^op, and the
+    # two-sided ones are shared
+    two = IdealKind.TWO_SIDED
+    for s in [*pool234, *pool5, *(e.semigroup for e in corpus_entries)]:
+        op = s.opposite()
+        assert set(enumerate_ideals(s, IdealKind.LEFT)) == set(enumerate_ideals(op, IdealKind.RIGHT))
+        assert set(enumerate_ideals(s, two)) == set(enumerate_ideals(op, two))
+        for kind in (PrimenessKind.PRIME, PrimenessKind.COMPLETELY_PRIME):
+            assert set(prime_family(s, kind, two)) == set(prime_family(op, kind, two))
+        rad, rad_op = radicals(s), radicals(op)
+        assert rad.prime_radical == rad_op.prime_radical
+        assert rad.completely_prime_radical == rad_op.completely_prime_radical
+        assert rad.nil_radical == rad_op.nil_radical
+        assert s.nilpotent_elements() == op.nilpotent_elements()
+        assert s.left_cancellation_witness() == op.right_cancellation_witness()
 
 
 # -- canonical form ----------------------------------------------------------

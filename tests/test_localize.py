@@ -12,13 +12,23 @@ from sgideals.localize import (
     nested_saturation_inclusion_check,
     right_ore_sets,
     saturate,
+    saturation_by_element,
 )
-from sgideals.corpus import all_monoids_with_zero, build_chain_x, build_delta, build_min_chain
+from sgideals.classify import PrimenessKind, prime_family
+from sgideals.corpus import (
+    all_monoids_with_zero,
+    build_chain_x,
+    build_delta,
+    build_ef,
+    build_min_chain,
+)
+from sgideals.ideals import IdealKind
 from sgideals.verify import run_check
 
 from oracles import (
     lem31_bruteforce,
     null_monoid,
+    p_comparability_bruteforce,
     right_ore_sets_bruteforce,
     saturate_scan,
     shuffled,
@@ -219,3 +229,39 @@ def test_lem31_matches_bruteforce(order):
         want = lem31_bruteforce(s)
         assert got.hypothesis_trace == (("subset_enumeration_feasible", True),)
         assert (got.status, got.witness) == (want.status, want.witness)
+
+
+def _assert_comparability_matches_bruteforce(monoids):
+    """Every completely prime right ideal of every monoid: the report and
+    the saturations equal the pair loops'.  Returns how many reports fail
+    the pairwise condition, so a sweep can show it met both outcomes."""
+    failing = 0
+    for s in monoids:
+        for p in prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT):
+            want, sat = p_comparability_bruteforce(s, p)
+            got = is_right_p_comparable(s, p)
+            assert got.to_dict() == want.to_dict()
+            assert saturation_by_element(s, p) == sat
+            failing += not got.holds
+    return failing
+
+
+def test_comparability_matches_bruteforce_pools_and_corpus(pool234, pool5, corpus_entries):
+    assert _assert_comparability_matches_bruteforce(pool234) > 0
+    assert _assert_comparability_matches_bruteforce(pool5) > 0
+    _assert_comparability_matches_bruteforce(e.semigroup for e in corpus_entries)
+
+
+COMPARABILITY_FAMILIES = {"min_chain": build_min_chain, "delta": build_delta, "ef": build_ef}
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+@pytest.mark.parametrize("family", sorted(COMPARABILITY_FAMILIES))
+def test_comparability_matches_bruteforce_relabelled_families(family, k):
+    s = shuffled(COMPARABILITY_FAMILIES[family](k), 31 * k + len(family))
+    _assert_comparability_matches_bruteforce([s])
+
+
+@pytest.mark.slow
+def test_comparability_matches_bruteforce_order6():
+    assert _assert_comparability_matches_bruteforce(all_monoids_with_zero(6)) > 0

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from sgideals.classify import PrimenessKind, comparizer_radical
 from sgideals.ideals import DEFAULT_CAP, IdealKind, is_nilpotent_ideal
 from sgideals.localize import is_right_p_comparable
 from sgideals.segments import completely_prime_spectrum
-from sgideals.corpus import build_chain_x, build_delta, build_minimal, corpus
+from sgideals.corpus import build_chain_x, build_delta, build_min_chain, build_minimal, corpus
 from sgideals.verify import (
     CHECKS,
     UnknownCheck,
@@ -265,6 +266,34 @@ def test_thm36iii_flags_a_flipped_completely_semiprime_family(monkeypatch):
     _patch_two_sided_family(monkeypatch, PrimenessKind.COMPLETELY_SEMIPRIME, ef4.zero_mask)
     fresh = Semigroup(ef4.rows, ef4.one, ef4.zero)
     assert run_check(fresh, "Thm3.6.iii").status == "discrepancy"
+
+
+@pytest.mark.parametrize("cid", ["Thm2.4.ii", "Lem3.7"])
+@pytest.mark.parametrize("name", ["min_chain4", "ef4"])
+def test_translate_checks_flag_a_missing_translate(monkeypatch, cid, name):
+    # both checks read membership of a*W in the right waists; {0} is the
+    # translate 0*W of every nonempty waist W, so dropping it from the
+    # family leaves translates that are no waists
+    s = build_min_chain(4) if name == "min_chain4" else corpus()["ef4"].semigroup
+    assert run_check(s, cid).status == "holds"
+    real = verify.right_waists
+    monkeypatch.setattr(verify, "right_waists",
+                        lambda s, cap=DEFAULT_CAP: _toggle(real(s, cap), s.zero_mask))
+    assert run_check(Semigroup(s.rows, s.one, s.zero), cid).status == "discrepancy"
+
+
+def test_pr35_flags_a_flipped_condition(monkeypatch):
+    s = build_min_chain(4)
+    assert run_check(s, "Pr3.5").status == "holds"
+    real = verify.is_right_p_comparable
+
+    def patched(s, p):
+        rep = real(s, p)
+        flipped = (rep.conditions[0], not rep.conditions[1], *rep.conditions[2:])
+        return replace(rep, conditions=flipped)
+
+    monkeypatch.setattr(verify, "is_right_p_comparable", patched)
+    assert run_check(build_min_chain(4), "Pr3.5").status == "discrepancy"
 
 
 @pytest.mark.parametrize("cid", ["Lem4.6.i", "Lem4.6.ii", "Lem4.6.iii"])
