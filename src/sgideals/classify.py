@@ -48,19 +48,22 @@ def is_prime(s: Semigroup, x: Mask) -> bool:
     return not any(sw[a][b] & not_x == 0 for a in outside for b in outside)
 
 
-def is_completely_prime(s: Semigroup, x: Mask) -> bool:
-    """Nonempty, and ab in X forces a or b into X."""
-    if x == 0:
-        return False
-    # equivalent: the complement is multiplicatively closed
-    comp = mask_elems(s.full & ~x)
+def is_mult_closed(s: Semigroup, t_mask: Mask) -> bool:
+    """ab in T for every a and b in T."""
     rows = s.rows
-    for a in comp:
+    members = mask_elems(t_mask)
+    for a in members:
         row = rows[a]
-        for b in comp:
-            if mask_contains(x, row[b]):
+        for b in members:
+            if not mask_contains(t_mask, row[b]):
                 return False
     return True
+
+
+def is_completely_prime(s: Semigroup, x: Mask) -> bool:
+    """Nonempty, and ab in X forces a or b into X: the complement is
+    multiplicatively closed."""
+    return x != 0 and is_mult_closed(s, s.full & ~x)
 
 
 def is_semiprime(s: Semigroup, x: Mask) -> bool:
@@ -213,14 +216,12 @@ def is_strongly_comparizer(s: Semigroup, a_mask: Mask) -> bool:
     """For every a, b: aS inside bS, or b*A inside a*A."""
     if not is_ideal(s, a_mask, IdealKind.RIGHT):
         raise NotAnIdeal("comparizer candidates must be right ideals")
-    for a in range(s.n):
-        a_a = s.left_mul(a, a_mask)
-        for b in range(s.n):
-            if mask_contains(s.right_principal(b), a):
-                continue
-            if not is_subset(s.left_mul(b, a_mask), a_a):
-                return False
-    return True
+    trans = s.translates(a_mask)
+    return all(
+        is_subset(trans[b], trans[a])
+        for a, d in enumerate(s.left_divisors)
+        for b in mask_elems(s.full & ~d)
+    )
 
 
 def comparizer_radical(s: Semigroup) -> Mask:

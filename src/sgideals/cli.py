@@ -250,7 +250,7 @@ def cmd_corpus(args) -> int:
     try:
         entry = corpus_entry(args.name)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     header = f"{entry.name}: " + ", ".join(
         f"{i}={w}" for i, w in enumerate(entry.element_names)
@@ -303,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(fn=cmd_analyze)
 
     w = sub.add_parser("verify", help="run the registered property checks")
-    w.add_argument("target", nargs="?", help="corpus name or Cayley table path")
-    w.add_argument("--enumerate", type=_order, metavar="N",
-                   help="run the suite over every monoid with zero of order N")
+    what = w.add_mutually_exclusive_group()
+    what.add_argument("target", nargs="?", help="corpus name or Cayley table path")
+    what.add_argument("--enumerate", type=_order, metavar="N",
+                      help="run the suite over every monoid with zero of order N")
     w.add_argument("--check", help="run a single check id, e.g. Thm4.8")
     w.add_argument("--json", action="store_true")
     w.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
@@ -317,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_enumerate)
 
     c = sub.add_parser("corpus", help="list or dump built-in examples")
-    c.add_argument("action", choices=["list", "dump"])
-    c.add_argument("name", nargs="?")
+    actions = c.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", help="name, order and elements of every entry")
+    actions.add_parser("dump", help="one entry in Cayley text format").add_argument("name")
     c.set_defaults(fn=cmd_corpus)
 
     lc = sub.add_parser("checks", help="list registered check ids")

@@ -258,6 +258,11 @@ class Semigroup:
             m ^= low
         return out
 
+    @memoized
+    def translates(self, x: Mask) -> tuple[Mask, ...]:
+        """a*X for every a, indexed by a."""
+        return tuple(self.left_mul(a, x) for a in range(self.n))
+
     def right_mul(self, m: Mask, a: int) -> Mask:
         rows = self.rows
         out = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .core import Semigroup, mask_of
+from .core import NotAssociative, Semigroup, mask_of
 from .classify import is_right_chain
 
 
@@ -340,7 +340,7 @@ def enumerate_monoids_with_zero(order: int, sink=None) -> int:
     order, trying values in ascending order, so complete tables are reached
     in lexicographic order of that block.  Partial tables are pruned with
     the associativity triples whose inputs touch the just-assigned cell, and
-    complete tables get the full associativity check.
+    the Semigroup constructor checks every triple of a complete table.
 
     Each class is emitted as its lex-minimal labelling, and the classes come
     in increasing lex order of those labellings.  Two tables are isomorphic
@@ -415,23 +415,17 @@ def enumerate_monoids_with_zero(order: int, sink=None) -> int:
                     break
         return True
 
-    def emit() -> None:
-        nonlocal count
-        s = Semigroup([row[:] for row in table], one=1, zero=0)
-        count += 1
-        if sink is not None:
-            sink(s)
-
     def fill(pos: int) -> None:
+        nonlocal count
         if pos == len(free):
-            # full associativity check; prior pruning is partial only
-            for a in range(n):
-                for b in range(n):
-                    ab = table[a][b]
-                    for c in range(n):
-                        if table[ab][c] != table[a][table[b][c]]:
-                            return
-            emit()
+            # prior pruning is partial only; the constructor checks every triple
+            try:
+                s = Semigroup(table, one=1, zero=0)
+            except NotAssociative:
+                return
+            count += 1
+            if sink is not None:
+                sink(s)
             return
         i, j = free[pos]
         for v in range(n):

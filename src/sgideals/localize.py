@@ -7,7 +7,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, mask_of, memoized
-from .classify import is_completely_prime, is_waist
+from .classify import is_completely_prime, is_mult_closed, is_waist
 from .ideals import IdealKind, ideal_closure, is_ideal
 from .verdict import Verdict, discrepancy, holds, vacuous
 
@@ -29,17 +29,6 @@ CONDITION_NAMES = (
 )
 
 
-def is_mult_closed(s: Semigroup, t_mask: Mask) -> bool:
-    rows = s.rows
-    members = mask_elems(t_mask)
-    for a in members:
-        row = rows[a]
-        for b in members:
-            if not mask_contains(t_mask, row[b]):
-                return False
-    return True
-
-
 def is_right_ore_set(s: Semigroup, t_mask: Mask) -> bool:
     """For every a in S and t in T some a', t' satisfy a*t' == t*a'."""
     if not is_mult_closed(s, t_mask):
@@ -56,12 +45,7 @@ def right_ore_condition(s: Semigroup, t_mask: Mask) -> bool:
     lacks the identity; is_right_ore_set adds both.
     """
     t_principals = [s.right_principal(t) for t in mask_elems(t_mask)]
-    for a in range(s.n):
-        a_t = s.left_mul(a, t_mask)
-        for t_s in t_principals:
-            if a_t & t_s == 0:
-                return False
-    return True
+    return all(a_t & t_s for a_t in s.translates(t_mask) for t_s in t_principals)
 
 
 def saturate(s: Semigroup, x_mask: Mask, t_mask: Mask) -> Mask:
@@ -213,10 +197,9 @@ class ComparabilityReport:
 @memoized
 def saturation_by_element(s: Semigroup, p_mask: Mask) -> tuple[Mask, ...]:
     """sat(aS, S-P) for every a.  y is in it exactly when y*(S-P) meets aS,
-    so the translates y*(S-P) are taken once and each distinct aS costs
-    one AND test per y."""
-    t_mask = s.full & ~p_mask
-    translates = [s.left_mul(y, t_mask) for y in range(s.n)]
+    so each distinct aS costs one AND test per translate y*(S-P), read from
+    the table the Ore condition reads too."""
+    translates = s.translates(s.full & ~p_mask)
     by_ideal = {
         a_s: mask_of(y for y, y_t in enumerate(translates) if y_t & a_s)
         for a_s in set(s.right_principals)
@@ -266,7 +249,7 @@ def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
     cond5 = first_bad == n
     improper = full in sat[:first_bad]
 
-    trans = [s.left_mul(a, p_mask) for a in range(n)]
+    trans = s.translates(p_mask)
     weak = all(trans[b] == trans[a] for a in range(n) for b in mask_elems(above[a]))
     return ComparabilityReport(
         p=p_mask,
@@ -280,11 +263,11 @@ def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
 
 def equivalence_class(s: Semigroup, a: int, p_mask: Mask) -> Mask:
     """Union of bS over all b with b*P == a*P."""
-    a_p = s.left_mul(a, p_mask)
+    trans = s.translates(p_mask)
     out = 0
-    for b in range(s.n):
-        if s.left_mul(b, p_mask) == a_p:
-            out |= s.right_principal(b)
+    for b_p, b_s in zip(trans, s.right_principals):
+        if b_p == trans[a]:
+            out |= b_s
     return out
 
 

@@ -216,22 +216,18 @@ def has_non_nilpotent_over(s: Semigroup, d_mask: Mask, q_mask: Mask):
 
 def is_locally_invariant(s: Semigroup, seg: PrimeSegment) -> bool:
     """P1*a == a*P1 for every a in the gap."""
-    base = segment_base(s, seg)
     p1 = seg.upper
-    for a in mask_elems(p1 & ~base):
-        if s.right_mul(p1, a) != s.left_mul(a, p1):
-            return False
-    return True
+    trans = s.translates(p1)
+    return all(s.right_mul(p1, a) == trans[a] for a in mask_elems(p1 & ~segment_base(s, seg)))
 
 
 def is_locally_right_invariant(s: Semigroup, seg: PrimeSegment) -> bool:
     """P1*a inside a*P1 for every a in the gap."""
-    base = segment_base(s, seg)
     p1 = seg.upper
-    for a in mask_elems(p1 & ~base):
-        if not is_subset(s.right_mul(p1, a), s.left_mul(a, p1)):
-            return False
-    return True
+    trans = s.translates(p1)
+    return all(
+        is_subset(s.right_mul(p1, a), trans[a]) for a in mask_elems(p1 & ~segment_base(s, seg))
+    )
 
 
 def tail_intersection(s: Semigroup, t: int) -> Mask:

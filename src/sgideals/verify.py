@@ -242,8 +242,9 @@ def _lem22i(s: Semigroup, cap: int) -> Verdict:
     for m in _nonempty_proper(s, _two_fam(s, cap)):
         if s.product(m, m) != m or not is_waist(s, m):
             continue
+        trans = s.translates(m)
         for a in mask_elems(s.full & ~m):
-            if s.left_mul(a, m) != m:
+            if trans[a] != m:
                 return discrepancy((), {"ideal": _w(m), "a": a})
     return holds()
 
@@ -252,9 +253,8 @@ def _lem22i(s: Semigroup, cap: int) -> Verdict:
                         "exactly when every outside element translates it onto itself")
 def _lem22ii(s: Semigroup, cap: int) -> Verdict:
     for p in prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED, cap):
-        translate = all(
-            s.left_mul(a, p) == p for a in mask_elems(s.full & ~p)
-        )
+        trans = s.translates(p)
+        translate = all(trans[a] == p for a in mask_elems(s.full & ~p))
         if is_waist(s, p) != translate:
             return discrepancy((), {"ideal": _w(p), "translates": translate})
     return holds()
@@ -328,8 +328,8 @@ def _thm24ii(s: Semigroup, cap: int) -> Verdict:
     for m in _nonempty_proper(s, comparizer_ideals(s, cap)):
         if m not in waists:
             continue
-        for a in range(s.n):
-            if s.left_mul(a, m) not in waists:
+        for a, a_m in enumerate(s.translates(m)):
+            if a_m not in waists:
                 return discrepancy((), {"ideal": _w(m), "a": a})
     return holds()
 
@@ -493,8 +493,7 @@ def _thm27iii(s: Semigroup, cap: int) -> Verdict:
 def _thm28i(s: Semigroup, cap: int) -> Verdict:
     nrad = radicals(s, cap).completely_prime_radical
     nilp = mask_elems(s.nilpotent_elements())
-    for a in range(s.n):
-        a_n = s.left_mul(a, nrad)
+    for a, a_n in enumerate(s.translates(nrad)):
         for t in nilp:
             if not is_subset(s.left_mul(t, a_n), a_n):
                 return discrepancy((), {"t": t, "a": a})
@@ -601,9 +600,10 @@ def _lem212ii(s: Semigroup, cap: int) -> Verdict:
 
 
 def _translate_intersection(s: Semigroup, outside, p: Mask) -> Mask:
+    trans = s.translates(p)
     out = s.full
     for a in outside:
-        out &= s.left_mul(a, p)
+        out &= trans[a]
     return out
 
 
@@ -757,17 +757,13 @@ def _thm36iii(s: Semigroup, cap: int) -> Verdict:
 def _lem37(s: Semigroup, cap: int) -> Verdict:
     # left translates of right ideals are right ideals: membership decides
     waists = set(right_waists(s, cap))
-    first_bad: dict[Mask, int | None] = {}
     for p in comparability_ideals(s, cap):
         for w in right_waists(s, cap):
             if not w or not is_subset(w, p):
                 continue
-            if w not in first_bad:
-                first_bad[w] = next(
-                    (a for a in range(s.n) if s.left_mul(a, w) not in waists), None
-                )
-            if first_bad[w] is not None:
-                return discrepancy((), {"p": _w(p), "waist": _w(w), "a": first_bad[w]})
+            for a, a_w in enumerate(s.translates(w)):
+                if a_w not in waists:
+                    return discrepancy((), {"p": _w(p), "waist": _w(w), "a": a})
     return holds()
 
 
@@ -784,10 +780,10 @@ def _thm38(s: Semigroup, cap: int) -> Verdict:
     note = None
     for p in comparability_ideals(s, cap):
         sat = saturation_by_element(s, p)
-        for a in range(s.n):
-            a_p = s.left_mul(a, p)
+        trans = s.translates(p)
+        for a, a_p in enumerate(trans):
             for b in range(a + 1, s.n):
-                b_p = s.left_mul(b, p)
+                b_p = trans[b]
                 if sat[a] == sat[b] and a_p != b_p:
                     return discrepancy((), {"p": _w(p), "pair": [a, b]})
                 if a_p == b_p and a_p != zero and sat[a] != sat[b]:
@@ -832,8 +828,8 @@ def _pr310(s: Semigroup, cap: int) -> Verdict:
     zero = s.zero_mask
     for p in comparability_ideals(s, cap):
         sat = saturation_by_element(s, p)
-        for a in range(s.n):
-            a_p = s.left_mul(a, p)
+        trans = s.translates(p)
+        for a, a_p in enumerate(trans):
             if a_p == zero:
                 continue
             cls = equivalence_class(s, a, p)
@@ -842,8 +838,8 @@ def _pr310(s: Semigroup, cap: int) -> Verdict:
                                         "saturation": _w(sat[a])})
             if sat[a] != s.full and not is_waist(s, sat[a]):
                 return discrepancy((), {"p": _w(p), "a": a, "fails": "waist"})
-            for b in range(s.n):
-                if s.left_mul(b, p) == a_p and sat[b] != sat[a]:
+            for b, b_p in enumerate(trans):
+                if b_p == a_p and sat[b] != sat[a]:
                     return discrepancy((), {"p": _w(p), "pair": [a, b]})
     return holds()
 
@@ -925,8 +921,7 @@ def _lem314(s: Semigroup, cap: int) -> Verdict:
         for q in spec:
             if not is_subset(q, p):
                 continue
-            for a in range(s.n):
-                aq = s.left_mul(a, q)
+            for a, aq in enumerate(s.translates(q)):
                 if aq == s.full or associated_prime(s, aq) != q:
                     return discrepancy((), {"p": _w(p), "q": _w(q), "a": a})
     return holds()

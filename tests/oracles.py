@@ -7,15 +7,10 @@ and bitmask shortcuts, so the two sides stay independent.
 import random
 from itertools import permutations, product
 
-from sgideals.classify import is_waist
+from sgideals.classify import is_mult_closed, is_waist
 from sgideals.core import Semigroup, is_subset, mask_contains, mask_elems, mask_of
 from sgideals.ideals import IdealKind, is_ideal
-from sgideals.localize import (
-    ComparabilityReport,
-    is_mult_closed,
-    right_ore_condition,
-    saturate,
-)
+from sgideals.localize import ComparabilityReport, right_ore_condition, saturate
 from sgideals.verdict import Verdict, discrepancy, holds
 
 
@@ -55,6 +50,13 @@ def power_scan(s: Semigroup, a: int, k: int) -> int:
     for _ in range(k - 1):
         v = s.mul(v, a)
     return v
+
+
+def translates_scan(s: Semigroup, m: int) -> tuple:
+    """a*X for every a, one table read per product a*x."""
+    return tuple(
+        mask_of(s.mul(a, x) for x in range(s.n) if m >> x & 1) for a in range(s.n)
+    )
 
 
 def set_product_scan(s: Semigroup, xs, ys) -> int:

@@ -131,6 +131,9 @@ def test_verify_needs_target(capsys):
     ("enumerate", "7"),
     ("verify", "--enumerate", "1"),
     ("analyze", "ef4", "--cap", "0"),
+    ("corpus", "dump"),
+    ("corpus", "list", "min2"),
+    ("verify", "min2", "--enumerate", "3"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -176,6 +179,7 @@ def test_corpus_list_and_dump_errors(capsys):
         assert name in out
     code, _, err = run_cli(capsys, "corpus", "dump", "nope")
     assert code == 2
+    assert err.startswith("error: unknown corpus entry 'nope'; have [")
 
 
 def test_checks_listing(capsys):

@@ -42,6 +42,7 @@ from oracles import (
     power_scan,
     right_principal_scan,
     shuffled,
+    translates_scan,
 )
 
 
@@ -179,6 +180,12 @@ def test_left_divisors_match_inclusion_scan(pool234):
             )
 
 
+def test_translates_match_scan(pool234, corpus_entries):
+    for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
+        for x in range(1 << s.n):
+            assert s.translates(x) == translates_scan(s, x)
+
+
 # -- opposite monoid ---------------------------------------------------------
 
 
@@ -188,6 +195,14 @@ def test_opposite_is_the_transpose(pool234, corpus_entries):
         assert (op.one, op.zero) == (s.one, s.zero)
         assert all(op.mul(a, b) == s.mul(b, a) for a in range(s.n) for b in range(s.n))
         assert op.opposite() == s
+
+
+def test_opposite_translates_are_right_products(pool234, corpus_entries):
+    # a*X in S^op is X*a in S
+    for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
+        op = s.opposite()
+        for x in range(1 << s.n):
+            assert op.translates(x) == tuple(s.right_mul(x, a) for a in range(s.n))
 
 
 def test_opposite_swaps_left_and_right(pool234, pool5, corpus_entries):

@@ -6,7 +6,6 @@ from sgideals.localize import (
     NotMultClosed,
     OreSweep,
     equivalence_class,
-    is_mult_closed,
     is_right_ore_set,
     is_right_p_comparable,
     nested_saturation_inclusion_check,
@@ -14,7 +13,7 @@ from sgideals.localize import (
     saturate,
     saturation_by_element,
 )
-from sgideals.classify import PrimenessKind, prime_family
+from sgideals.classify import PrimenessKind, is_mult_closed, prime_family
 from sgideals.corpus import (
     all_monoids_with_zero,
     build_chain_x,
