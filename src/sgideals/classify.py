@@ -11,7 +11,6 @@ from .ideals import (
     NotAnIdeal,
     NotProper,
     enumerate_ideals,
-    exhaustive,
     is_ideal,
     is_nil_set,
     is_nilpotent_ideal,
@@ -121,9 +120,10 @@ def prime_family(
     cap: int = DEFAULT_CAP,
 ) -> tuple[Mask, ...]:
     """All nonempty proper ideals of ideal_kind passing the primeness test."""
-    fam = exhaustive(enumerate_ideals(s, ideal_kind, cap))
     fn = _PRIME_FNS[kind]
-    return tuple(m for m in fam if m and m != s.full and fn(s, m))
+    return tuple(
+        m for m in enumerate_ideals(s, ideal_kind, cap) if m and m != s.full and fn(s, m)
+    )
 
 
 @memoized
@@ -160,9 +160,8 @@ def is_right_waist(s: Semigroup, i_mask: Mask) -> bool:
 
 @memoized
 def right_waists(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
-    """All proper right ideals comparable with every right ideal."""
-    fam = exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap))
-    return tuple(m for m in fam if m != s.full and is_waist(s, m))
+    """All nonempty proper right ideals comparable with every right ideal."""
+    return tuple(m for m in enumerate_ideals(s, IdealKind.RIGHT, cap) if m and is_waist(s, m))
 
 
 # -- comparizer ideals ----------------------------------------------------------
@@ -208,8 +207,7 @@ def is_right_comparizer(s: Semigroup, i_mask: Mask) -> bool:
 def comparizer_ideals(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
     """Every right ideal passing the comparizer test, in family order; the
     empty ideal always passes, and the full one when S is a right chain."""
-    fam = exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap))
-    return tuple(m for m in fam if is_comparizer(s, m))
+    return tuple(m for m in enumerate_ideals(s, IdealKind.RIGHT, cap) if is_comparizer(s, m))
 
 
 def is_strongly_comparizer(s: Semigroup, a_mask: Mask) -> bool:
@@ -315,7 +313,7 @@ def radicals(s: Semigroup, cap: int = DEFAULT_CAP) -> RadicalReport:
 
     nil_union = 0
     nilpotent_union = 0
-    for m in exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap)):
+    for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap):
         if is_nil_set(s, m):
             nil_union |= m
         if is_nilpotent_ideal(s, m):

@@ -195,9 +195,6 @@ def cmd_verify(args) -> int:
             (f"order{s.n}#{len(targets)}", s, None)))
         print(f"enumerated {count} monoids with zero of order {args.enumerate}")
     else:
-        if args.target is None:
-            print("error: need a target or --enumerate N", file=sys.stderr)
-            return 2
         targets.append(_load_target(args.target))
     worst = 0
     for name, s, _entry in targets:
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(fn=cmd_analyze)
 
     w = sub.add_parser("verify", help="run the registered property checks")
-    what = w.add_mutually_exclusive_group()
+    what = w.add_mutually_exclusive_group(required=True)
     what.add_argument("target", nargs="?", help="corpus name or Cayley table path")
     what.add_argument("--enumerate", type=_order, metavar="N",
                       help="run the suite over every monoid with zero of order N")

@@ -1,7 +1,6 @@
 """Right, left and two-sided ideals: construction, arithmetic, enumeration."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import Mask, Semigroup, is_subset, mask_elems, memoized, popcount
@@ -108,22 +107,6 @@ def right_annihilator(s: Semigroup, i_mask: Mask) -> Mask:
     return out
 
 
-@dataclass(frozen=True)
-class IdealFamily:
-    masks: tuple[Mask, ...]
-    kind: IdealKind
-    truncated: bool
-
-    def __iter__(self):
-        return iter(self.masks)
-
-    def __len__(self):
-        return len(self.masks)
-
-    def __contains__(self, m: Mask):
-        return m in self.masks
-
-
 def _divisibility_classes(s: Semigroup, kind: IdealKind):
     """Group elements with equal principal ideals; for each class return
     (member bits, strictly-below bits)."""
@@ -139,23 +122,13 @@ def _divisibility_classes(s: Semigroup, kind: IdealKind):
 
 
 @memoized
-def enumerate_ideals(s: Semigroup, kind: IdealKind, cap: int = DEFAULT_CAP) -> IdealFamily:
-    """All ideals of the given kind, as down-closed sets of the divisibility
-    preorder (b below a iff b in aS, and the analogues for the other kinds).
-
-    Includes the empty set and the whole carrier.  When the cap is hit the
-    family is returned with truncated=True and is not exhaustive.
-    """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
+def _ideal_search(s: Semigroup, kind: IdealKind, cap: int) -> tuple[Mask, ...] | None:
+    """The ideals of the given kind in family order, or None once the search
+    has found more than cap of them."""
     classes = _divisibility_classes(s, kind)
     seen = {0}
     queue = [0]
-    truncated = False
-    qi = 0
-    while qi < len(queue):
-        d = queue[qi]
-        qi += 1
+    for d in queue:  # the queue grows while it is read
         for members, below in classes:
             if members & d:
                 continue
@@ -164,22 +137,25 @@ def enumerate_ideals(s: Semigroup, kind: IdealKind, cap: int = DEFAULT_CAP) -> I
             new = d | members
             if new not in seen:
                 if len(seen) >= cap:
-                    truncated = True
-                    break
+                    return None
                 seen.add(new)
                 queue.append(new)
-        if truncated:
-            break
-    masks = tuple(sorted(seen, key=lambda m: (popcount(m), m)))
-    return IdealFamily(masks=masks, kind=kind, truncated=truncated)
+    return tuple(sorted(seen, key=lambda m: (popcount(m), m)))
 
 
-def exhaustive(fam: IdealFamily) -> tuple[Mask, ...]:
-    """The masks of a family that sweeps must see in full; raises
-    CapExceeded when the enumeration was truncated at its cap."""
-    if fam.truncated:
-        raise CapExceeded(f"{fam.kind.value} ideal enumeration truncated")
-    return fam.masks
+def enumerate_ideals(s: Semigroup, kind: IdealKind, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
+    """All ideals of the given kind, as down-closed sets of the divisibility
+    preorder (b below a iff b in aS, and the analogues for the other kinds).
+
+    Includes the empty set and the whole carrier.  Raises CapExceeded when
+    there are more than cap of them; either answer is remembered per cap.
+    """
+    if cap <= 0:
+        raise ValueError("cap must be positive")
+    masks = _ideal_search(s, kind, cap)
+    if masks is None:
+        raise CapExceeded(f"{kind.value} ideal enumeration truncated")
+    return masks
 
 
 def is_nil_set(s: Semigroup, x: Mask) -> bool:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, popcount
+from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized, popcount
 from .classify import (
     PrimenessKind,
     exceptional_primes,
@@ -15,7 +15,6 @@ from .ideals import (
     DEFAULT_CAP,
     IdealKind,
     enumerate_ideals,
-    exhaustive,
     intersect_powers,
     is_ideal,
 )
@@ -73,7 +72,8 @@ def completely_prime_spectrum(s: Semigroup, cap: int = DEFAULT_CAP):
     return prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED, cap)
 
 
-def prime_segments(s: Semigroup, cap: int = DEFAULT_CAP) -> list[PrimeSegment]:
+@memoized
+def prime_segments(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[PrimeSegment, ...]:
     """Covering pairs of the spectrum poset, plus one bottom segment per
     minimal spectrum element."""
     spec = completely_prime_spectrum(s, cap)
@@ -88,7 +88,7 @@ def prime_segments(s: Semigroup, cap: int = DEFAULT_CAP) -> list[PrimeSegment]:
                 continue
             segs.append(PrimeSegment(lower=p2, upper=p1, bottom=False))
     segs.sort(key=lambda g: (popcount(g.upper), g.upper, popcount(g.lower), g.lower))
-    return segs
+    return tuple(segs)
 
 
 def segment_base(s: Semigroup, seg: PrimeSegment) -> Mask:
@@ -100,7 +100,7 @@ def strictly_between(s: Semigroup, lo: Mask, hi: Mask, cap: int = DEFAULT_CAP) -
     """The two-sided ideals strictly between lo and hi, in family order."""
     return [
         m
-        for m in exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
+        for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap)
         if m != lo and m != hi and is_subset(lo, m) and is_subset(m, hi)
     ]
 
@@ -122,7 +122,7 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
     base = segment_base(s, seg)
     p1 = seg.upper
     gap = p1 & ~base
-    two = exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
+    two = enumerate_ideals(s, IdealKind.TWO_SIDED, cap)
     inside = [m for m in two if m and is_subset(m, p1)]
 
     witnesses: dict = {}
@@ -179,7 +179,7 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
 def lower_union(s: Semigroup, p1: Mask, cap: int = DEFAULT_CAP) -> Mask:
     """Union of all two-sided ideals properly contained in P1."""
     out = 0
-    for m in exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap)):
+    for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap):
         if m != p1 and is_subset(m, p1):
             out |= m
     return out
@@ -194,7 +194,7 @@ def pairing_ideal(s: Semigroup, q_mask: Mask, cap: int = DEFAULT_CAP) -> Mask | 
     """
     above = [
         m
-        for m in exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
+        for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap)
         if m != q_mask and is_subset(q_mask, m) and m != s.full and is_waist(s, m)
     ]
     if not above:

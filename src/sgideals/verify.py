@@ -34,7 +34,6 @@ from .ideals import (
     CapExceeded,
     IdealKind,
     enumerate_ideals,
-    exhaustive,
     intersect_powers,
     is_a_nilpotent,
     is_ideal,
@@ -141,14 +140,6 @@ def registered_ids() -> list[str]:
 # shared sweep helpers and gates
 
 
-def _right_fam(s: Semigroup, cap: int):
-    return exhaustive(enumerate_ideals(s, IdealKind.RIGHT, cap))
-
-
-def _two_fam(s: Semigroup, cap: int):
-    return exhaustive(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
-
-
 def _nonempty_proper(s: Semigroup, masks):
     return [m for m in masks if m and m != s.full]
 
@@ -231,7 +222,7 @@ def _lem21ii(s: Semigroup, cap: int) -> Verdict:
 @_register("Lem2.1.iii", "right ideals inside a right comparizer ideal are right comparizers")
 def _lem21iii(s: Semigroup, cap: int) -> Verdict:
     big = comparizer_radical(s)
-    for m in _right_fam(s, cap):
+    for m in enumerate_ideals(s, IdealKind.RIGHT, cap):
         if is_subset(m, big) and not is_comparizer(s, m):
             return discrepancy((), {"ideal": _w(m)})
     return holds()
@@ -239,7 +230,7 @@ def _lem21iii(s: Semigroup, cap: int) -> Verdict:
 
 @_register("Lem2.2.i", "an idempotent two-sided right waist I satisfies I == a*I off I")
 def _lem22i(s: Semigroup, cap: int) -> Verdict:
-    for m in _nonempty_proper(s, _two_fam(s, cap)):
+    for m in _nonempty_proper(s, enumerate_ideals(s, IdealKind.TWO_SIDED, cap)):
         if s.product(m, m) != m or not is_waist(s, m):
             continue
         trans = s.translates(m)
@@ -267,7 +258,7 @@ def _pr23i(s: Semigroup, cap: int) -> Verdict:
     if not is_ideal(s, j, IdealKind.TWO_SIDED):
         return discrepancy((), {"nonunits": _w(j)})
     for kind in (IdealKind.RIGHT, IdealKind.LEFT):
-        for m in exhaustive(enumerate_ideals(s, kind, cap)):
+        for m in enumerate_ideals(s, kind, cap):
             if is_subset(j, m) and m not in (j, s.full):
                 return discrepancy((), {"between": _w(m), "kind": kind.value})
     return holds()
@@ -283,7 +274,7 @@ def _pr23ii(s: Semigroup, cap: int) -> Verdict:
 
 def _proper_union(s: Semigroup, cap: int, kind: IdealKind) -> Mask:
     out = 0
-    for m in exhaustive(enumerate_ideals(s, kind, cap)):
+    for m in enumerate_ideals(s, kind, cap):
         if m != s.full:
             out |= m
     return out
@@ -308,7 +299,7 @@ def _pr23iv(s: Semigroup, cap: int) -> Verdict:
 
 
 def _two_sided_comparizers(s: Semigroup, cap: int) -> list[Mask]:
-    two = set(_two_fam(s, cap))
+    two = set(enumerate_ideals(s, IdealKind.TWO_SIDED, cap))
     return [m for m in _nonempty_proper(s, comparizer_ideals(s, cap)) if m in two]
 
 
@@ -377,11 +368,9 @@ def _thm24v(s: Semigroup, cap: int) -> Verdict:
 @_register("Lem2.5.i", "inside a right waist, comparizer behaviour among the "
                        "contained right ideals equals global comparizer behaviour")
 def _lem25i(s: Semigroup, cap: int) -> Verdict:
-    fam = _right_fam(s, cap)
+    fam = enumerate_ideals(s, IdealKind.RIGHT, cap)
     comps = set(comparizer_ideals(s, cap))
     for w in right_waists(s, cap):
-        if not w:
-            continue
         for c in fam:
             if not is_subset(c, w):
                 continue
@@ -394,8 +383,6 @@ def _lem25i(s: Semigroup, cap: int) -> Verdict:
                         "is a right comparizer")
 def _lem25ii(s: Semigroup, cap: int) -> Verdict:
     for w in right_waists(s, cap):
-        if not w:
-            continue
         c = w & right_annihilator(s, w)
         if not is_comparizer(s, c):
             return discrepancy((), {"waist": _w(w), "ideal": _w(c)})
@@ -407,8 +394,6 @@ def _lem25ii(s: Semigroup, cap: int) -> Verdict:
 def _lem25iii(s: Semigroup, cap: int) -> Verdict:
     zero = s.zero_mask
     for w in right_waists(s, cap):
-        if not w:
-            continue
         seq = power_sequence(s, w)
         index = None
         for k, m in enumerate(seq, start=1):
@@ -545,7 +530,7 @@ def _thm28iii(s: Semigroup, cap: int) -> Verdict:
            requires=(LEFT_CANCELLATIVE, COMPARIZER_RADICAL_NONNILPOTENT))
 def _co29(s: Semigroup, cap: int) -> Verdict:
     rad = radicals(s, cap)
-    for m in _two_fam(s, cap):
+    for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap):
         if not m:
             continue
         if not is_subset(m, rad.prime_radical) and not is_subset(
@@ -578,7 +563,7 @@ def _thm210(s: Semigroup, cap: int) -> Verdict:
 @_register("Lem2.12.i", "the associated prime of a nonempty proper right ideal is "
                         "a completely prime right ideal")
 def _lem212i(s: Semigroup, cap: int) -> Verdict:
-    for a_mask in _nonempty_proper(s, _right_fam(s, cap)):
+    for a_mask in _nonempty_proper(s, enumerate_ideals(s, IdealKind.RIGHT, cap)):
         p = associated_prime(s, a_mask)
         if not (is_ideal(s, p, IdealKind.RIGHT) and p != s.full
                 and is_completely_prime(s, p)):
@@ -592,8 +577,6 @@ def _lem212ii(s: Semigroup, cap: int) -> Verdict:
     for a_mask in prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap):
         p = associated_prime(s, a_mask)
         for w in right_waists(s, cap):
-            if not w:
-                continue
             if not is_subset(w, a_mask) and not is_subset(p, w):
                 return discrepancy((), {"ideal": _w(a_mask), "waist": _w(w)})
     return holds()
@@ -611,7 +594,7 @@ def _translate_intersection(s: Semigroup, outside, p: Mask) -> Mask:
                       "intersection of the translates a*P_r(T) over a outside T, or "
                       "that intersection is a principal cover bS of T")
 def _lem213(s: Semigroup, cap: int) -> Verdict:
-    fam = _right_fam(s, cap)
+    fam = enumerate_ideals(s, IdealKind.RIGHT, cap)
     for t_mask in _nonempty_proper(s, fam):
         p = associated_prime(s, t_mask)
         outside = mask_elems(s.full & ~t_mask)
@@ -645,8 +628,6 @@ def _co214(s: Semigroup, cap: int) -> Verdict:
     # argument, so it is a hypothesis here
     j = s.nonunits_mask()
     for t_mask in right_waists(s, cap):
-        if not t_mask:
-            continue
         p = associated_prime(s, t_mask)
         if not is_subset(p, j):
             continue
@@ -743,7 +724,7 @@ def _thm36iii(s: Semigroup, cap: int) -> Verdict:
     complete = set(prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED, cap))
     semi = set(prime_family(s, PrimenessKind.COMPLETELY_SEMIPRIME, IdealKind.TWO_SIDED, cap))
     for p in comparability_ideals(s, cap):
-        for q in _nonempty_proper(s, _two_fam(s, cap)):
+        for q in _nonempty_proper(s, enumerate_ideals(s, IdealKind.TWO_SIDED, cap)):
             if not is_subset(q, p):
                 continue
             if (q in complete) != (q in semi):
@@ -759,7 +740,7 @@ def _lem37(s: Semigroup, cap: int) -> Verdict:
     waists = set(right_waists(s, cap))
     for p in comparability_ideals(s, cap):
         for w in right_waists(s, cap):
-            if not w or not is_subset(w, p):
+            if not is_subset(w, p):
                 continue
             for a, a_w in enumerate(s.translates(w)):
                 if a_w not in waists:
@@ -845,7 +826,7 @@ def _pr310(s: Semigroup, cap: int) -> Verdict:
 
 
 def _ideals_with_associated(s: Semigroup, cap: int, p: Mask):
-    for m in _nonempty_proper(s, _right_fam(s, cap)):
+    for m in _nonempty_proper(s, enumerate_ideals(s, IdealKind.RIGHT, cap)):
         if associated_prime(s, m) == p:
             yield m
 
@@ -892,7 +873,7 @@ def _thm313(s: Semigroup, cap: int) -> Verdict:
     j = s.nonunits_mask()
     cp_right = prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT, cap)
     count = 0
-    for m in _nonempty_proper(s, _right_fam(s, cap)):
+    for m in _nonempty_proper(s, enumerate_ideals(s, IdealKind.RIGHT, cap)):
         if m == s.zero_mask:
             continue
         p0 = associated_prime(s, m)
@@ -1044,18 +1025,10 @@ def _lem46iii(s: Semigroup, cap: int) -> Verdict:
                         "that forms a prime segment with it",
            requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem46iv(s: Semigroup, cap: int) -> Verdict:
-    spec = completely_prime_spectrum(s, cap)
     count = 0
     semi = prime_family(s, PrimenessKind.COMPLETELY_SEMIPRIME, IdealKind.TWO_SIDED, cap)
     for p in comparability_ideals(s, cap):
-        # the p0 in spec that form a prime segment with p: below p, with
-        # nothing of spec strictly between
-        covers = [
-            p0 for p0 in spec
-            if p0 != p and is_subset(p0, p) and not any(
-                q not in (p0, p) and is_subset(p0, q) and is_subset(q, p) for q in spec
-            )
-        ]
+        covers = [g.lower for g in prime_segments(s, cap) if g.upper == p and not g.bottom]
         for m in semi:
             if m == p or not is_subset(m, p):
                 continue

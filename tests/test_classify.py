@@ -356,6 +356,14 @@ def test_prime_family_and_waists_cached(ef4):
     assert right_waists(s) is ws
 
 
+def test_right_waists_are_the_nonempty_waist_ideals(pool234, pool5, corpus_entries):
+    for s in [*pool234, *pool5, *(e.semigroup for e in corpus_entries)]:
+        ws = right_waists(s)
+        assert 0 not in ws
+        rights = enumerate_ideals(s, IdealKind.RIGHT)
+        assert list(ws) == [m for m in rights if m and is_waist(s, m)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_union_of_comparizers_is_comparizer(pool234, data):

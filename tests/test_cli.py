@@ -122,11 +122,6 @@ def test_verify_unknown_check(capsys):
     assert code == 2
 
 
-def test_verify_needs_target(capsys):
-    code, _, err = run_cli(capsys, "verify")
-    assert code == 2
-
-
 @pytest.mark.parametrize("argv", [
     ("enumerate", "7"),
     ("verify", "--enumerate", "1"),
@@ -134,6 +129,7 @@ def test_verify_needs_target(capsys):
     ("corpus", "dump"),
     ("corpus", "list", "min2"),
     ("verify", "min2", "--enumerate", "3"),
+    ("verify",),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

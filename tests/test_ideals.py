@@ -1,7 +1,12 @@
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgideals import ideals
 from sgideals.core import mask_elems, mask_of
 from sgideals.ideals import (
+    CapExceeded,
     IdealKind,
     enumerate_ideals,
     ideal_closure,
@@ -20,6 +25,7 @@ from sgideals.corpus import (
     build_min_chain,
     build_minimal,
 )
+from sgideals.verify import run_suite
 
 from oracles import ideals_bruteforce, set_product_scan
 
@@ -130,15 +136,31 @@ def test_enumerate_matches_powerset_filter(pool234, corpus_entries):
     small_corpus = [e.semigroup for e in corpus_entries if e.semigroup.n <= 7]
     for s in pool234 + small_corpus:
         for kind in IdealKind:
-            fam = enumerate_ideals(s, kind)
-            assert not fam.truncated
-            assert list(fam) == ideals_bruteforce(s, kind.value)
+            assert list(enumerate_ideals(s, kind)) == ideals_bruteforce(s, kind.value)
 
 
-def test_cap_truncates():
+def test_cap_bounds_the_family():
     d2 = build_delta(2)
-    fam = enumerate_ideals(d2, IdealKind.TWO_SIDED, cap=3)
-    assert fam.truncated and len(fam) <= 3
+    fam = enumerate_ideals(d2, IdealKind.TWO_SIDED, cap=6)
+    assert len(fam) == 6
+    assert enumerate_ideals(d2, IdealKind.TWO_SIDED, 6) is fam  # the memoized tuple
+    for _ in range(2):  # the answer at the cap is remembered, not the exception
+        with pytest.raises(CapExceeded, match="two-sided ideal enumeration truncated"):
+            enumerate_ideals(d2, IdealKind.TWO_SIDED, cap=5)
+
+
+def test_a_tripped_cap_is_searched_once_per_kind(monkeypatch):
+    searches = Counter()
+    real = ideals._divisibility_classes
+
+    def counting(s, kind):
+        searches[kind] += 1
+        return real(s, kind)
+
+    monkeypatch.setattr(ideals, "_divisibility_classes", counting)
+    results = run_suite(build_delta(12), 1000)  # 4,098 ideals of each kind
+    assert sum(v.note == "cap" for _, v in results) > 1
+    assert searches and max(searches.values()) == 1
 
 
 def test_nil_predicates(ef4):

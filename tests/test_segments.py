@@ -56,6 +56,8 @@ def test_prime_segments_shapes(ef4):
     for seg in segs:
         assert seg.bottom == (seg.lower == 0)
 
+    assert prime_segments(ef4.semigroup) is segs  # one memoized tuple
+
     m2 = build_minimal()
     segs = prime_segments(m2)
     assert len(segs) == 1 and segs[0].bottom and segs[0].upper == mask_of([0])

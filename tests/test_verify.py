@@ -282,6 +282,18 @@ def test_translate_checks_flag_a_missing_translate(monkeypatch, cid, name):
     assert run_check(Semigroup(s.rows, s.one, s.zero), cid).status == "discrepancy"
 
 
+def test_lem46iv_flags_a_missing_cover(monkeypatch):
+    # every completely semiprime ideal strictly below a comparability ideal
+    # of min_chain4 lies in the lower end of a prime segment; keeping only
+    # the bottom segments leaves those ideals without a cover
+    s = build_min_chain(4)
+    assert run_check(s, "Lem4.6.iv").status == "holds"
+    real = verify.prime_segments
+    monkeypatch.setattr(verify, "prime_segments", lambda s, cap=DEFAULT_CAP: tuple(
+        g for g in real(s, cap) if g.bottom))
+    assert run_check(Semigroup(s.rows, s.one, s.zero), "Lem4.6.iv").status == "discrepancy"
+
+
 def test_pr35_flags_a_flipped_condition(monkeypatch):
     s = build_min_chain(4)
     assert run_check(s, "Pr3.5").status == "holds"
