@@ -217,7 +217,7 @@ def is_strongly_comparizer(s: Semigroup, a_mask: Mask) -> bool:
     trans = s.translates(a_mask)
     return all(
         is_subset(trans[b], trans[a])
-        for a, d in enumerate(s.left_divisors)
+        for a, d in enumerate(s.left_divisors())
         for b in mask_elems(s.full & ~d)
     )
 
@@ -233,9 +233,9 @@ def comparizer_radical(s: Semigroup) -> Mask:
 
 def is_right_chain(s: Semigroup) -> bool:
     """Every pair of principal right ideals is comparable by inclusion: each
-    b has aS inside bS (b in left_divisors[a]) or bS inside aS (b in aS)."""
+    b has aS inside bS (b in left_divisors()[a]) or bS inside aS (b in aS)."""
     full = s.full
-    return all(d | a_s == full for d, a_s in zip(s.left_divisors, s.right_principals))
+    return all(d | a_s == full for d, a_s in zip(s.left_divisors(), s.right_principals))
 
 
 # -- radicals -------------------------------------------------------------------

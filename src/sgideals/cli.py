@@ -201,7 +201,7 @@ def cmd_verify(args) -> int:
         try:
             report = verdict_report(name, s, args.cap, args.check)
         except UnknownCheck as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))

@@ -110,13 +110,13 @@ class Semigroup:
 
     Construction checks all four axioms (associativity, two-sided identity,
     absorbing zero, identity != zero) and raises a SemigroupError subclass
-    with a witness on the first violation.  Instances are immutable; derived
-    data is computed on first use and kept on the instance: the principal
-    ideals and the left divisors by _principals, everything else by
-    @memoized functions.
+    with a witness on the first violation.  Instances are immutable.  The
+    principal right ideals aS are built with the table, as right_principals;
+    all other derived data is computed on first use by @memoized functions
+    and kept on the instance.
     """
 
-    __slots__ = ("n", "one", "zero", "rows", "_cache")
+    __slots__ = ("n", "one", "zero", "rows", "right_principals", "_cache")
 
     def __init__(self, table, one: int, zero: int):
         try:
@@ -157,6 +157,8 @@ class Semigroup:
         self.one = one
         self.zero = zero
         self.rows = rows
+        # aS for every a, indexed by a
+        self.right_principals = tuple(mask_of(row) for row in rows)
         self._cache: dict = {}
 
     # -- products ----------------------------------------------------------
@@ -202,51 +204,19 @@ class Semigroup:
     def zero_mask(self) -> Mask:
         return 1 << self.zero
 
-    def _principals(self, key: str) -> tuple:
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        n = self.n
-        rows = self.rows
-        if key == "right":
-            out = tuple(mask_of(rows[a]) for a in range(n))
-        elif key == "divisors":  # entry a: the b with a in bS
-            right = self._principals("right")
-            out = tuple(mask_of(b for b in range(n) if right[b] >> a & 1) for a in range(n))
-        elif key == "left":
-            out = tuple(mask_of(rows[b][a] for b in range(n)) for a in range(n))
-        else:  # two-sided: S a S
-            right = self._principals("right")
-            out = []
-            for a in range(n):
-                m = 0
-                for b in range(n):
-                    m |= right[rows[b][a]]
-                out.append(m)
-            out = tuple(out)
-        self._cache[key] = out
-        return out
-
-    @property
-    def right_principals(self) -> tuple[Mask, ...]:
-        """aS for every a, indexed by a."""
-        return self._principals("right")
-
-    @property
+    @memoized
     def left_divisors(self) -> tuple[Mask, ...]:
         """For every a, the b with a in bS, indexed by a.  With an identity,
         a in bS exactly when aS is inside bS."""
-        return self._principals("divisors")
+        out = [0] * self.n
+        for b, row in enumerate(self.rows):
+            for v in row:
+                out[v] |= 1 << b
+        return tuple(out)
 
     def right_principal(self, a: int) -> Mask:
         """aS, the principal right ideal of a (contains a)."""
-        return self._principals("right")[a]
-
-    def left_principal(self, a: int) -> Mask:
-        return self._principals("left")[a]
-
-    def two_sided_principal(self, a: int) -> Mask:
-        return self._principals("two")[a]
+        return self.right_principals[a]
 
     def left_mul(self, a: int, m: Mask) -> Mask:
         """The set a*X for X given as a mask."""
@@ -359,8 +329,8 @@ class Semigroup:
 
     def _element_signature(self, a: int) -> tuple:
         n, zero, rows = self.n, self.zero, self.rows
-        r = popcount(self.right_principal(a))
-        l = popcount(self.left_principal(a))
+        r = len(set(rows[a]))
+        l = len({row[a] for row in rows})
         idem = rows[a][a] == a
         # least k with a^k == 0, or 0 when the element is not nilpotent
         pw = self.powers(a)

@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .core import NotAssociative, Semigroup, mask_of
+from .core import NotAssociative, Semigroup, mask_elems, mask_of
 from .classify import is_right_chain
+from .localize import is_right_p_comparable
+from .segments import completely_prime_spectrum
 
 
 class NotRightChain(ValueError):
@@ -299,10 +301,6 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 def evaluate_expected(entry: CorpusEntry) -> list[tuple[str, bool, object]]:
     """Check every recorded fact live; returns (key, ok, computed) rows."""
-    from .core import mask_elems
-    from .localize import is_right_p_comparable
-    from .segments import completely_prime_spectrum
-
     s = entry.semigroup
     out = []
     for key, want in entry.expected.items():

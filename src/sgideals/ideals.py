@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Mask, Semigroup, is_subset, mask_elems, memoized, popcount
+from .core import Mask, Semigroup, is_subset, mask_elems, mask_of, memoized, popcount
 
 DEFAULT_CAP = 1_000_000
 
@@ -26,23 +26,21 @@ class CapExceeded(RuntimeError):
     pass
 
 
-def is_ideal(s: Semigroup, x: Mask, kind: IdealKind) -> bool:
-    """Closure test.  The empty set counts as an ideal of every kind."""
-    for a in mask_elems(x):
-        if kind is not IdealKind.LEFT and not is_subset(s.right_principal(a), x):
-            return False
-        if kind is not IdealKind.RIGHT and not is_subset(s.left_principal(a), x):
-            return False
-    return True
+@memoized
+def principals(s: Semigroup, kind: IdealKind) -> tuple[Mask, ...]:
+    """aS, Sa or SaS for every a, indexed by a.  Sa is read off column a,
+    and SaS is the right closure of Sa."""
+    if kind is IdealKind.RIGHT:
+        return s.right_principals
+    left = tuple(mask_of(column) for column in zip(*s.rows))
+    if kind is IdealKind.LEFT:
+        return left
+    return tuple(ideal_closure(s, sa, IdealKind.RIGHT) for sa in left)
 
 
 def principal(s: Semigroup, a: int, kind: IdealKind) -> Mask:
     """aS, Sa or SaS; contains a because the identity is present."""
-    if kind is IdealKind.RIGHT:
-        return s.right_principal(a)
-    if kind is IdealKind.LEFT:
-        return s.left_principal(a)
-    return s.two_sided_principal(a)
+    return principals(s, kind)[a]
 
 
 def ideal_closure(s: Semigroup, seed: Mask, kind: IdealKind) -> Mask:
@@ -51,10 +49,18 @@ def ideal_closure(s: Semigroup, seed: Mask, kind: IdealKind) -> Mask:
     With an identity present this is just the union of principal ideals of
     the seed elements, so a single pass suffices.
     """
+    princ = principals(s, kind)
     out = 0
     for a in mask_elems(seed):
-        out |= principal(s, a, kind)
+        out |= princ[a]
     return out
+
+
+def is_ideal(s: Semigroup, x: Mask, kind: IdealKind) -> bool:
+    """Closure test: with an identity, X is an ideal exactly when the union
+    of its principal ideals is X.  The empty set counts as an ideal of
+    every kind."""
+    return ideal_closure(s, x, kind) == x
 
 
 def power_sequence(s: Semigroup, x: Mask) -> list[Mask]:
@@ -110,9 +116,8 @@ def right_annihilator(s: Semigroup, i_mask: Mask) -> Mask:
 def _divisibility_classes(s: Semigroup, kind: IdealKind):
     """Group elements with equal principal ideals; for each class return
     (member bits, strictly-below bits)."""
-    princ = [principal(s, a, kind) for a in range(s.n)]
     by_mask: dict[Mask, Mask] = {}
-    for a, m in enumerate(princ):
+    for a, m in enumerate(principals(s, kind)):
         by_mask[m] = by_mask.get(m, 0) | (1 << a)
     classes = []
     for m, members in by_mask.items():

@@ -3,7 +3,7 @@ completely prime right ideal."""
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, mask_of, memoized
@@ -64,7 +64,7 @@ def saturate(s: Semigroup, x_mask: Mask, t_mask: Mask) -> Mask:
     return out
 
 
-def _union_tables(masks: list[Mask], half: int) -> tuple[list[Mask], list[Mask]]:
+def _union_tables(masks: Sequence[Mask], half: int) -> tuple[list[Mask], list[Mask]]:
     """Tables lo, hi such that lo[X & low] | hi[X >> half], where
     low = (1 << half) - 1, is the OR of masks[x] over the x in X."""
     out = []
@@ -90,21 +90,16 @@ class OreSweep:
         self.n = n
         self.half = half = n // 2
         self.low = (1 << half) - 1
-        principals = [s.right_principal(a) for a in range(n)]
         # T -> a*T, one table per a
         self._times_t = [_union_tables([1 << v for v in rows[a]], half) for a in range(n)]
-        # Y -> {t : tS meets Y}
-        meets = [0] * n
-        for t in range(n):
-            for v in rows[t]:
-                meets[v] |= 1 << t
-        self._meets = _union_tables(meets, half)
+        # Y -> {t : tS meets Y}, from the t with v in tS for each v
+        self._meets = _union_tables(s.left_divisors(), half)
         # Y -> Y*S
-        self._times_s = _union_tables(principals, half)
+        self._times_s = _union_tables(s.right_principals, half)
         # T -> sat(aS, T), one table per distinct aS
         by_ideal: dict[Mask, tuple[list[Mask], list[Mask]]] = {}
         self._sat = []
-        for a_s in principals:
+        for a_s in s.right_principals:
             got = by_ideal.get(a_s)
             if got is None:
                 pulled_in = [0] * n  # t -> {y : y*t in aS}
@@ -213,8 +208,8 @@ def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
 
     Evaluates the defining three-way condition over all pairs, plus the four
     equivalent reformulations, each independently and exhaustively.  The
-    pairs are read from s.left_divisors: aS lies inside bS exactly when b
-    is in left_divisors[a], and bS inside aS exactly when b is in aS.
+    pairs are read from s.left_divisors(): aS lies inside bS exactly when b
+    is in left_divisors()[a], and bS inside aS exactly when b is in aS.
     """
     _validate_cp_right(s, p_mask)
     n, full = s.n, s.full
@@ -223,7 +218,7 @@ def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
     princ = s.right_principals
     # outside[a]: the b with aS not inside bS; above[a]: the b > a with aS
     # and bS incomparable
-    outside = [full & ~d for d in s.left_divisors]
+    outside = [full & ~d for d in s.left_divisors()]
     above = [(outside[a] & ~princ[a]) >> (a + 1) << (a + 1) for a in range(n)]
 
     witness = next(

@@ -152,7 +152,9 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
     q_found = None
     candidates = exceptional_primes(s, cap)
     for q in between:
-        if q in candidates and not strictly_between(s, q, p1, cap):
+        # the base lies inside q, so the ideals strictly between q and P1
+        # are the members of between strictly above q
+        if q in candidates and not any(m != q and is_subset(q, m) for m in between):
             q_found = q
             break
     exceptional = q_found is not None

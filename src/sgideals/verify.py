@@ -61,6 +61,7 @@ from .segments import (
     strictly_between,
     tail_intersection,
 )
+from .corpus import all_monoids_with_zero
 from .verdict import Verdict, discrepancy, holds, vacuous
 
 
@@ -1094,8 +1095,6 @@ def _lem410(s: Semigroup, cap: int) -> Verdict:
 def _left_cancellative_pool(order_bound: int):
     """Every enumerated left-cancellative monoid with zero of order 2 up to
     the bound, with the fields that locate it in a search report."""
-    from .corpus import all_monoids_with_zero
-
     for order in range(2, order_bound + 1):
         for idx, s in enumerate(all_monoids_with_zero(order)):
             if s.is_left_cancellative():

@@ -120,6 +120,7 @@ def test_verify_enumerate(capsys):
 def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--check", "Thm0.0", "min2")
     assert code == 2
+    assert err == "error: no check named 'Thm0.0'\n"
 
 
 @pytest.mark.parametrize("argv", [

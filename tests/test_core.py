@@ -175,9 +175,19 @@ def test_left_divisors_match_inclusion_scan(pool234):
     for s in pool234:
         princ = [right_principal_scan(s, a) for a in range(s.n)]
         for a in range(s.n):
-            assert s.left_divisors[a] == mask_of(
+            assert s.left_divisors()[a] == mask_of(
                 b for b in range(s.n) if is_subset(princ[a], princ[b])
             )
+
+
+def test_memo_is_the_only_cache_writer(corpus_entries):
+    """Derived data lives under memoized's (function, *args) keys only."""
+    for entry in corpus_entries:
+        s = entry.semigroup
+        run_suite(s)
+        analysis_report(entry.name, s, entry, DEFAULT_CAP)
+        assert s._cache
+        assert all(isinstance(k, tuple) and callable(k[0]) for k in s._cache)
 
 
 def test_translates_match_scan(pool234, corpus_entries):

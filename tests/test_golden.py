@@ -7,11 +7,17 @@ the default cap and at cap=4; the small cap sends most checks down the
 CapExceeded path, so the gate-vacuous, cap-vacuous and holds paths of the
 runner are all pinned.  The order-6 digest covers the verdict reports of
 all 1,101 classes at the default cap; it was recorded before the comparizer
-test was rewritten around a table of bounds.
+test was rewritten around a table of bounds.  The demos are pinned by a
+sha256 of their standard output, recorded before principal ideals moved to
+ideals.principals.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +32,14 @@ GOLDEN = {
     "pools_cap4": "8f2a6db30c01fe95d36b2fe994748c147b86cc47318f64332e27931a17582607",
 }
 ORDER6 = "72c2720e02cc9f0e7854487713a84c96abd68153cfc850c3147f6e2f4399ec1b"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = {
+    "01_build_and_validate.py": "74cbb35b0e3814289b3e0f7ea811d6316a354e280c842d8c1103bd94b714e4cb",
+    "02_ideals_and_radicals.py": "6519b204639e328fbe628bb2bb24211ca23a9a63d76fbce0a9c357308b1495eb",
+    "03_saturation_and_comparability.py": "7f244d3716063a6b560695c17c5e15ac27c2235ac726a5d45be97831d15ea771",
+    "04_prime_segments.py": "5ad22848d26abf905ff09e0913313df9ca40975c9d3212e0ac3802ce4459b6ee",
+    "05_exhaustive_checks.py": "a1d33c4c32b3c0c4431aae373dcd596ca3d95aa116b1a7dc405800829d91fab5",
+}
 
 
 def _digest(payload) -> str:
@@ -78,3 +92,16 @@ def test_small_cap_exercises_every_runner_path():
                 key = "vacuous_cap"
             tally[key] += 1
     assert tally == {"holds": 1098, "vacuous": 2305, "vacuous_cap": 3671}
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("0*.py")))
+def test_demo_output_digest(demo):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMOS.get(demo)

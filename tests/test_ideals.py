@@ -27,7 +27,12 @@ from sgideals.corpus import (
 )
 from sgideals.verify import run_suite
 
-from oracles import ideals_bruteforce, set_product_scan
+from oracles import (
+    ideals_bruteforce,
+    is_left_ideal_scan,
+    is_right_ideal_scan,
+    set_product_scan,
+)
 
 P_EF = mask_of([0, 5, 6, 7, 8])
 
@@ -216,6 +221,26 @@ def test_closure_is_smallest(pool234):
             c = ideal_closure(s, 1 << a, IdealKind.RIGHT)
             assert c == principal(s, a, IdealKind.RIGHT)
             assert is_ideal(s, c, IdealKind.RIGHT)
+
+
+def test_is_ideal_matches_scans(pool234):
+    for s in pool234:
+        for m in range(1 << s.n):
+            members = set(mask_elems(m))
+            right = is_right_ideal_scan(s, members)
+            left = is_left_ideal_scan(s, members)
+            assert is_ideal(s, m, IdealKind.RIGHT) == right
+            assert is_ideal(s, m, IdealKind.LEFT) == left
+            assert is_ideal(s, m, IdealKind.TWO_SIDED) == (right and left)
+
+
+def test_principal_is_least_ideal_containing_it(pool234):
+    for s in pool234:
+        for kind in IdealKind:
+            family = ideals_bruteforce(s, kind.value)
+            for a in range(s.n):
+                least = next(m for m in family if m >> a & 1)
+                assert principal(s, a, kind) == least
 
 
 def test_every_nonempty_ideal_contains_zero(pool234):
