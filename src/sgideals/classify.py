@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, mask_of, memoized
+from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized
 from .ideals import (
     DEFAULT_CAP,
     IdealKind,
@@ -175,17 +175,22 @@ def comparizer_support(s: Semigroup, within: Mask) -> Mask:
 
     The comparizer test over W, "for all a, b in W: a in bS or b*I inside
     aS", is elementwise in I: it holds exactly when each c in I has b*c in
-    aS for every such pair, that is, when I lies inside G(W).
+    aS for every such pair, that is, when I lies inside G(W).  The c with
+    b*c in B[b] are the preimages under b of the members of B[b].
     """
-    princ = s.right_principals
-    rows = s.rows
-    out = s.full
+    princ, pre, full = s.right_principals, s.preimages(), s.full
+    out = full
     for b in mask_elems(within):
-        bound = s.full
+        bound = full
         for a in mask_elems(within & ~princ[b]):
             bound &= princ[a]
-        row = rows[b]
-        out = mask_of(c for c in mask_elems(out) if mask_contains(bound, row[c]))
+        if bound == full:
+            continue
+        row = pre[b]
+        allowed = 0
+        for v in mask_elems(bound):
+            allowed |= row[v]
+        out &= allowed
     return out
 
 
@@ -347,10 +352,11 @@ def associated_prime(s: Semigroup, a_mask: Mask) -> Mask:
     """
     if a_mask == s.full:
         raise NotProper("the associated prime needs a proper right ideal")
-    rows = s.rows
-    outside = [x for x in range(s.n) if not mask_contains(a_mask, x)]
+    pre = s.preimages()
+    inside = mask_elems(a_mask)
     out = 0
-    for t in range(s.n):
-        if any(mask_contains(a_mask, rows[x][t]) for x in outside):
-            out |= 1 << t
+    for x in mask_elems(s.full & ~a_mask):
+        row = pre[x]
+        for v in inside:
+            out |= row[v]
     return out

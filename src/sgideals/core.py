@@ -242,9 +242,54 @@ class Semigroup:
             m ^= low
         return out
 
+    @memoized
+    def preimages(self) -> tuple[tuple[Mask, ...], ...]:
+        """The c with a*c == v, indexed [a][v]; each row partitions the
+        carrier."""
+        out = []
+        for row in self.rows:
+            pre = [0] * self.n
+            for c, v in enumerate(row):
+                pre[v] |= 1 << c
+            out.append(tuple(pre))
+        return tuple(out)
+
+    def right_generators(self, b_mask: Mask) -> list[int] | None:
+        """G inside a right ideal B with GS == B, or None when B is not a
+        right ideal.  G holds the g in B whose left divisors in B all lie in
+        gS: the maxima of the divisibility preorder on B.  Every b in B lies
+        below one of them, so GS holds B, and GS lies in B as B is a right
+        ideal."""
+        princ = self.right_principals
+        divisors = self.left_divisors()
+        closure = 0
+        gens = []
+        for b in mask_elems(b_mask):
+            closure |= princ[b]
+            if divisors[b] & b_mask & ~princ[b] == 0:
+                gens.append(b)
+        return gens if closure == b_mask else None
+
+    def generated_product(self, a_mask: Mask, gens: list[int]) -> Mask:
+        """A*B for B = GS given by right_generators: the union of (a*g)S."""
+        rows, princ = self.rows, self.right_principals
+        out = 0
+        for a in mask_elems(a_mask):
+            row = rows[a]
+            for g in gens:
+                out |= princ[row[g]]
+        return out
+
     def product(self, a_mask: Mask, b_mask: Mask) -> Mask:
         """Elementwise product set {a*b : a in A, b in B}.  For a right ideal
-        A (or a left ideal B) the result is again an ideal of that kind."""
+        A (or a left ideal B) the result is again an ideal of that kind.
+
+        A right ideal B goes through its right generators, A*B = (A*G)S.  Any
+        other B has no such G: A*B need not be closed under S, so each a*B
+        is taken element by element."""
+        gens = self.right_generators(b_mask)
+        if gens is not None:
+            return self.generated_product(a_mask, gens)
         out = 0
         m = a_mask
         while m:

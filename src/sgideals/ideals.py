@@ -64,12 +64,14 @@ def is_ideal(s: Semigroup, x: Mask, kind: IdealKind) -> bool:
 
 
 def power_sequence(s: Semigroup, x: Mask) -> list[Mask]:
-    """X, X^2, X^3, ... up to and including the first repeated value."""
+    """X, X^2, X^3, ... up to and including the first repeated value.  A
+    right ideal X is taken through its right generators once."""
+    gens = s.right_generators(x)
     seq = [x]
     seen = {x}
     cur = x
     while True:
-        cur = s.product(cur, x)
+        cur = s.product(cur, x) if gens is None else s.generated_product(cur, gens)
         if cur in seen:
             seq.append(cur)
             return seq
@@ -102,14 +104,12 @@ def intersect_powers(s: Semigroup, x: Mask) -> Mask:
 
 
 def right_annihilator(s: Semigroup, i_mask: Mask) -> Mask:
-    """{b : a*b == 0 for every a in I}."""
-    zero = s.zero
-    rows = s.rows
-    members = mask_elems(i_mask)
-    out = 0
-    for b in range(s.n):
-        if all(rows[a][b] == zero for a in members):
-            out |= 1 << b
+    """{b : a*b == 0 for every a in I}: the preimages of 0 under each a,
+    intersected."""
+    pre, zero = s.preimages(), s.zero
+    out = s.full
+    for a in mask_elems(i_mask):
+        out &= pre[a][zero]
     return out
 
 

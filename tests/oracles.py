@@ -63,6 +63,25 @@ def set_product_scan(s: Semigroup, xs, ys) -> int:
     return mask_of(s.mul(a, b) for a in xs for b in ys)
 
 
+def preimages_scan(s: Semigroup) -> tuple:
+    """The c with a*c == v for every a and v, one pass over row a per v."""
+    return tuple(
+        tuple(mask_of(c for c in range(s.n) if s.mul(a, c) == v) for v in range(s.n))
+        for a in range(s.n)
+    )
+
+
+def right_annihilator_scan(s: Semigroup, m: int) -> int:
+    """{b : a*b == 0 for every a in I}, as written."""
+    return mask_of(b for b in range(s.n) if all(s.mul(a, b) == s.zero for a in mask_elems(m)))
+
+
+def associated_prime_scan(s: Semigroup, m: int) -> int:
+    """P_r(A) = {t : x*t in A for some x outside A}, as written."""
+    outside = [x for x in range(s.n) if not m >> x & 1]
+    return mask_of(t for t in range(s.n) if any(m >> s.mul(x, t) & 1 for x in outside))
+
+
 def waist_bruteforce(s: Semigroup, m: int) -> bool:
     """Comparable with every right ideal, right ideals by power-set filter."""
     if m == (1 << s.n) - 1:

@@ -32,6 +32,7 @@ from sgideals.corpus import (
 )
 
 from oracles import (
+    associated_prime_scan,
     beta_bruteforce,
     comparizer_bruteforce,
     comparizer_union_bruteforce,
@@ -344,6 +345,13 @@ def test_associated_prime_is_completely_prime(pool234):
                 continue
             p = associated_prime(s, m)
             assert completely_prime_scan(s, p)
+
+
+def test_associated_prime_matches_scan(pool234, corpus_entries):
+    # every proper mask, right ideal or not
+    for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
+        for m in range(s.full):
+            assert associated_prime(s, m) == associated_prime_scan(s, m)
 
 
 def test_prime_family_and_waists_cached(ef4):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sgideals
-from sgideals.classify import PrimenessKind, prime_family, radicals
+from sgideals.classify import PrimenessKind, associated_prime, prime_family, radicals
 from sgideals.cli import analysis_report
 from sgideals.core import (
     BadIdentity,
@@ -31,7 +31,13 @@ from sgideals.corpus import (
     build_min_chain,
     corpus,
 )
-from sgideals.ideals import DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals
+from sgideals.ideals import (
+    DEFAULT_CAP,
+    CapExceeded,
+    IdealKind,
+    enumerate_ideals,
+    power_sequence,
+)
 from sgideals.localize import is_right_p_comparable, saturation_by_element
 from sgideals.verdict import VACUOUS
 from sgideals.verify import run_check, run_suite
@@ -40,6 +46,7 @@ from oracles import (
     canonical_form_bruteforce,
     null_monoid,
     power_scan,
+    preimages_scan,
     right_principal_scan,
     shuffled,
     translates_scan,
@@ -194,6 +201,26 @@ def test_translates_match_scan(pool234, corpus_entries):
     for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
         for x in range(1 << s.n):
             assert s.translates(x) == translates_scan(s, x)
+
+
+def test_preimages_match_scan(pool234, corpus_entries):
+    for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
+        assert s.preimages() == preimages_scan(s)
+
+
+# the memo size after run_suite, before preimages() joined it: set products,
+# power sequences and associated primes take one mask each, and memoizing
+# them would grow the memo with every distinct mask a run meets
+MEMO_ENTRIES = ((build_delta, 10, 65), (build_min_chain, 10, 77), (build_chain_x, 12, 55))
+
+
+@pytest.mark.parametrize("build, arg, entries", MEMO_ENTRIES)
+def test_memo_holds_no_per_mask_products(build, arg, entries):
+    s = build(arg)
+    run_suite(s)
+    unmemoized = {Semigroup.product, Semigroup.generated_product, power_sequence, associated_prime}
+    assert not {f.__qualname__ for f in unmemoized} & {key[0].__qualname__ for key in s._cache}
+    assert len(s._cache) <= entries + 1
 
 
 # -- opposite monoid ---------------------------------------------------------

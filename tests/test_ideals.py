@@ -3,8 +3,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgideals import ideals
-from sgideals.core import mask_elems, mask_of
+from sgideals import ideals, verify
+from sgideals.core import Semigroup, mask_elems, mask_of
 from sgideals.ideals import (
     CapExceeded,
     IdealKind,
@@ -31,6 +31,7 @@ from oracles import (
     ideals_bruteforce,
     is_left_ideal_scan,
     is_right_ideal_scan,
+    right_annihilator_scan,
     set_product_scan,
 )
 
@@ -119,6 +120,53 @@ def test_right_annihilator(ef4):
     assert right_annihilator(s, P_EF) == mask_of([0, 8])
     d = build_delta(3)
     assert right_annihilator(d, mask_of([0, 2])) == mask_of([0, 3, 4])
+
+
+def test_right_annihilator_matches_scan(pool234, corpus_entries):
+    for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
+        for m in range(1 << s.n):
+            assert right_annihilator(s, m) == right_annihilator_scan(s, m)
+
+
+def _power_sequence_arguments(monkeypatch, s: Semigroup) -> set[int]:
+    """Every X whose powers run_suite takes on a fresh copy of s."""
+    met = set()
+    real = ideals.power_sequence
+
+    def recording(t, x):
+        met.add(x)
+        return real(t, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ideals, "power_sequence", recording)
+        patch.setattr(verify, "power_sequence", recording)
+        run_suite(Semigroup(s.rows, s.one, s.zero))
+    return met
+
+
+def test_product_matches_scan(pool234, pool5, corpus_entries, monkeypatch):
+    """Every pair of masks at orders 2-3.  From order 4 on, every A against
+    every right ideal B, every singleton B and every non-ideal B whose
+    powers run_suite takes; order 5 adds only the last kind, the first
+    order at which run_suite takes powers of a non-ideal."""
+    non_ideals = 0
+    full_pools = [*pool234, *(e.semigroup for e in corpus_entries)]
+    for s in [*full_pools, *pool5]:
+        met = _power_sequence_arguments(monkeypatch, s) if s.n > 3 else set()
+        extra = {m for m in met if not is_ideal(s, m, IdealKind.RIGHT)}
+        non_ideals += len(extra)
+        if s.n <= 3:
+            factors = range(1 << s.n)
+        elif s not in full_pools:
+            factors = extra
+        else:
+            singletons = {1 << b for b in range(s.n)}
+            factors = {*enumerate_ideals(s, IdealKind.RIGHT), *singletons, *extra}
+        for b in factors:
+            ys = mask_elems(b)
+            for a in range(1 << s.n):
+                assert s.product(a, b) == set_product_scan(s, mask_elems(a), ys)
+    assert non_ideals
 
 
 def test_enumerate_ideals_frozen():
