@@ -8,7 +8,6 @@ the text renderings are projections of the same dictionaries.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 
@@ -19,13 +18,11 @@ from .core import (
     format_cayley,
     parse_cayley,
 )
-from .classify import PrimenessKind, prime_family, radicals
 # enumerate_ideals stays bound: perfbench's tracer test wraps cli's binding
 from .ideals import DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals  # noqa: F401
-from .localize import is_right_p_comparable
-from .segments import classify_segment, prime_segments
-from .corpus import MAX_ENUM_ORDER, corpus, corpus_entry, enumerate_monoids_with_zero
-from .verify import UnknownCheck, registered_ids, run_check, run_suite
+
+# Every other module is imported by the commands that call it, so a command
+# compiles and loads only what it runs.
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +42,8 @@ def _read_text(path: str) -> str:
 
 def _load_target(target: str):
     """Corpus names resolve before paths; returns (name, Semigroup, entry|None)."""
+    from .corpus import corpus
+
     reg = corpus()
     if target in reg:
         entry = reg[target]
@@ -57,6 +56,8 @@ def _load_target(target: str):
 
 
 def _hash(s: Semigroup) -> str:
+    import hashlib
+
     return hashlib.sha256(s.canonical_form()).hexdigest()[:16]
 
 
@@ -74,6 +75,10 @@ def cmd_validate(args) -> int:
 
 
 def analysis_report(name: str, s: Semigroup, entry, cap: int) -> dict:
+    from .classify import PrimenessKind, prime_family, radicals
+    from .localize import is_right_p_comparable
+    from .segments import classify_segment, prime_segments
+
     rad = radicals(s, cap)
     comp = [
         is_right_p_comparable(s, p).to_dict()
@@ -157,6 +162,8 @@ def cmd_analyze(args) -> int:
 
 
 def verdict_report(name: str, s: Semigroup, cap: int, only: str | None) -> dict:
+    from .verify import run_check, run_suite
+
     if only is not None:
         results = [(only, run_check(s, only, cap))]
     else:
@@ -189,6 +196,9 @@ def _print_verdicts(report: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .corpus import enumerate_monoids_with_zero
+    from .verify import UnknownCheck
+
     targets = []
     if args.enumerate is not None:
         count = enumerate_monoids_with_zero(args.enumerate, sink=lambda s: targets.append(
@@ -213,6 +223,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .corpus import enumerate_monoids_with_zero
+
     try:
         out = open(args.ndjson, "w", encoding="utf-8") if args.ndjson else None
     except OSError as exc:
@@ -239,6 +251,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .corpus import corpus, corpus_entry
+
     if args.action == "list":
         for name, entry in corpus().items():
             print(f"{name:12s} order {entry.semigroup.n:2d}  "
@@ -256,6 +270,13 @@ def cmd_corpus(args) -> int:
     return 0
 
 
+def cmd_checks(args) -> int:
+    from .verify import registered_ids
+
+    print("\n".join(registered_ids()))
+    return 0
+
+
 def _int(text: str) -> int:
     try:
         return int(text)
@@ -265,6 +286,8 @@ def _int(text: str) -> int:
 
 def _order(text: str) -> int:
     """argparse type: an order the enumerator accepts."""
+    from .corpus import MAX_ENUM_ORDER
+
     n = _int(text)
     if not 2 <= n <= MAX_ENUM_ORDER:
         raise argparse.ArgumentTypeError(
@@ -321,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_corpus)
 
     lc = sub.add_parser("checks", help="list registered check ids")
-    lc.set_defaults(fn=lambda args: print("\n".join(registered_ids())) or 0)
+    lc.set_defaults(fn=cmd_checks)
     return ap
 
 

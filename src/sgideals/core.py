@@ -8,7 +8,6 @@ largest orders this library targets (n <= ~40).
 from __future__ import annotations
 
 import functools
-import inspect
 import operator
 
 Mask = int
@@ -17,19 +16,38 @@ _MISSING = object()
 
 
 def memoized(fn):
-    """Cache fn(s, *args) on the Semigroup s under (fn, *args), defaulted
-    arguments bound, so f(s, x) and f(s, x, default) share one entry.
-    Exceptions are not cached.  Every caller gets the same object, so fn
-    must return an immutable value."""
-    sig = inspect.signature(fn)
-    arity = len(sig.parameters) - 1
+    """Cache fn(s, *args) on the Semigroup s under (fn, *args), keyword and
+    defaulted arguments bound, so f(s, x), f(s, x, default) and
+    f(s, x, cap=default) share one entry.  fn takes plain positional
+    parameters (no *args, **kwargs or keyword-only ones).  Exceptions are
+    not cached.  Every caller gets the same object, so fn must return an
+    immutable value."""
+    code = fn.__code__
+    names = code.co_varnames[1:code.co_argcount]
+    arity = len(names)
+    defaults = fn.__defaults__ or ()
+    required = arity - len(defaults)
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        if len(args) > arity:
+            raise TypeError(f"{fn.__name__}() takes {arity + 1} positional arguments")
+        out = list(args)
+        for i in range(len(args), arity):
+            if names[i] in kwargs:
+                out.append(kwargs.pop(names[i]))
+            elif i >= required:
+                out.append(defaults[i - required])
+            else:
+                raise TypeError(f"{fn.__name__}() missing argument {names[i]!r}")
+        if kwargs:
+            raise TypeError(f"{fn.__name__}() got unexpected or repeated "
+                            f"arguments {sorted(kwargs)}")
+        return tuple(out)
 
     @functools.wraps(fn)
     def wrapper(s, *args, **kwargs):
         if kwargs or len(args) != arity:
-            bound = sig.bind(s, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
+            args = bind(args, kwargs)
         key = (fn, *args)
         got = s._cache.get(key, _MISSING)
         if got is _MISSING:

@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .core import NotAssociative, Semigroup, mask_elems, mask_of
-from .classify import is_right_chain
-from .localize import is_right_p_comparable
-from .segments import completely_prime_spectrum
 
 
 class NotRightChain(ValueError):
@@ -143,6 +140,8 @@ def build_adjoined(h: Semigroup) -> Semigroup:
     Requires the unit group of H to be trivial: a nontrivial unit u would
     force (e*u)*u' = u*u' = 1 while e*(u*u') = e, breaking associativity.
     """
+    from .classify import is_right_chain
+
     if not is_right_chain(h):
         raise NotRightChain("the base monoid must be a right chain")
     if h.units_mask() != (1 << h.one):
@@ -301,6 +300,10 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 def evaluate_expected(entry: CorpusEntry) -> list[tuple[str, bool, object]]:
     """Check every recorded fact live; returns (key, ok, computed) rows."""
+    from .classify import is_right_chain
+    from .localize import is_right_p_comparable
+    from .segments import completely_prime_spectrum
+
     s = entry.semigroup
     out = []
     for key, want in entry.expected.items():

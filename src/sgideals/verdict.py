@@ -21,10 +21,6 @@ class Verdict:
     witness: Any = None
     note: str | None = None
 
-    @property
-    def is_discrepancy(self) -> bool:
-        return self.status == DISCREPANCY
-
     def to_dict(self) -> dict:
         return {
             "status": self.status,

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,130 @@ def test_reports_deterministic_across_fresh_instances():
     ra = [(cid, v.to_dict()) for cid, v in run_suite(build_ef(4))]
     rb = [(cid, v.to_dict()) for cid, v in run_suite(build_ef(4))]
     assert ra == rb
+
+
+# -- start-up: each command loads only the modules it calls -----------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Run the CLI's main in a fresh interpreter, then print the sgideals modules
+# it has loaded.
+LOADED_PROBE = """
+import contextlib, io, json, sys
+import sgideals.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = sgideals.cli.main(sys.argv[1:])
+    assert code == 0, code
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "sgideals")))
+"""
+
+
+def _run_fresh(code: str, *argv: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout
+
+
+BASE = {"sgideals", "sgideals.core", "sgideals.ideals", "sgideals.cli"}
+ANALYSIS = {"sgideals.corpus", "sgideals.classify", "sgideals.localize",
+            "sgideals.segments", "sgideals.verdict"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    ((), set()),
+    (("validate", "FILE"), set()),
+    (("corpus", "list"), {"sgideals.corpus"}),
+    (("analyze", "FILE", "--json"), ANALYSIS),
+    (("checks",), ANALYSIS | {"sgideals.verify"}),
+], ids=["import", "validate", "corpus-list", "analyze", "checks"])
+def test_commands_load_only_what_they_call(tmp_path, argv, extra):
+    path = tmp_path / "ef4.cay"
+    path.write_text(format_cayley(corpus()["ef4"].semigroup))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    assert set(json.loads(_run_fresh(LOADED_PROBE, *argv))) == BASE | extra
+
+
+# The names `sgideals` exported when it imported every module eagerly.
+EXPORTS = {
+    "core": "BadIdentity BadZero CayleyFormatError Mask NotAssociative OneEqualsZero "
+            "Semigroup SemigroupError decode_canonical format_cayley "
+            "isomorphic_fixing_one_zero mask_contains mask_elems mask_of parse_cayley",
+    "ideals": "CapExceeded IdealKind NotAnIdeal NotProper enumerate_ideals ideal_closure "
+              "ideal_power intersect_powers is_a_nilpotent is_ideal is_nil_set "
+              "is_nilpotent_ideal principal principals right_annihilator",
+    "classify": "PrimenessKind RadicalReport associated_prime comparizer_ideals "
+                "comparizer_radical comparizer_support exceptional_primes is_comparizer "
+                "is_completely_prime is_completely_semiprime is_prime is_prime_variant "
+                "is_right_chain is_right_comparizer is_right_waist is_semiprime "
+                "is_strongly_comparizer is_waist prime_family radicals right_waists",
+    "localize": "ComparabilityReport NotCompletelyPrime NotMultClosed equivalence_class "
+                "is_right_ore_set is_right_p_comparable nested_saturation_inclusion_check "
+                "right_ore_condition saturate",
+    "segments": "PrimeSegment SegmentClass classify_segment completely_prime_spectrum "
+                "has_non_nilpotent_over is_locally_invariant is_locally_right_invariant "
+                "lower_union pairing_ideal prime_segments strictly_between tail_intersection",
+    "corpus": "CorpusEntry NontrivialUnits NotRightChain all_monoids_with_zero "
+              "build_adjoined build_chain_x build_delta build_ef build_min_chain "
+              "build_minimal corpus corpus_entry enumerate_monoids_with_zero",
+    "verdict": "DISCREPANCY HOLDS VACUOUS Verdict",
+    "verify": "Gate TheoremCheck UnknownCheck registered_ids run_check run_suite "
+              "search_converse_candidates search_exceptional_candidates",
+}
+
+# Read every export through the package, in table order, then once more
+# after all submodules are loaded; print the names that are not the
+# defining module's own binding.
+EXPORTS_PROBE = """
+import importlib, json, sys
+import sgideals
+exports = json.loads(sys.argv[1])
+bad = []
+for _ in range(2):
+    for module, names in exports.items():
+        for name in names.split():
+            home = importlib.import_module("sgideals." + module)
+            if getattr(sgideals, name) is not getattr(home, name):
+                bad.append(name)
+from sgideals import corpus
+import sgideals.corpus as corpus_too
+if not corpus is corpus_too is sgideals.corpus.__globals__["corpus"]:
+    bad.append("import corpus")
+print(json.dumps(bad))
+"""
+
+
+def test_package_exports_resolve_to_their_modules():
+    assert json.loads(_run_fresh(EXPORTS_PROBE, json.dumps(EXPORTS))) == []
+    import sgideals
+
+    names = {n for names in EXPORTS.values() for n in names.split()}
+    assert set(sgideals.__all__) == names
+    assert names <= set(dir(sgideals))
+
+
+def test_package_unknown_name_raises_attribute_error():
+    import sgideals
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        sgideals.no_such_name
+    assert not hasattr(sgideals, "DEFAULT_CAP")  # module-level, never exported
+
+
+def test_package_reads_the_current_binding(monkeypatch):
+    # nothing is cached on the package: a binding replaced in its module
+    # (as the benchmark's span tracer does) shows through, and so does its
+    # restoration
+    import sgideals
+    from sgideals import ideals
+
+    original = sgideals.enumerate_ideals
+    monkeypatch.setattr(ideals, "enumerate_ideals", len)
+    assert sgideals.enumerate_ideals is len
+    monkeypatch.undo()
+    assert sgideals.enumerate_ideals is original is ideals.enumerate_ideals

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from sgideals.core import (
     mask_contains,
     mask_elems,
     mask_of,
+    memoized,
     parse_cayley,
 )
 from sgideals.corpus import (
@@ -392,6 +396,15 @@ def test_cayley_roundtrip(ef4):
     assert t == s
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cayley_roundtrip_on_relabelled_pool(data):
+    order = data.draw(st.integers(2, 6))
+    s = data.draw(st.sampled_from(all_monoids_with_zero(order)))
+    s = s.relabel(data.draw(st.permutations(range(order))))
+    assert parse_cayley(format_cayley(s)) == s
+
+
 def test_cayley_comments_and_errors():
     good = "# comment\n2 1 0\n0 0\n0 1\n"
     assert parse_cayley(good).n == 2
@@ -438,8 +451,36 @@ def test_memo_binds_defaulted_arguments(ef4):
     primes = prime_family(s, *kinds)
     assert prime_family(s, *kinds, DEFAULT_CAP) is primes
     assert prime_family(s, *kinds, cap=DEFAULT_CAP) is primes
+    assert prime_family(s, ideal_kind=IdealKind.RIGHT, kind=PrimenessKind.PRIME) is primes
     fams = [k for k in s._cache if isinstance(k, tuple) and k[0] is prime_family.__wrapped__]
     assert fams == [(prime_family.__wrapped__, *kinds, DEFAULT_CAP)]
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),                       # x is missing
+    ((), {"cap": 5}),               # x is still missing
+    ((3,), {"bogus": 1}),           # unknown keyword
+    ((3,), {"x": 3}),               # x given twice
+    ((3, 5, 7), {}),                # one positional too many
+])
+def test_memo_rejects_bad_arguments(ef4, args, kwargs):
+    @memoized
+    def family(s, x, cap=DEFAULT_CAP):
+        return (x, cap)
+
+    s = _fresh(ef4.semigroup)
+    with pytest.raises(TypeError):
+        family(s, *args, **kwargs)
+    assert not s._cache
+
+
+def test_core_does_not_import_inspect():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sgideals.core; print('inspect' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(Path(sgideals.__file__).parent.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_memo_keys_on_the_cap(ef4):
