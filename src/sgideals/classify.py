@@ -360,3 +360,14 @@ def associated_prime(s: Semigroup, a_mask: Mask) -> Mask:
         for v in inside:
             out |= row[v]
     return out
+
+
+@memoized
+def associated_primes(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[tuple[Mask, Mask], ...]:
+    """(A, P_r(A)) for every nonempty proper right ideal A, in the order of
+    the right ideal family; one entry per family, not per mask."""
+    return tuple(
+        (a, associated_prime(s, a))
+        for a in enumerate_ideals(s, IdealKind.RIGHT, cap)
+        if a and a != s.full
+    )

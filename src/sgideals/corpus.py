@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .core import NotAssociative, Semigroup, mask_elems, mask_of
+from .core import Semigroup, mask_elems, mask_of
 
 
 class NotRightChain(ValueError):
@@ -339,16 +339,19 @@ def enumerate_monoids_with_zero(order: int, sink=None) -> int:
 
     The search fills the free block (rows and columns 2..n-1) in row-major
     order, trying values in ascending order, so complete tables are reached
-    in lexicographic order of that block.  Partial tables are pruned with
-    the associativity triples whose inputs touch the just-assigned cell, and
-    the Semigroup constructor checks every triple of a complete table.
+    in lexicographic order of that block.  A triple (a, b, c) is checked
+    when the last of its four cells ab, bc, (ab)c and a(bc) is filled, so
+    every complete table is associative; the Semigroup constructor checks
+    every triple again.
 
     Each class is emitted as its lex-minimal labelling, and the classes come
     in increasing lex order of those labellings.  Two tables are isomorphic
     exactly when a relabelling of 2..n-1 carries one to the other, so a
     partial table is pruned as soon as some relabelling sigma makes it
     lex-larger than sigma(T) on the cells known on both sides (lex-leader
-    symmetry breaking).  At a complete table that comparison is exact.
+    symmetry breaking).  At a complete table that comparison is exact.  Each
+    sigma keeps, down the search, the cell up to which sigma(T) equals T and
+    resumes there; once sigma(T) is larger it leaves the subtree.
     Returns the number of emitted semigroups.  Orders beyond MAX_ENUM_ORDER
     are out of range for this search strategy.
     """
@@ -361,15 +364,22 @@ def enumerate_monoids_with_zero(order: int, sink=None) -> int:
     for i in range(n):
         table[1][i] = i
         table[i][1] = i
-    free = [(i, j) for i in range(2, n) for j in range(2, n)]
+    inner = range(2, n)
+    free = [(i, j) for i in inner for j in inner]
     for i, j in free:
         table[i][j] = -1
+    last = len(free)
+    # preimages[v]: the filled free cells (x, y) with x*y = v, in fill order
+    preimages = [[] for _ in range(n)]
     # vals[k] mirrors the table at free[k]; sigma(T) holds sigma[vals[src[k]]]
-    # at free[k], where src[k] is the position of (sigma^-1 i, sigma^-1 j)
-    vals = [-1] * len(free)
+    # at free[k], where src[k] is the position of (sigma^-1 i, sigma^-1 j).
+    # waiting[w] holds (sigma, src, k) when sigma(T) equals T on the cells
+    # before k and the next comparison needs cells k and src[k] filled, the
+    # later of which is w.
+    vals = [-1] * last
     position = {cell: k for k, cell in enumerate(free)}
-    relabellings = []
-    for perm in permutations(range(2, n)):
+    waiting = [[] for _ in range(last)]
+    for perm in permutations(inner):
         sigma = (0, 1) + perm
         if sigma == tuple(range(n)):
             continue
@@ -377,63 +387,90 @@ def enumerate_monoids_with_zero(order: int, sink=None) -> int:
         for x, y in enumerate(sigma):
             inv[y] = x
         src = [position[inv[i], inv[j]] for i, j in free]
-        relabellings.append((sigma, src))
+        waiting[src[0]].append((sigma, src, 0))
     count = 0
 
-    def partial_ok(i: int, j: int) -> bool:
-        # triples whose first-level product is the cell (i, j)
-        for c in range(n):
-            p = table[i][j]
+    def associative_so_far(i: int, j: int, v: int) -> bool:
+        # every triple (a, b, c) of 2..n-1 whose four cells ab, bc, (ab)c and
+        # a(bc) are now known and one of which is (i, j); triples with a 0
+        # or a 1 hold by the fixed rows and columns
+        row = table[i]
+        for c in inner:  # (i, j) is ab
             q = table[j][c]
             if q != -1:
-                pc = table[p][c] if p != -1 else -1
-                iq = table[i][q]
-                if pc != -1 and iq != -1 and pc != iq:
+                lhs = table[v][c]
+                rhs = row[q]
+                if lhs != rhs and lhs != -1 and rhs != -1:
                     return False
-        for a in range(n):
-            q = table[i][j]
+        for a in inner:  # (i, j) is bc
             p = table[a][i]
             if p != -1:
-                pj = table[p][j]
-                aq = table[a][q] if q != -1 else -1
-                if pj != -1 and aq != -1 and pj != aq:
+                lhs = table[p][j]
+                rhs = table[a][v]
+                if lhs != rhs and lhs != -1 and rhs != -1:
                     return False
-        return True
-
-    def lex_leader(pos: int) -> bool:
-        # False when some sigma(T) is smaller than T on the first cell where
-        # they differ, every earlier cell being known on both sides
-        for sigma, src in relabellings:
-            for k in range(pos + 1):
-                m = src[k]
-                if m > pos:
-                    break
-                a = vals[k]
-                b = sigma[vals[m]]
-                if b != a:
-                    if b < a:
-                        return False
-                    break
+        for x, y in preimages[i]:  # (i, j) is (ab)c, with ab = (x, y)
+            q = table[y][j]
+            if q != -1:
+                rhs = table[x][q]
+                if rhs != v and rhs != -1:
+                    return False
+        for y, z in preimages[j]:  # (i, j) is a(bc), with bc = (y, z)
+            p = row[y]
+            if p != -1:
+                lhs = table[p][z]
+                if lhs != v and lhs != -1:
+                    return False
         return True
 
     def fill(pos: int) -> None:
         nonlocal count
-        if pos == len(free):
-            # prior pruning is partial only; the constructor checks every triple
-            try:
-                s = Semigroup(table, one=1, zero=0)
-            except NotAssociative:
-                return
+        if pos == last:
+            # every triple was checked when its last cell was filled; the
+            # constructor checks them all again
+            s = Semigroup(table, one=1, zero=0)
             count += 1
             if sink is not None:
                 sink(s)
             return
-        i, j = free[pos]
+        cell = free[pos]
+        i, j = cell
+        woken = waiting[pos]
         for v in range(n):
             table[i][j] = v
+            if not associative_so_far(i, j, v):
+                continue
             vals[pos] = v
-            if partial_ok(i, j) and lex_leader(pos):
+            # lex-leader: resume each relabelling that waits for this cell.
+            # One whose image is smaller at the first differing cell cuts T;
+            # one whose image is larger, or equal throughout, drops out of
+            # the subtree; the others wait for their next unknown cell.
+            moved = []
+            leader = True
+            for sigma, src, k in woken:
+                while True:
+                    m = src[k]
+                    if k > pos or m > pos:
+                        w = k if k > m else m
+                        waiting[w].append((sigma, src, k))
+                        moved.append(w)
+                        break
+                    a = vals[k]
+                    b = sigma[vals[m]]
+                    if b != a:
+                        leader = b > a
+                        break
+                    k += 1
+                    if k == last:
+                        break
+                if not leader:
+                    break
+            if leader:
+                preimages[v].append(cell)
                 fill(pos + 1)
+                preimages[v].pop()
+            for w in moved:
+                waiting[w].pop()
         table[i][j] = -1
         vals[pos] = -1
 

@@ -99,7 +99,8 @@ class OreSweep:
         # T -> sat(aS, T), one table per distinct aS
         by_ideal: dict[Mask, tuple[list[Mask], list[Mask]]] = {}
         self._sat = []
-        for a_s in s.right_principals:
+        self._sat_distinct = []  # (least a with that aS, its tables)
+        for a, a_s in enumerate(s.right_principals):
             got = by_ideal.get(a_s)
             if got is None:
                 pulled_in = [0] * n  # t -> {y : y*t in aS}
@@ -109,6 +110,7 @@ class OreSweep:
                         if a_s >> row[t] & 1:
                             pulled_in[t] |= 1 << y
                 got = by_ideal[a_s] = _union_tables(pulled_in, half)
+                self._sat_distinct.append((a, *got))
             self._sat.append(got)
 
     def __iter__(self) -> Iterator[Mask]:
@@ -141,9 +143,21 @@ class OreSweep:
         t_lo, t_hi = t_mask & self.low, t_mask >> self.half
         return [lo[t_lo] | hi[t_hi] for lo, hi in self._sat]
 
-    def is_right_ideal(self, x: Mask) -> bool:
-        lo, hi = self._times_s
-        return (lo[x & self.low] | hi[x >> self.half]) & ~x == 0
+    def first_non_ideal_saturation(self) -> tuple[Mask, int] | None:
+        """The first T in sweep order, and then the least a, for which
+        sat(aS, T) is not a right ideal; None when every one is.
+
+        sat(aS, T) depends on aS alone, so one a per distinct aS is read.
+        """
+        half, low = self.half, self.low
+        times_s_lo, times_s_hi = self._times_s
+        for t in self:
+            t_lo, t_hi = t & low, t >> half
+            for a, lo, hi in self._sat_distinct:
+                x = lo[t_lo] | hi[t_hi]
+                if (times_s_lo[x & low] | times_s_hi[x >> half]) & ~x:
+                    return t, a
+        return None
 
 
 def right_ore_sets(s: Semigroup) -> tuple[Mask, ...]:

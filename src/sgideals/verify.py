@@ -17,6 +17,7 @@ from .core import Mask, Semigroup, is_subset, mask_elems, memoized
 from .classify import (
     PrimenessKind,
     associated_prime,
+    associated_primes,
     comparizer_ideals,
     comparizer_radical,
     exceptional_primes,
@@ -567,8 +568,7 @@ def _thm210(s: Semigroup, cap: int) -> Verdict:
 @_register("Lem2.12.i", "the associated prime of a nonempty proper right ideal is "
                         "a completely prime right ideal")
 def _lem212i(s: Semigroup, cap: int) -> Verdict:
-    for a_mask in _nonempty_proper(s, enumerate_ideals(s, IdealKind.RIGHT, cap)):
-        p = associated_prime(s, a_mask)
+    for a_mask, p in associated_primes(s, cap):
         if not (is_ideal(s, p, IdealKind.RIGHT) and p != s.full
                 and is_completely_prime(s, p)):
             return discrepancy((), {"ideal": _w(a_mask), "associated": _w(p)})
@@ -599,8 +599,7 @@ def _translate_intersection(s: Semigroup, outside, p: Mask) -> Mask:
                       "that intersection is a principal cover bS of T")
 def _lem213(s: Semigroup, cap: int) -> Verdict:
     fam = enumerate_ideals(s, IdealKind.RIGHT, cap)
-    for t_mask in _nonempty_proper(s, fam):
-        p = associated_prime(s, t_mask)
+    for t_mask, p in associated_primes(s, cap):
         outside = mask_elems(s.full & ~t_mask)
         inter = _translate_intersection(s, outside, p)
         rhs = t_mask == inter
@@ -653,11 +652,10 @@ def _co214(s: Semigroup, cap: int) -> Verdict:
 @_register("Lem3.1", "saturation of a principal right ideal by a right Ore set is "
                      "a right ideal", requires=(SUBSET_ENUMERATION_FEASIBLE,))
 def _lem31(s: Semigroup, cap: int) -> Verdict:
-    sweep = OreSweep(s)
-    for t_mask in sweep:
-        for a, sat in enumerate(sweep.saturations(t_mask)):
-            if not sweep.is_right_ideal(sat):
-                return discrepancy((), {"ore_set": _w(t_mask), "a": a})
+    found = OreSweep(s).first_non_ideal_saturation()
+    if found is not None:
+        t_mask, a = found
+        return discrepancy((), {"ore_set": _w(t_mask), "a": a})
     return holds()
 
 
@@ -829,10 +827,8 @@ def _pr310(s: Semigroup, cap: int) -> Verdict:
     return holds()
 
 
-def _ideals_with_associated(s: Semigroup, cap: int, p: Mask):
-    for m in _nonempty_proper(s, enumerate_ideals(s, IdealKind.RIGHT, cap)):
-        if associated_prime(s, m) == p:
-            yield m
+def _ideals_with_associated(s: Semigroup, cap: int, p: Mask) -> list[Mask]:
+    return [m for m, q in associated_primes(s, cap) if q == p]
 
 
 @_register("Lem3.11", "under comparability and left cancellation a right ideal "
@@ -877,10 +873,9 @@ def _thm313(s: Semigroup, cap: int) -> Verdict:
     j = s.nonunits_mask()
     cp_right = prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT, cap)
     count = 0
-    for m in _nonempty_proper(s, enumerate_ideals(s, IdealKind.RIGHT, cap)):
+    for m, p0 in associated_primes(s, cap):
         if m == s.zero_mask:
             continue
-        p0 = associated_prime(s, m)
         if p0 not in cp_right or not is_right_p_comparable(s, p0).holds:
             continue
         count += 1

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sgideals.cli import analysis_report, main, verdict_report
+from sgideals.cli import CORPUS_NAMES, analysis_report, main, verdict_report
 from sgideals.core import format_cayley
 from sgideals.corpus import build_delta, corpus
 
@@ -266,8 +266,8 @@ def _run_fresh(code: str, *argv: str) -> str:
 
 
 BASE = {"sgideals", "sgideals.core", "sgideals.ideals", "sgideals.cli"}
-ANALYSIS = {"sgideals.corpus", "sgideals.classify", "sgideals.localize",
-            "sgideals.segments", "sgideals.verdict"}
+ANALYSIS = {"sgideals.classify", "sgideals.localize", "sgideals.segments",
+            "sgideals.verdict"}
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -275,13 +275,19 @@ ANALYSIS = {"sgideals.corpus", "sgideals.classify", "sgideals.localize",
     (("validate", "FILE"), set()),
     (("corpus", "list"), {"sgideals.corpus"}),
     (("analyze", "FILE", "--json"), ANALYSIS),
-    (("checks",), ANALYSIS | {"sgideals.verify"}),
+    (("checks",), ANALYSIS | {"sgideals.corpus", "sgideals.verify"}),
 ], ids=["import", "validate", "corpus-list", "analyze", "checks"])
 def test_commands_load_only_what_they_call(tmp_path, argv, extra):
     path = tmp_path / "ef4.cay"
     path.write_text(format_cayley(corpus()["ef4"].semigroup))
     argv = [str(path) if a == "FILE" else a for a in argv]
     assert set(json.loads(_run_fresh(LOADED_PROBE, *argv))) == BASE | extra
+
+
+def test_corpus_names_are_the_registry():
+    # analyze and verify tell a corpus name from a path by this tuple, so
+    # that a path never loads the corpus module
+    assert CORPUS_NAMES == tuple(corpus())
 
 
 # The names `sgideals` exported when it imported every module eagerly.

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 from itertools import permutations
 
 import pytest
@@ -127,6 +129,36 @@ def test_enumeration_matches_first_seen_oracle(order):
     # full labelled search keeps when it drops every later isomorphic copy
     got = [[list(r) for r in s.rows] for s in all_monoids_with_zero(order)]
     assert got == monoids_with_zero_first_seen(order)
+
+
+# sha256 of the order-6 rows, each table row-major, in emission order, as
+# the search emitted them when it left non-associative tables to the
+# constructor: pruning a subtree with no associative table keeps both
+ORDER6_ROWS_SHA256 = "5936d3c70de313cef711141b417ce3004902b27306afcd2aa03c13fdcce3e1f5"
+
+
+def test_enumeration_rows_and_order_at_6():
+    pool = all_monoids_with_zero(6)
+    flat = bytes(v for s in pool for row in s.rows for v in row)
+    assert hashlib.sha256(flat).hexdigest() == ORDER6_ROWS_SHA256
+
+
+@pytest.mark.parametrize("order, classes", [(2, 1), (3, 3), (4, 15), (5, 112), (6, 1101)])
+def test_enumeration_completes_only_associative_tables(monkeypatch, order, classes):
+    # every triple is checked when its last cell is filled, so each complete
+    # table the search reaches is a class: one constructor call per class
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return Semigroup(*args, **kwargs)
+
+    # the package's name `corpus` is the registry function, not the module
+    module = importlib.import_module("sgideals.corpus")
+    monkeypatch.setattr(module, "Semigroup", counting)
+    assert enumerate_monoids_with_zero(order) == classes
+    assert calls == classes
 
 
 def test_enumeration_complete_at_6():

@@ -209,6 +209,20 @@ def test_ore_sweep_matches_bruteforce_pools_and_corpus(pool234, pool5, corpus_en
         _assert_sweep_matches_bruteforce(s)
 
 
+def test_first_non_ideal_saturation_witness_order(pool234, pool5):
+    # every saturation is a right ideal (Lem3.1), so the test is run with
+    # Y*S read as the whole carrier: then the first failure is the first T,
+    # and then the least a, whose sat(aS, T) is not the carrier
+    for s in [*pool234, *pool5]:
+        sweep = OreSweep(s)
+        assert sweep.first_non_ideal_saturation() is None
+        lo, hi = sweep._times_s
+        sweep._times_s = ([s.full] * len(lo), hi)
+        want = next(((t_mask, a) for t_mask in sweep
+                     for a, sat in enumerate(sweep.saturations(t_mask)) if sat != s.full), None)
+        assert sweep.first_non_ideal_saturation() == want
+
+
 FAMILIES = {"null": null_monoid, "delta": lambda n: build_delta(n - 2),
             "min_chain": lambda n: build_min_chain(n - 2)}
 
