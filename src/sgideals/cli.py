@@ -199,16 +199,15 @@ def _print_verdicts(report: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    from .corpus import enumerate_monoids_with_zero
+    from .corpus import all_monoids_with_zero
     from .verify import UnknownCheck
 
-    targets = []
     if args.enumerate is not None:
-        count = enumerate_monoids_with_zero(args.enumerate, sink=lambda s: targets.append(
-            (f"order{s.n}#{len(targets)}", s, None)))
-        print(f"enumerated {count} monoids with zero of order {args.enumerate}")
+        pool = all_monoids_with_zero(args.enumerate)
+        targets = [(f"order{s.n}#{i}", s, None) for i, s in enumerate(pool)]
+        print(f"enumerated {len(pool)} monoids with zero of order {args.enumerate}")
     else:
-        targets.append(_load_target(args.target))
+        targets = [_load_target(args.target)]
     worst = 0
     for name, s, _entry in targets:
         try:

@@ -15,8 +15,8 @@ duplicate is ever completed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
+from typing import NamedTuple
 
 from .core import Semigroup, mask_elems, mask_of
 
@@ -177,12 +177,11 @@ def build_minimal() -> Semigroup:
 # corpus registry
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     semigroup: Semigroup
     element_names: tuple[str, ...]
-    expected: dict = field(default_factory=dict)
+    expected: dict
     notes: tuple[str, ...] = ()
 
 
@@ -194,7 +193,8 @@ EF_SATURATION_NOTE = (
 )
 
 
-def _entries() -> dict[str, CorpusEntry]:
+def corpus() -> dict[str, CorpusEntry]:
+    """The built-in examples by name, built afresh on every call."""
     ef4 = build_ef(4)
     efn = ef_names(4)
 
@@ -279,16 +279,6 @@ def _entries() -> dict[str, CorpusEntry]:
         ),
     ]
     return {e.name: e for e in entries}
-
-
-_CORPUS: dict[str, CorpusEntry] | None = None
-
-
-def corpus() -> dict[str, CorpusEntry]:
-    global _CORPUS
-    if _CORPUS is None:
-        _CORPUS = _entries()
-    return _CORPUS
 
 
 def corpus_entry(name: str) -> CorpusEntry:
@@ -478,15 +468,9 @@ def enumerate_monoids_with_zero(order: int, sink=None) -> int:
     return count
 
 
-_POOLS: dict[int, tuple[Semigroup, ...]] = {}
-
-
 def all_monoids_with_zero(order: int) -> tuple[Semigroup, ...]:
-    """Deduplicated list of all monoids with zero of one order (cached)."""
-    got = _POOLS.get(order)
-    if got is None:
-        acc: list[Semigroup] = []
-        enumerate_monoids_with_zero(order, sink=acc.append)
-        got = tuple(acc)
-        _POOLS[order] = got
-    return got
+    """Every monoid with zero of one order, one per isomorphism class, in
+    the enumerator's order; each call enumerates afresh."""
+    acc: list[Semigroup] = []
+    enumerate_monoids_with_zero(order, sink=acc.append)
+    return tuple(acc)

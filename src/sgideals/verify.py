@@ -52,6 +52,7 @@ from .segments import (
     ARCHIMEDEAN,
     EXCEPTIONAL,
     NONE,
+    PrimeSegment,
     classify_segment,
     completely_prime_spectrum,
     has_non_nilpotent_over,
@@ -153,6 +154,20 @@ def comparability_ideals(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ..
     return tuple(
         p for p in completely_prime_spectrum(s, cap) if is_right_p_comparable(s, p).holds
     )
+
+
+def _comparable_segments(s: Semigroup, cap: int) -> list[PrimeSegment]:
+    """The prime segments whose upper ideal is a comparability ideal; every
+    upper ideal lies in the spectrum that comparability_ideals filters."""
+    comp = comparability_ideals(s, cap)
+    return [seg for seg in prime_segments(s, cap) if seg.upper in comp]
+
+
+def _exceptional_pairs(s: Semigroup, cap: int) -> list[tuple[Mask, Mask]]:
+    """The pairs (p, q) of a comparability ideal p and an exceptional prime q
+    strictly inside it, p outer."""
+    return [(p, q) for p in comparability_ideals(s, cap)
+            for q in exceptional_primes(s, cap) if q != p and is_subset(q, p)]
 
 
 def _incomparable_pair(masks):
@@ -935,25 +950,21 @@ def _pr315(s: Semigroup, cap: int) -> Verdict:
                      "unique idempotent waist ideal minimal over it",
            requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _lem44(s: Semigroup, cap: int) -> Verdict:
-    count = 0
-    for p in comparability_ideals(s, cap):
-        for q in exceptional_primes(s, cap):
-            if q == p or not is_subset(q, p):
-                continue
-            count += 1
-            d = pairing_ideal(s, q, cap)
-            if d is None:
-                return discrepancy((), {"q": _w(q), "fails": "no waist ideal above"})
-            ok = (
-                d != q
-                and is_subset(q, d)
-                and is_waist(s, d)
-                and not strictly_between(s, q, d, cap)
-                and s.product(d, d) == d
-            )
-            if not ok:
-                return discrepancy((), {"q": _w(q), "d": _w(d)})
-    return _found("has_exceptional_prime", count)
+    pairs = _exceptional_pairs(s, cap)
+    for _p, q in pairs:
+        d = pairing_ideal(s, q, cap)
+        if d is None:
+            return discrepancy((), {"q": _w(q), "fails": "no waist ideal above"})
+        ok = (
+            d != q
+            and is_subset(q, d)
+            and is_waist(s, d)
+            and not strictly_between(s, q, d, cap)
+            and s.product(d, d) == d
+        )
+        if not ok:
+            return discrepancy((), {"q": _w(q), "d": _w(d)})
+    return _found("has_exceptional_prime", len(pairs))
 
 
 @_register("Lem4.5", "the pairing ideal of an exceptional prime contains an element "
@@ -961,16 +972,13 @@ def _lem44(s: Semigroup, cap: int) -> Verdict:
            requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
 def _lem45(s: Semigroup, cap: int) -> Verdict:
     count = 0
-    for p in comparability_ideals(s, cap):
-        for q in exceptional_primes(s, cap):
-            if q == p or not is_subset(q, p):
-                continue
-            d = pairing_ideal(s, q, cap)
-            if d is None:
-                continue
-            count += 1
-            if has_non_nilpotent_over(s, d, q) is None:
-                return discrepancy((), {"q": _w(q), "d": _w(d)})
+    for _p, q in _exceptional_pairs(s, cap):
+        d = pairing_ideal(s, q, cap)
+        if d is None:
+            continue
+        count += 1
+        if has_non_nilpotent_over(s, d, q) is None:
+            return discrepancy((), {"q": _w(q), "d": _w(d)})
     return _found("has_exceptional_prime", count)
 
 
@@ -1043,13 +1051,9 @@ def _lem46iv(s: Semigroup, cap: int) -> Verdict:
                      "exceptional prime",
            requires=(LEFT_CANCELLATIVE,))
 def _thm48(s: Semigroup, cap: int) -> Verdict:
-    segs = prime_segments(s, cap)
-    count = 0
+    segs = _comparable_segments(s, cap)
     overlaps = 0
     for seg in segs:
-        if not is_right_p_comparable(s, seg.upper).holds:
-            continue
-        count += 1
         cls = classify_segment(s, seg, cap)
         if cls.overlap:
             overlaps += 1
@@ -1061,7 +1065,7 @@ def _thm48(s: Semigroup, cap: int) -> Verdict:
             if intersect_powers(s, cls.q) != base:
                 return discrepancy((), {"segment": seg.to_dict(),
                                         "q": _w(cls.q)})
-    verdict = _found("has_comparable_segment", count)
+    verdict = _found("has_comparable_segment", len(segs))
     if overlaps:
         verdict = replace(verdict, note=(
             f"{overlaps} segment(s) satisfy more than one branch definition; "
@@ -1074,9 +1078,7 @@ def _thm48(s: Semigroup, cap: int) -> Verdict:
            requires=(LEFT_CANCELLATIVE,))
 def _lem410(s: Semigroup, cap: int) -> Verdict:
     count = 0
-    for seg in prime_segments(s, cap):
-        if not is_right_p_comparable(s, seg.upper).holds:
-            continue
+    for seg in _comparable_segments(s, cap):
         if not is_locally_invariant(s, seg):
             continue
         count += 1
@@ -1090,14 +1092,17 @@ def _lem410(s: Semigroup, cap: int) -> Verdict:
 # counterexample search for the open converse
 
 
-def _left_cancellative_pool(order_bound: int):
-    """Every enumerated left-cancellative monoid with zero of order 2 up to
-    the bound, with the fields that locate it in a search report."""
+def _search(order_bound: int, hits) -> list[dict]:
+    """The hits that hits(s) yields on each left-cancellative monoid with zero
+    of order 2 up to the bound, tagged with the fields that locate s."""
+    found = []
     for order in range(2, order_bound + 1):
-        for idx, s in enumerate(all_monoids_with_zero(order)):
+        for index, s in enumerate(all_monoids_with_zero(order)):
             if s.is_left_cancellative():
-                yield s, {"order": order, "index": idx,
-                          "table": [list(r) for r in s.rows]}
+                where = {"order": order, "index": index,
+                         "table": [list(r) for r in s.rows]}
+                found += [{**where, **hit} for hit in hits(s)]
+    return found
 
 
 def search_exceptional_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> list[dict]:
@@ -1109,16 +1114,8 @@ def search_exceptional_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> l
     exceptional segment lives on an infinite carrier); any hit is reported
     with its full table so it can be studied by hand.
     """
-    found = []
-    for s, where in _left_cancellative_pool(order_bound):
-        comp = comparability_ideals(s, cap)
-        if not comp:
-            continue
-        for q in exceptional_primes(s, cap):
-            for p in comp:
-                if q != p and is_subset(q, p):
-                    found.append({**where, "q": _w(q), "p": _w(p)})
-    return found
+    return _search(order_bound, lambda s: (
+        {"q": _w(q), "p": _w(p)} for p, q in _exceptional_pairs(s, cap)))
 
 
 def search_converse_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> list[dict]:
@@ -1126,15 +1123,10 @@ def search_converse_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> list
     left-cancellative, comparable, archimedean prime segment that is NOT
     locally invariant.
 
-    An empty list claims nothing beyond the bound; any candidate is
-    revalidated by its defining predicates before being reported.
+    An empty list claims nothing beyond the bound; each hit carries its
+    full table and segment, so it can be checked by hand.
     """
-    found = []
-    for s, where in _left_cancellative_pool(order_bound):
-        for seg in prime_segments(s, cap):
-            if not is_right_p_comparable(s, seg.upper).holds:
-                continue
-            cls = classify_segment(s, seg, cap)
-            if cls.branches[ARCHIMEDEAN] and not is_locally_invariant(s, seg):
-                found.append({**where, "segment": seg.to_dict()})
-    return found
+    return _search(order_bound, lambda s: (
+        {"segment": seg.to_dict()} for seg in _comparable_segments(s, cap)
+        if classify_segment(s, seg, cap).branches[ARCHIMEDEAN]
+        and not is_locally_invariant(s, seg)))

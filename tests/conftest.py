@@ -19,6 +19,22 @@ def pool5():
 
 
 @pytest.fixture(scope="session")
+def pool6():
+    """Every monoid with zero of order 6, up to isomorphism."""
+    return all_monoids_with_zero(6)
+
+
+@pytest.fixture(scope="session")
+def pools(pool234, pool5, pool6):
+    """The pools of order 2 to 6 by order, the same instances as pool234,
+    pool5 and pool6, so tests share what each instance has memoized."""
+    by_order = {n: [] for n in range(2, 7)}
+    for s in [*pool234, *pool5, *pool6]:
+        by_order[s.n].append(s)
+    return {n: tuple(pool) for n, pool in by_order.items()}
+
+
+@pytest.fixture(scope="session")
 def corpus_entries():
     return list(corpus().values())
 

@@ -24,7 +24,6 @@ from sgideals.classify import (
     sandwiches,
 )
 from sgideals.corpus import (
-    all_monoids_with_zero,
     build_chain_x,
     build_delta,
     build_min_chain,
@@ -407,12 +406,12 @@ def test_brandt_monoid_zero_ideal_is_exceptional_prime():
 @pytest.mark.parametrize(
     "order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
 )
-def test_exceptional_primes_match_scans(order):
+def test_exceptional_primes_match_scans(pools, order):
     # no class below order 6 has a prime, not completely prime, two-sided
     # ideal, and two of the 1,101 order-6 classes do, so only the order-6
     # sweep tells the family apart from an empty one
     with_exceptional = 0
-    for s in all_monoids_with_zero(order):
+    for s in pools[order]:
         want = [
             m for m in ideals_bruteforce(s, "two-sided")
             if prime_scan(s, m) and not completely_prime_scan(s, m)

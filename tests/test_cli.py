@@ -242,7 +242,8 @@ def test_reports_deterministic_across_fresh_instances():
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Run the CLI's main in a fresh interpreter, then print the sgideals modules
-# it has loaded.
+# it has loaded, and dataclasses if loaded (it pulls in inspect, ast, dis and
+# tokenize).
 LOADED_PROBE = """
 import contextlib, io, json, sys
 import sgideals.cli
@@ -250,7 +251,8 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = sgideals.cli.main(sys.argv[1:])
     assert code == 0, code
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "sgideals")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "sgideals" or m == "dataclasses")))
 """
 
 
@@ -267,7 +269,7 @@ def _run_fresh(code: str, *argv: str) -> str:
 
 BASE = {"sgideals", "sgideals.core", "sgideals.ideals", "sgideals.cli"}
 ANALYSIS = {"sgideals.classify", "sgideals.localize", "sgideals.segments",
-            "sgideals.verdict"}
+            "sgideals.verdict", "dataclasses"}
 
 
 @pytest.mark.parametrize("argv, extra", [

@@ -289,16 +289,16 @@ def _own_blob(s: Semigroup) -> bytes:
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
-def test_canonical_form_matches_bruteforce_pool(order):
-    for i, s in enumerate(all_monoids_with_zero(order)):
+def test_canonical_form_matches_bruteforce_pool(pools, order):
+    for i, s in enumerate(pools[order]):
         for seed in range(3):
             t = shuffled(s, 1000 * order + 3 * i + seed)
             assert t.canonical_form() == canonical_form_bruteforce(t)
 
 
 @pytest.mark.slow
-def test_canonical_form_matches_bruteforce_order6():
-    for i, s in enumerate(all_monoids_with_zero(6)):
+def test_canonical_form_matches_bruteforce_order6(pool6):
+    for i, s in enumerate(pool6):
         t = shuffled(s, i)
         assert t.canonical_form() == canonical_form_bruteforce(t)
 
@@ -338,10 +338,10 @@ def test_canonical_form_matches_bruteforce_random_nilpotent():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_canonical_form_relabelling_invariant_on_pool(data):
+@given(data=st.data())
+def test_canonical_form_relabelling_invariant_on_pool(pools, data):
     order = data.draw(st.integers(2, 6))
-    s = data.draw(st.sampled_from(all_monoids_with_zero(order)))
+    s = data.draw(st.sampled_from(pools[order]))
     perm = data.draw(st.permutations(range(order)))
     assert s.relabel(perm).canonical_form() == s.canonical_form()
 
@@ -399,10 +399,10 @@ def test_cayley_roundtrip(ef4):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_cayley_roundtrip_on_relabelled_pool(data):
+@given(data=st.data())
+def test_cayley_roundtrip_on_relabelled_pool(pools, data):
     order = data.draw(st.integers(2, 6))
-    s = data.draw(st.sampled_from(all_monoids_with_zero(order)))
+    s = data.draw(st.sampled_from(pools[order]))
     s = s.relabel(data.draw(st.permutations(range(order))))
     assert parse_cayley(format_cayley(s)) == s
 

@@ -137,9 +137,8 @@ def test_enumeration_matches_first_seen_oracle(order):
 ORDER6_ROWS_SHA256 = "5936d3c70de313cef711141b417ce3004902b27306afcd2aa03c13fdcce3e1f5"
 
 
-def test_enumeration_rows_and_order_at_6():
-    pool = all_monoids_with_zero(6)
-    flat = bytes(v for s in pool for row in s.rows for v in row)
+def test_enumeration_rows_and_order_at_6(pool6):
+    flat = bytes(v for s in pool6 for row in s.rows for v in row)
     assert hashlib.sha256(flat).hexdigest() == ORDER6_ROWS_SHA256
 
 
@@ -161,14 +160,13 @@ def test_enumeration_completes_only_associative_tables(monkeypatch, order, class
     assert calls == classes
 
 
-def test_enumeration_complete_at_6():
+def test_enumeration_complete_at_6(pool6):
     # the count enumerate_monoids_with_zero(6) returns is pinned through
-    # `sgideals enumerate 6` in test_cli; the pool is cached for test_verify
-    pool = all_monoids_with_zero(6)
-    assert len(pool) == 1101
-    assert len({s.canonical_form() for s in pool}) == 1101
+    # `sgideals enumerate 6` in test_cli
+    assert len(pool6) == 1101
+    assert len({s.canonical_form() for s in pool6}) == 1101
     # orbit-stabilizer: the classes account for all 21,010 labelled tables
-    assert _labelled_count(pool, 6) == 21010
+    assert _labelled_count(pool6, 6) == 21010
 
 
 def test_enumeration_emits_valid_deduped(pool234):

@@ -9,9 +9,15 @@ runner are all pinned.  The order-6 digest covers the verdict reports of
 all 1,101 classes at the default cap; it was recorded before the comparizer
 test was rewritten around a table of bounds.  The demos are pinned by a
 sha256 of their standard output, recorded before principal ideals moved to
-ideals.principals.
+ideals.principals.  The standard output of `sgideals verify --enumerate N
+--json` is pinned byte for byte at orders 5 and 6, recorded when the
+command still collected its pool through its own enumerator sink; the
+order-6 digest is read back from that output, so the 1,101 reports are
+computed once.
 """
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -21,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from sgideals.cli import analysis_report, verdict_report
+from sgideals.cli import analysis_report, main, verdict_report
 from sgideals.core import Semigroup
 from sgideals.corpus import all_monoids_with_zero, corpus
 from sgideals.ideals import DEFAULT_CAP
@@ -32,6 +38,10 @@ GOLDEN = {
     "pools_cap4": "8f2a6db30c01fe95d36b2fe994748c147b86cc47318f64332e27931a17582607",
 }
 ORDER6 = "72c2720e02cc9f0e7854487713a84c96abd68153cfc850c3147f6e2f4399ec1b"
+VERIFY_ENUMERATE = {
+    5: "f4fc507298a88daccc40045f5e9e28dd588d41103ebe3acf7ff65a8cfb98393c",
+    6: "00f21fa5de495e2131cc7b15762eb8f512e2355f92466b309989f74698267583",
+}
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = {
     "01_build_and_validate.py": "74cbb35b0e3814289b3e0f7ea811d6316a354e280c842d8c1103bd94b714e4cb",
@@ -61,10 +71,10 @@ def _corpus_reports():
     return out
 
 
-def _pool_reports(cap: int, orders=range(2, 6)):
+def _pool_reports(cap: int):
     return [
         verdict_report(f"order{n}#{i}", _fresh(s), cap, None)
-        for n in orders
+        for n in range(2, 6)
         for i, s in enumerate(all_monoids_with_zero(n))
     ]
 
@@ -78,9 +88,47 @@ def test_golden_report_digest(part):
     assert _digest(payload) == GOLDEN[part]
 
 
+def _verify_enumerate_stdout(order: int) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--enumerate", str(order), "--json"]) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def order6_stdout():
+    return _verify_enumerate_stdout(6)
+
+
+def _printed_reports(stdout: str) -> list:
+    """The JSON reports `verify --json` prints, one after another."""
+    decoder = json.JSONDecoder()
+    text = stdout.split("\n", 1)[1]  # after the count line
+    reports, pos = [], 0
+    while pos < len(text):
+        report, pos = decoder.raw_decode(text, pos)
+        reports.append(report)
+        pos += 1  # the newline print adds
+    return reports
+
+
 @pytest.mark.slow
-def test_order6_verdict_digest():
-    assert _digest(_pool_reports(DEFAULT_CAP, (6,))) == ORDER6
+def test_order6_verdict_digest(order6_stdout):
+    # `verify --enumerate 6` prints verdict_report(f"order6#{i}", s, cap,
+    # None) for each fresh instance of the pool, at the default cap
+    reports = _printed_reports(order6_stdout)
+    assert [r["semigroup"] for r in reports] == [f"order6#{i}" for i in range(1101)]
+    assert _digest(reports) == ORDER6
+
+
+def test_verify_enumerate_json_bytes_5():
+    stdout = _verify_enumerate_stdout(5)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_ENUMERATE[5]
+
+
+@pytest.mark.slow
+def test_verify_enumerate_json_bytes_6(order6_stdout):
+    assert hashlib.sha256(order6_stdout.encode()).hexdigest() == VERIFY_ENUMERATE[6]
 
 
 def test_small_cap_exercises_every_runner_path():

@@ -185,9 +185,9 @@ def test_enumerate_ideals_frozen():
     ]
 
 
-def test_enumerate_matches_powerset_filter(pool234, corpus_entries):
+def test_enumerate_matches_powerset_filter(pool234, pool5, corpus_entries):
     small_corpus = [e.semigroup for e in corpus_entries if e.semigroup.n <= 7]
-    for s in pool234 + small_corpus:
+    for s in [*pool234, *pool5, *small_corpus]:
         for kind in IdealKind:
             assert list(enumerate_ideals(s, kind)) == ideals_bruteforce(s, kind.value)
 

@@ -15,7 +15,6 @@ from sgideals.localize import (
 )
 from sgideals.classify import PrimenessKind, is_mult_closed, prime_family
 from sgideals.corpus import (
-    all_monoids_with_zero,
     build_chain_x,
     build_delta,
     build_ef,
@@ -236,8 +235,8 @@ def test_ore_sweep_matches_bruteforce_relabelled_families(family, n):
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
-def test_lem31_matches_bruteforce(order):
-    for s in all_monoids_with_zero(order):
+def test_lem31_matches_bruteforce(pools, order):
+    for s in pools[order]:
         got = run_check(s, "Lem3.1")
         want = lem31_bruteforce(s)
         assert got.hypothesis_trace == (("subset_enumeration_feasible", True),)
@@ -276,5 +275,5 @@ def test_comparability_matches_bruteforce_relabelled_families(family, k):
 
 
 @pytest.mark.slow
-def test_comparability_matches_bruteforce_order6():
-    assert _assert_comparability_matches_bruteforce(all_monoids_with_zero(6)) > 0
+def test_comparability_matches_bruteforce_order6(pool6):
+    assert _assert_comparability_matches_bruteforce(pool6) > 0

@@ -1,3 +1,5 @@
+import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -118,6 +120,28 @@ def test_suite_total_on_pool(pool234):
                 assert v.witness is not None
 
 
+def _renamed(note, perm):
+    """note with each element list in it, such as Co3.9's P, renamed by perm."""
+    if note is None:
+        return None
+    return re.sub(r"\[([\d, ]*)\]", lambda m: str(sorted(
+        perm[int(x)] for x in m.group(1).split(", ") if x)), note)
+
+
+def test_suite_invariant_under_relabelling(pool234, corpus_entries):
+    # verdicts are about the isomorphism class: statuses and gate traces must
+    # not move when the elements are renamed, and notes only by the renaming
+    # (witnesses are the first found, so they may differ)
+    for seed, s in enumerate([*pool234, *(e.semigroup for e in corpus_entries)]):
+        perm = list(range(s.n))
+        random.Random(seed).shuffle(perm)
+        got = [(cid, v.status, v.hypothesis_trace, v.note)
+               for cid, v in run_suite(s.relabel(perm))]
+        want = [(cid, v.status, v.hypothesis_trace, _renamed(v.note, perm))
+                for cid, v in run_suite(s)]
+        assert got == want, s.rows
+
+
 def test_left_cancellative_monoids_have_unique_completely_prime(pool234):
     # a nonunit u in a finite left cancellative monoid has u^i == u^(i+p)
     # somewhere; off zero that cancels to u^p == 1, impossible, so every
@@ -150,10 +174,26 @@ def test_co39_separation_is_noted_not_failed():
     assert v.note and "separate" in v.note
 
 
-def test_search_converse_candidates_revalidate():
+# a left-cancellative monoid of order 7 whose one prime segment is
+# comparable and archimedean but not locally invariant
+ORDER7_ROWS = ["0000000", "0123456", "0200003", "0300002", "0400235", "0500234", "0623451"]
+ORDER7_TABLE = [[int(c) for c in r] for r in ORDER7_ROWS]
+
+
+def test_search_converse_candidates_revalidate(monkeypatch):
     from sgideals.segments import classify_segment, is_locally_invariant, prime_segments
 
-    found = search_converse_candidates(4)
+    # positive control: the pinned order-7 counterexample as the only pool
+    # member, so the revalidation below runs on a real hit
+    monkeypatch.setattr(verify, "all_monoids_with_zero", lambda order: (
+        (Semigroup(ORDER7_TABLE, one=1, zero=0),) if order == 7 else ()))
+    found = search_converse_candidates(7)
+    assert found == [{
+        "order": 7, "index": 0, "table": ORDER7_TABLE,
+        "segment": {"lower": [], "upper": [0, 2, 3, 4, 5], "bottom": True},
+    }]
+    monkeypatch.undo()
+    found += search_converse_candidates(4)
     for cand in found:
         s = Semigroup(cand["table"], one=1, zero=0)
         assert s.is_left_cancellative()
@@ -202,8 +242,7 @@ def test_order7_converse_of_lem410_fails():
     # that search_converse_candidates looks for fails at order 7
     from sgideals.segments import classify_segment, is_locally_invariant, prime_segments
 
-    rows = ["0000000", "0123456", "0200003", "0300002", "0400235", "0500234", "0623451"]
-    s = Semigroup([[int(c) for c in r] for r in rows], one=1, zero=0)
+    s = Semigroup(ORDER7_TABLE, one=1, zero=0)
     assert s.is_left_cancellative()
     assert mask_elems(s.units_mask()) == [1, 6]
     (seg,) = prime_segments(s)
