@@ -69,13 +69,9 @@ def is_semiprime(s: Semigroup, x: Mask) -> bool:
     """Nonempty, and aSa inside X forces a into X."""
     if x == 0:
         return False
-    rows = s.rows
-    for a in range(s.n):
-        if mask_contains(x, a):
-            continue
-        if all(mask_contains(x, rows[rows[a][m]][a]) for m in range(s.n)):
-            return False
-    return True
+    sw = sandwiches(s)
+    not_x = ~x
+    return not any(sw[a][a] & not_x == 0 for a in mask_elems(s.full & not_x))
 
 
 def is_completely_semiprime(s: Semigroup, x: Mask) -> bool:

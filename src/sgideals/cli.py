@@ -36,9 +36,10 @@ class SystemExit2(Exception):
 
 
 def _read_text(path: str) -> str:
-    """The file's text; an unreadable or undecodable file is an input error."""
+    """The file's text, less a leading byte-order mark; an unreadable or
+    undecodable file is an input error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read {path}: {exc}")

@@ -1,16 +1,17 @@
 """Registry of structural properties checked exhaustively on one semigroup.
 
 Every check returns a three-valued Verdict.  A check declares its hypotheses
-as data (requires=, a tuple of Gates); run_check evaluates each gate exactly
-as stated, records it in the trace, and runs the check's body only when all
-of them hold.  Quantified objects are swept in full (within the enumeration
-cap), and a failed conclusion always carries a minimal witness.  Checks
-never raise on a valid semigroup; a blown ideal cap turns into a vacuous
-verdict with reason "cap".
+as data (requires=, a tuple of Gates, and exists=, the Gate finding the
+objects it quantifies over); run_check evaluates each gate exactly as stated,
+records it in the trace, and runs the check's body only when all of them
+hold.  Quantified objects are swept in full (within the enumeration cap), and
+a failed conclusion always carries a minimal witness.  Checks never raise on
+a valid semigroup; a blown ideal cap turns into a vacuous verdict with reason
+"cap".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import Mask, Semigroup, is_subset, mask_elems, memoized
@@ -73,29 +74,32 @@ class UnknownCheck(KeyError):
 
 @dataclass(frozen=True)
 class Gate:
-    """A named hypothesis; test(s, cap) tells whether s satisfies it."""
+    """A named hypothesis; s satisfies it when test(s, cap) is truthy, so an
+    exists= gate may return the objects it found."""
 
     name: str
-    test: Callable[[Semigroup, int], bool]
+    test: Callable[[Semigroup, int], object]
 
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """A statement, the gates it requires, and a body that checks its
-    conclusion on a semigroup satisfying every gate."""
+    """A statement, its gates (requires=, then exists=) and a body that
+    checks its conclusion on a semigroup satisfying every gate."""
 
     id: str
     statement: str
     fn: Callable[[Semigroup, int], Verdict]
     requires: tuple[Gate, ...] = ()
+    exists: Gate | None = None
 
 
 CHECKS: dict[str, TheoremCheck] = {}
 
 
-def _register(check_id: str, statement: str, requires: tuple[Gate, ...] = ()):
+def _register(check_id: str, statement: str, requires: tuple[Gate, ...] = (),
+              exists: Gate | None = None):
     def deco(fn):
-        CHECKS[check_id.lower()] = TheoremCheck(check_id, statement, fn, requires)
+        CHECKS[check_id.lower()] = TheoremCheck(check_id, statement, fn, requires, exists)
         return fn
 
     return deco
@@ -113,13 +117,15 @@ def normalize_id(raw: str) -> str:
 
 
 def run_check(s: Semigroup, check_id: str, cap: int = DEFAULT_CAP) -> Verdict:
-    """Evaluate every gate the check requires, in order, and record each one;
-    vacuous if any failed, else the body's verdict after the gate trace."""
+    """Record every gate the check requires, in order, then its exists gate
+    if those held; vacuous if any failed, else the body's verdict after them."""
     check = CHECKS.get(check_id) or CHECKS.get(normalize_id(check_id))
     if check is None:
         raise UnknownCheck(f"no check named {check_id!r}")
     try:
-        gates = tuple([(gate.name, gate.test(s, cap)) for gate in check.requires])
+        gates = tuple([(gate.name, bool(gate.test(s, cap))) for gate in check.requires])
+        if check.exists and all([ok for _, ok in gates]):
+            gates += ((check.exists.name, bool(check.exists.test(s, cap))),)
         if not all([ok for _, ok in gates]):
             return vacuous(gates)
         verdict = check.fn(s, cap)
@@ -184,13 +190,6 @@ def _w(masks) -> list[list[int]]:
     if isinstance(masks, int):
         return mask_elems(masks)
     return [mask_elems(m) for m in masks]
-
-
-def _found(name: str, count: int) -> Verdict:
-    """The gate a sweep closes with: the statement is vacuous when the sweep
-    met none of the objects it quantifies over."""
-    trace = ((name, count > 0),)
-    return holds(trace) if count else vacuous(trace)
 
 
 LEFT_CANCELLATIVE = Gate("left_cancellative", lambda s, cap: s.is_left_cancellative())
@@ -454,19 +453,14 @@ def _lem26ii(s: Semigroup, cap: int) -> Verdict:
 
 @_register("Thm2.7.i", "a nilpotent comparizer radical lies inside the "
                        "completely prime radical",
-           requires=(COMPARIZER_RADICAL_NILPOTENT,))
+           requires=(COMPARIZER_RADICAL_NILPOTENT,),
+           exists=Gate("completely_prime_ideal_exists", lambda s, cap: (
+               "no_completely_prime_two_sided_ideal" not in radicals(s, cap).flags)))
 def _thm27i(s: Semigroup, cap: int) -> Verdict:
-    # a second gate, left in the body so that it is evaluated only after the
-    # declared one passed: radicals() may exceed the cap
-    rad = radicals(s, cap)
-    exists = "no_completely_prime_two_sided_ideal" not in rad.flags
-    trace = (("completely_prime_ideal_exists", exists),)
-    if not exists:
-        return vacuous(trace)
     c = comparizer_radical(s)
-    if not is_subset(c, rad.completely_prime_radical):
-        return discrepancy(trace, {"comparizer_radical": _w(c)})
-    return holds(trace)
+    if not is_subset(c, radicals(s, cap).completely_prime_radical):
+        return discrepancy((), {"comparizer_radical": _w(c)})
+    return holds()
 
 
 @_register("Thm2.7.ii", "a nonnilpotent comparizer radical contains the completely "
@@ -879,21 +873,23 @@ def _co312(s: Semigroup, cap: int) -> Verdict:
     return holds()
 
 
+def _comparable_associated(s: Semigroup, cap: int) -> list[tuple[Mask, Mask]]:
+    """The pairs (I, P) of a nonzero right ideal I and its associated prime P,
+    a completely prime right ideal with respect to which S is comparable."""
+    cp_right = prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT, cap)
+    return [(m, p0) for m, p0 in associated_primes(s, cap)
+            if m != s.zero_mask and p0 in cp_right and is_right_p_comparable(s, p0).holds]
+
+
 @_register("Thm3.13", "for a nonzero right ideal I under comparability with respect "
                       "to its associated prime and left cancellation: the associated "
                       "prime sits in the nonunits, I is an intersection of its "
                       "translates, a union of saturations, and a right waist",
-           requires=(LEFT_CANCELLATIVE,))
+           requires=(LEFT_CANCELLATIVE,),
+           exists=Gate("has_qualifying_right_ideal", _comparable_associated))
 def _thm313(s: Semigroup, cap: int) -> Verdict:
     j = s.nonunits_mask()
-    cp_right = prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT, cap)
-    count = 0
-    for m, p0 in associated_primes(s, cap):
-        if m == s.zero_mask:
-            continue
-        if p0 not in cp_right or not is_right_p_comparable(s, p0).holds:
-            continue
-        count += 1
+    for m, p0 in _comparable_associated(s, cap):
         outside = mask_elems(s.full & ~m)
         ip = _translate_intersection(s, outside, p0)
         sat = saturation_by_element(s, p0)
@@ -903,7 +899,7 @@ def _thm313(s: Semigroup, cap: int) -> Verdict:
         ok = is_subset(p0, j) and ip == m and union == m and is_waist(s, m)
         if not ok:
             return discrepancy((), {"ideal": _w(m), "associated": _w(p0)})
-    return _found("has_qualifying_right_ideal", count)
+    return holds()
 
 
 @_register("Lem3.14", "under comparability and left cancellation, translates a*Q of "
@@ -922,24 +918,27 @@ def _lem314(s: Semigroup, cap: int) -> Verdict:
     return holds()
 
 
+def _nonzero_tails(s: Semigroup, cap: int) -> list[tuple[Mask, int]]:
+    """The pairs (P, t) of a comparability ideal P and a t in P with no power
+    ideal t^k S zero: v lies in vS, so t is any non-nilpotent member."""
+    return [(p, t) for p in comparability_ideals(s, cap)
+            for t in mask_elems(p & ~s.nilpotent_elements())]
+
+
 @_register("Pr3.15", "power tails t^n S that never hit the zero ideal, for t inside "
                      "a comparability ideal under left cancellation, intersect to a "
                      "prime right waist, completely prime when two-sided",
-           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL),
+           exists=Gate("has_element_with_nonzero_power_tails", _nonzero_tails))
 def _pr315(s: Semigroup, cap: int) -> Verdict:
-    count = 0
-    for p in comparability_ideals(s, cap):
-        # v lies in vS, so every power ideal t^k S is nonzero exactly when
-        # t is not nilpotent
-        for t in mask_elems(p & ~s.nilpotent_elements()):
-            count += 1
-            q = tail_intersection(s, t)
-            good = is_prime(s, q) and is_waist(s, q)
-            if good and is_ideal(s, q, IdealKind.TWO_SIDED):
-                good = is_completely_prime(s, q)
-            if not good:
-                return discrepancy((), {"p": _w(p), "t": t, "tail": _w(q)})
-    return _found("has_element_with_nonzero_power_tails", count)
+    for p, t in _nonzero_tails(s, cap):
+        q = tail_intersection(s, t)
+        good = is_prime(s, q) and is_waist(s, q)
+        if good and is_ideal(s, q, IdealKind.TWO_SIDED):
+            good = is_completely_prime(s, q)
+        if not good:
+            return discrepancy((), {"p": _w(p), "t": t, "tail": _w(q)})
+    return holds()
 
 
 # ---------------------------------------------------------------------------
@@ -948,10 +947,10 @@ def _pr315(s: Semigroup, cap: int) -> Verdict:
 
 @_register("Lem4.4", "an exceptional prime inside a comparability ideal has a "
                      "unique idempotent waist ideal minimal over it",
-           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL),
+           exists=Gate("has_exceptional_prime", _exceptional_pairs))
 def _lem44(s: Semigroup, cap: int) -> Verdict:
-    pairs = _exceptional_pairs(s, cap)
-    for _p, q in pairs:
+    for _p, q in _exceptional_pairs(s, cap):
         d = pairing_ideal(s, q, cap)
         if d is None:
             return discrepancy((), {"q": _w(q), "fails": "no waist ideal above"})
@@ -964,35 +963,42 @@ def _lem44(s: Semigroup, cap: int) -> Verdict:
         )
         if not ok:
             return discrepancy((), {"q": _w(q), "d": _w(d)})
-    return _found("has_exceptional_prime", len(pairs))
+    return holds()
+
+
+def _paired_exceptionals(s: Semigroup, cap: int) -> list[tuple[Mask, Mask]]:
+    """The exceptional primes Q of _exceptional_pairs that have a pairing
+    ideal D, as pairs (Q, D)."""
+    pairs = [(q, pairing_ideal(s, q, cap)) for _p, q in _exceptional_pairs(s, cap)]
+    return [(q, d) for q, d in pairs if d is not None]
 
 
 @_register("Lem4.5", "the pairing ideal of an exceptional prime contains an element "
                      "whose power tail intersection strictly exceeds the prime",
-           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL))
+           requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL),
+           exists=Gate("has_exceptional_prime", _paired_exceptionals))
 def _lem45(s: Semigroup, cap: int) -> Verdict:
-    count = 0
-    for _p, q in _exceptional_pairs(s, cap):
-        d = pairing_ideal(s, q, cap)
-        if d is None:
-            continue
-        count += 1
+    for q, d in _paired_exceptionals(s, cap):
         if has_non_nilpotent_over(s, d, q) is None:
             return discrepancy((), {"q": _w(q), "d": _w(d)})
-    return _found("has_exceptional_prime", count)
+    return holds()
 
 
-def _alpha_family(s: Semigroup, cap: int, p: Mask) -> list[Mask]:
-    semi = prime_family(s, PrimenessKind.SEMIPRIME, IdealKind.TWO_SIDED, cap)
-    return [m for m in semi if m != p and is_subset(m, p)]
+def _alpha_families(s: Semigroup, cap: int, kind: PrimenessKind = PrimenessKind.SEMIPRIME):
+    """The pairs (P, A) of a comparability ideal P and the nonempty list A,
+    in family order, of the two-sided ideals of the kind strictly inside P."""
+    fam = prime_family(s, kind, IdealKind.TWO_SIDED, cap)
+    pairs = [(p, [m for m in fam if m != p and is_subset(m, p)])
+             for p in comparability_ideals(s, cap)]
+    return [(p, alpha) for p, alpha in pairs if alpha]
 
 
 @_register("Lem4.6.i", "semiprime two-sided ideals strictly below a comparability "
                        "ideal form a chain",
            requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem46i(s: Semigroup, cap: int) -> Verdict:
-    for p in comparability_ideals(s, cap):
-        pair = _incomparable_pair(_alpha_family(s, cap, p))
+    for p, alpha in _alpha_families(s, cap):
+        pair = _incomparable_pair(alpha)
         if pair:
             return discrepancy((), {"p": _w(p), "pair": _w(pair)})
     return holds()
@@ -1001,59 +1007,52 @@ def _lem46i(s: Semigroup, cap: int) -> Verdict:
 @_register("Lem4.6.ii", "that family is closed under union and intersection",
            requires=(HAS_COMPARABILITY_IDEAL,))
 def _lem46ii(s: Semigroup, cap: int) -> Verdict:
-    for p in comparability_ideals(s, cap):
-        alpha = set(_alpha_family(s, cap, p))
+    for p, alpha in _alpha_families(s, cap):
+        members = set(alpha)
         for a in alpha:
             for b in alpha:
-                if (a | b) not in alpha or (a & b) not in alpha:
+                if (a | b) not in members or (a & b) not in members:
                     return discrepancy((), {"p": _w(p), "pair": [_w(a), _w(b)]})
     return holds()
 
 
 @_register("Lem4.6.iii", "when nonempty, that family has a least member",
-           requires=(HAS_COMPARABILITY_IDEAL,))
+           requires=(HAS_COMPARABILITY_IDEAL,),
+           exists=Gate("has_semiprime_below", _alpha_families))
 def _lem46iii(s: Semigroup, cap: int) -> Verdict:
-    count = 0
-    for p in comparability_ideals(s, cap):
-        alpha = _alpha_family(s, cap, p)
-        if not alpha:
-            continue
-        count += 1
+    for p, alpha in _alpha_families(s, cap):
         low = s.full
         for m in alpha:
             low &= m
         if low not in alpha:
             return discrepancy((), {"p": _w(p), "meet": _w(low)})
-    return _found("has_semiprime_below", count)
+    return holds()
 
 
 @_register("Lem4.6.iv", "every completely semiprime ideal strictly below a "
                         "comparability ideal sits inside a completely prime ideal "
                         "that forms a prime segment with it",
-           requires=(HAS_COMPARABILITY_IDEAL,))
+           requires=(HAS_COMPARABILITY_IDEAL,),
+           exists=Gate("has_completely_semiprime_below", lambda s, cap: _alpha_families(
+               s, cap, PrimenessKind.COMPLETELY_SEMIPRIME)))
 def _lem46iv(s: Semigroup, cap: int) -> Verdict:
-    count = 0
-    semi = prime_family(s, PrimenessKind.COMPLETELY_SEMIPRIME, IdealKind.TWO_SIDED, cap)
-    for p in comparability_ideals(s, cap):
+    for p, alpha in _alpha_families(s, cap, PrimenessKind.COMPLETELY_SEMIPRIME):
         covers = [g.lower for g in prime_segments(s, cap) if g.upper == p and not g.bottom]
-        for m in semi:
-            if m == p or not is_subset(m, p):
-                continue
-            count += 1
+        for m in alpha:
             if not any(is_subset(m, p0) for p0 in covers):
                 return discrepancy((), {"p": _w(p), "ideal": _w(m)})
-    return _found("has_completely_semiprime_below", count)
+    return holds()
 
 
 @_register("Thm4.8", "prime segments under comparability and left cancellation "
                      "classify as archimedean, simple or exceptional, with the "
                      "lower ideal recovered as the power intersection of the "
                      "exceptional prime",
-           requires=(LEFT_CANCELLATIVE,))
+           requires=(LEFT_CANCELLATIVE,),
+           exists=Gate("has_comparable_segment", _comparable_segments))
 def _thm48(s: Semigroup, cap: int) -> Verdict:
-    segs = _comparable_segments(s, cap)
     overlaps = 0
-    for seg in segs:
+    for seg in _comparable_segments(s, cap):
         cls = classify_segment(s, seg, cap)
         if cls.overlap:
             overlaps += 1
@@ -1065,27 +1064,25 @@ def _thm48(s: Semigroup, cap: int) -> Verdict:
             if intersect_powers(s, cls.q) != base:
                 return discrepancy((), {"segment": seg.to_dict(),
                                         "q": _w(cls.q)})
-    verdict = _found("has_comparable_segment", len(segs))
-    if overlaps:
-        verdict = replace(verdict, note=(
-            f"{overlaps} segment(s) satisfy more than one branch definition; "
-            "the label follows the case order of the classification argument"))
-    return verdict
+    note = (f"{overlaps} segment(s) satisfy more than one branch definition; "
+            "the label follows the case order of the classification argument")
+    return holds(note=note if overlaps else None)
+
+
+def _invariant_segments(s: Semigroup, cap: int) -> list[PrimeSegment]:
+    """The comparable prime segments that are locally invariant."""
+    return [seg for seg in _comparable_segments(s, cap) if is_locally_invariant(s, seg)]
 
 
 @_register("Lem4.10", "locally invariant prime segments under comparability and "
                       "left cancellation satisfy the archimedean branch",
-           requires=(LEFT_CANCELLATIVE,))
+           requires=(LEFT_CANCELLATIVE,),
+           exists=Gate("has_locally_invariant_comparable_segment", _invariant_segments))
 def _lem410(s: Semigroup, cap: int) -> Verdict:
-    count = 0
-    for seg in _comparable_segments(s, cap):
-        if not is_locally_invariant(s, seg):
-            continue
-        count += 1
-        cls = classify_segment(s, seg, cap)
-        if not cls.branches[ARCHIMEDEAN]:
+    for seg in _invariant_segments(s, cap):
+        if not classify_segment(s, seg, cap).branches[ARCHIMEDEAN]:
             return discrepancy((), {"segment": seg.to_dict()})
-    return _found("has_locally_invariant_comparable_segment", count)
+    return holds()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from sgideals.classify import (
     is_right_chain,
     is_right_comparizer,
     is_right_waist,
+    is_semiprime,
     is_strongly_comparizer,
     is_waist,
     prime_family,
@@ -105,13 +106,15 @@ def test_primeness_matches_scans(pool234):
 
 
 def test_prime_total(pool234, pool5):
-    # any mask, not only ideals; on the full carrier prime_scan answers
-    # False while is_prime holds vacuously (no pair lies outside).  Order 5
-    # is the first where testing only the pairs a <= b goes wrong
+    # any mask, not only ideals; on the full carrier the scans answer False
+    # while is_prime and is_semiprime hold vacuously (no element lies
+    # outside).  Order 5 is the first where testing only the pairs a <= b
+    # goes wrong
     for s in [*pool234, *pool5]:
         for x in range(s.full):
             assert is_prime(s, x) == prime_scan(s, x)
-        assert is_prime(s, s.full)
+            assert is_semiprime(s, x) == semiprime_scan(s, x)
+        assert is_prime(s, s.full) and is_semiprime(s, s.full)
 
 
 def test_sandwiches_match_scan(pool234):

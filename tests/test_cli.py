@@ -28,6 +28,15 @@ def test_validate_roundtrip(tmp_path, capsys):
     assert code == 0 and "valid" in out
 
 
+def test_validate_accepts_byte_order_mark(tmp_path, capsys):
+    # editors on some platforms save UTF-8 with a leading BOM
+    _, out, _ = run_cli(capsys, "corpus", "dump", "ef4")
+    path = tmp_path / "ef4.cay"
+    path.write_bytes(b"\xef\xbb\xbf" + out.encode())
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0 and "valid" in out
+
+
 def test_validate_broken_associativity(tmp_path, capsys):
     path = tmp_path / "bad.cay"
     path.write_text("4 1 0\n0 0 0 0\n0 1 2 3\n0 2 3 3\n0 3 3 2\n")

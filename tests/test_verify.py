@@ -120,6 +120,19 @@ def test_suite_total_on_pool(pool234):
                 assert v.witness is not None
 
 
+@pytest.mark.parametrize("cap", [DEFAULT_CAP, 4])
+def test_traces_name_declared_gates(pool234, pool5, corpus_entries, cap):
+    # run_check writes every trace: each entry is a gate the check declares,
+    # or the cap that stopped it
+    by_id = {c.id: c for c in CHECKS.values()}
+    for s in [*pool234, *pool5, *(e.semigroup for e in corpus_entries)]:
+        for cid, v in run_suite(s, cap):
+            check = by_id[cid]
+            declared = {g.name for g in (*check.requires, check.exists) if g}
+            for name, _ in v.hypothesis_trace:
+                assert name in declared | {"cap_not_exceeded"}, (cid, name, s.rows)
+
+
 def _renamed(note, perm):
     """note with each element list in it, such as Co3.9's P, renamed by perm."""
     if note is None:
@@ -364,4 +377,8 @@ def test_lem46_flags_incomparable_semiprimes(monkeypatch, cid):
     assert verify.comparability_ideals(s) == (mask_of([0, 2, 3]),)
     assert run_check(s, cid).status != "discrepancy"
     _patch_two_sided_family(monkeypatch, PrimenessKind.SEMIPRIME, mask_of([0, 2]), mask_of([0, 3]))
-    assert run_check(Semigroup(table, one=1, zero=0), cid).status == "discrepancy"
+    v = run_check(Semigroup(table, one=1, zero=0), cid)
+    assert v.status == "discrepancy"
+    if cid != "Lem4.6.iii":
+        # both sweep the family in its order, so they name the same pair
+        assert v.witness["pair"] == [[0, 2], [0, 3]]
