@@ -1,8 +1,8 @@
 """Primeness predicates, waists, comparizer ideals, and the radicals."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized
 from .ideals import (
@@ -242,8 +242,7 @@ def is_right_chain(s: Semigroup) -> bool:
 # -- radicals -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadicalReport:
+class RadicalReport(NamedTuple):
     """The classical radicals of a finite monoid with zero.
 
     prime_radical            intersection of all prime two-sided ideals
@@ -264,7 +263,6 @@ class RadicalReport:
     nilpotent_elements: Mask
     comparizer: Mask
     nonunits: Mask
-    flags: tuple[str, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -276,7 +274,8 @@ class RadicalReport:
             "nilpotent_elements": mask_elems(self.nilpotent_elements),
             "comparizer": mask_elems(self.comparizer),
             "nonunits": mask_elems(self.nonunits),
-            "flags": list(self.flags),
+            # report schema 1 carries the key; radicals never raises a flag
+            "flags": [],
         }
 
 
@@ -284,33 +283,19 @@ class RadicalReport:
 def radicals(s: Semigroup, cap: int = DEFAULT_CAP) -> RadicalReport:
     """Compute all radicals by enumerate-and-filter over two-sided ideals.
 
-    Empty intersections are reported as the whole carrier together with an
-    explanatory flag instead of raising; for finite monoids with zero both
-    prime and completely prime ideals always exist, so the flags are a
-    safety valve rather than an expected path.
+    Every family intersected here is nonempty: the nonunits form a proper
+    completely prime two-sided ideal, hence also a prime one and a prime
+    right ideal.
     """
-    flags: list[str] = []
-    primes = prime_family(s, PrimenessKind.PRIME, IdealKind.TWO_SIDED, cap)
     beta = s.full
-    if primes:
-        for m in primes:
-            beta &= m
-    else:
-        flags.append("no_prime_two_sided_ideal")
-    primes_r = prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap)
+    for m in prime_family(s, PrimenessKind.PRIME, IdealKind.TWO_SIDED, cap):
+        beta &= m
     beta_r = s.full
-    if primes_r:
-        for m in primes_r:
-            beta_r &= m
-    else:
-        flags.append("no_prime_right_ideal")
-    cps = prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED, cap)
+    for m in prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap):
+        beta_r &= m
     nrad = s.full
-    if cps:
-        for m in cps:
-            nrad &= m
-    else:
-        flags.append("no_completely_prime_two_sided_ideal")
+    for m in prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED, cap):
+        nrad &= m
 
     nil_union = 0
     nilpotent_union = 0
@@ -319,10 +304,6 @@ def radicals(s: Semigroup, cap: int = DEFAULT_CAP) -> RadicalReport:
             nil_union |= m
         if is_nilpotent_ideal(s, m):
             nilpotent_union |= m
-    if not is_nil_set(s, nil_union):
-        # the union of nil ideals need not be nil in an arbitrary finite
-        # monoid; record the failure instead of asserting largest-ness
-        flags.append("nil_union_not_nil")
 
     return RadicalReport(
         prime_radical=beta,
@@ -333,7 +314,6 @@ def radicals(s: Semigroup, cap: int = DEFAULT_CAP) -> RadicalReport:
         nilpotent_elements=s.nilpotent_elements(),
         comparizer=comparizer_radical(s),
         nonunits=s.nonunits_mask(),
-        flags=tuple(flags),
     )
 
 

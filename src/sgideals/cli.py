@@ -127,8 +127,6 @@ def _print_analysis(report: dict) -> None:
     print("radicals:")
     for key, val in report["radicals"].items():
         if key == "flags":
-            if val:
-                print(f"  flags: {', '.join(val)}")
             continue
         print(f"  {key:28s} {_render_set(val, names)}")
     print("comparability:")

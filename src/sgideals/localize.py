@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, mask_of, memoized
 from .classify import is_completely_prime, is_mult_closed, is_waist
 from .ideals import IdealKind, ideal_closure, is_ideal
-from .verdict import Verdict, discrepancy, holds, vacuous
+from .verdict import DISCREPANCY, HOLDS, Verdict, vacuous
 
 
 class NotCompletelyPrime(ValueError):
@@ -172,8 +172,7 @@ def _validate_cp_right(s: Semigroup, p_mask: Mask) -> None:
         raise NotCompletelyPrime("P must be a proper completely prime right ideal")
 
 
-@dataclass(frozen=True)
-class ComparabilityReport:
+class ComparabilityReport(NamedTuple):
     """Result of the pairwise comparability analysis for a fixed P.
 
     holds is the three-way pairwise condition itself; conditions carries the
@@ -293,7 +292,7 @@ def nested_saturation_inclusion_check(s: Semigroup) -> Verdict:
     expected to produce a discrepancy with a small witness on most inputs.
     It is not part of the registered suite.
     """
-    trace = [("subset_enumeration_feasible", s.n <= NESTED_SWEEP_MAX_ORDER)]
+    trace = (("subset_enumeration_feasible", s.n <= NESTED_SWEEP_MAX_ORDER),)
     if s.n > NESTED_SWEEP_MAX_ORDER:
         return vacuous(trace, note="carrier too large to enumerate subsets")
     closed = [t for t in range(1 << s.n) if is_mult_closed(s, t)]
@@ -304,9 +303,10 @@ def nested_saturation_inclusion_check(s: Semigroup) -> Verdict:
             for a in range(s.n):
                 a_s = s.right_principal(a)
                 if not is_subset(saturate(s, a_s, t2), saturate(s, a_s, t1)):
-                    return discrepancy(
+                    return Verdict(
+                        DISCREPANCY,
                         trace,
                         {"t_small": mask_elems(t1), "t_large": mask_elems(t2), "a": a},
-                        note="monotone direction holds instead",
+                        "monotone direction holds instead",
                     )
-    return holds(trace)
+    return Verdict(HOLDS, trace)

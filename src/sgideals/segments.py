@@ -1,7 +1,7 @@
 """Completely prime spectrum, prime segments, and their classification."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized, popcount
 from .classify import (
@@ -25,8 +25,7 @@ EXCEPTIONAL = "exceptional"
 NONE = "none"
 
 
-@dataclass(frozen=True)
-class PrimeSegment:
+class PrimeSegment(NamedTuple):
     """A covering pair of the completely prime spectrum.
 
     lower == 0 with bottom=True marks the segment below a minimal completely
@@ -45,13 +44,12 @@ class PrimeSegment:
         }
 
 
-@dataclass(frozen=True)
-class SegmentClass:
+class SegmentClass(NamedTuple):
     label: str
     branches: dict
-    q: Mask | None = None
-    witnesses: dict = field(default_factory=dict)
-    overlap: bool = False
+    q: Mask | None
+    witnesses: dict
+    overlap: bool
 
     def to_dict(self) -> dict:
         witnesses = {

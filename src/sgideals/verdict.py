@@ -6,16 +6,14 @@ Vacuous (some hypothesis failed, named in the trace), or is a Discrepancy
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 HOLDS = "holds"
 VACUOUS = "vacuous"
 DISCREPANCY = "discrepancy"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     hypothesis_trace: tuple[tuple[str, bool], ...] = ()
     witness: Any = None
@@ -30,8 +28,8 @@ class Verdict:
         }
 
 
-def holds(trace=(), note=None) -> Verdict:
-    return Verdict(HOLDS, tuple(trace), None, note)
+def holds(note=None) -> Verdict:
+    return Verdict(HOLDS, note=note)
 
 
 def vacuous(trace, note=None) -> Verdict:
@@ -41,7 +39,7 @@ def vacuous(trace, note=None) -> Verdict:
     return v
 
 
-def discrepancy(trace, witness, note=None) -> Verdict:
+def discrepancy(witness) -> Verdict:
     if witness is None:
         raise ValueError("a discrepancy must carry a witness")
-    return Verdict(DISCREPANCY, tuple(trace), witness, note)
+    return Verdict(DISCREPANCY, witness=witness)

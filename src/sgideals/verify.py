@@ -11,8 +11,7 @@ a valid semigroup; a blown ideal cap turns into a vacuous verdict with reason
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import Mask, Semigroup, is_subset, mask_elems, memoized
 from .classify import (
@@ -72,8 +71,7 @@ class UnknownCheck(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """A named hypothesis; s satisfies it when test(s, cap) is truthy, so an
     exists= gate may return the objects it found."""
 
@@ -81,8 +79,7 @@ class Gate:
     test: Callable[[Semigroup, int], object]
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """A statement, its gates (requires=, then exists=) and a body that
     checks its conclusion on a semigroup satisfying every gate."""
 
@@ -118,7 +115,8 @@ def normalize_id(raw: str) -> str:
 
 def run_check(s: Semigroup, check_id: str, cap: int = DEFAULT_CAP) -> Verdict:
     """Record every gate the check requires, in order, then its exists gate
-    if those held; vacuous if any failed, else the body's verdict after them."""
+    if those held; vacuous if any failed, else the body's verdict with them
+    as its trace."""
     check = CHECKS.get(check_id) or CHECKS.get(normalize_id(check_id))
     if check is None:
         raise UnknownCheck(f"no check named {check_id!r}")
@@ -131,10 +129,7 @@ def run_check(s: Semigroup, check_id: str, cap: int = DEFAULT_CAP) -> Verdict:
         verdict = check.fn(s, cap)
     except CapExceeded:
         return vacuous((("cap_not_exceeded", False),), note="cap")
-    if not gates:
-        return verdict
-    return Verdict(verdict.status, gates + verdict.hypothesis_trace,
-                   verdict.witness, verdict.note)
+    return verdict._replace(hypothesis_trace=gates)
 
 
 def run_suite(s: Semigroup, cap: int = DEFAULT_CAP) -> list[tuple[str, Verdict]]:
@@ -218,7 +213,7 @@ SUBSET_ENUMERATION_FEASIBLE = Gate("subset_enumeration_feasible", lambda s, cap:
 def _lem21i(s: Semigroup, cap: int) -> Verdict:
     if is_comparizer(s, s.zero_mask):
         return holds()
-    return discrepancy((), {"ideal": _w(s.zero_mask)})
+    return discrepancy({"ideal": _w(s.zero_mask)})
 
 
 @_register("Lem2.1.ii", "unions of right comparizer ideals are right comparizers")
@@ -229,9 +224,9 @@ def _lem21ii(s: Semigroup, cap: int) -> Verdict:
         total |= a
         for b in comps[i + 1:]:
             if not is_comparizer(s, a | b):
-                return discrepancy((), {"left": _w(a), "right": _w(b)})
+                return discrepancy({"left": _w(a), "right": _w(b)})
     if comps and not is_comparizer(s, total):
-        return discrepancy((), {"union_of_all": _w(total)})
+        return discrepancy({"union_of_all": _w(total)})
     return holds()
 
 
@@ -240,7 +235,7 @@ def _lem21iii(s: Semigroup, cap: int) -> Verdict:
     big = comparizer_radical(s)
     for m in enumerate_ideals(s, IdealKind.RIGHT, cap):
         if is_subset(m, big) and not is_comparizer(s, m):
-            return discrepancy((), {"ideal": _w(m)})
+            return discrepancy({"ideal": _w(m)})
     return holds()
 
 
@@ -252,7 +247,7 @@ def _lem22i(s: Semigroup, cap: int) -> Verdict:
         trans = s.translates(m)
         for a in mask_elems(s.full & ~m):
             if trans[a] != m:
-                return discrepancy((), {"ideal": _w(m), "a": a})
+                return discrepancy({"ideal": _w(m), "a": a})
     return holds()
 
 
@@ -263,7 +258,7 @@ def _lem22ii(s: Semigroup, cap: int) -> Verdict:
         trans = s.translates(p)
         translate = all(trans[a] == p for a in mask_elems(s.full & ~p))
         if is_waist(s, p) != translate:
-            return discrepancy((), {"ideal": _w(p), "translates": translate})
+            return discrepancy({"ideal": _w(p), "translates": translate})
     return holds()
 
 
@@ -272,11 +267,11 @@ def _lem22ii(s: Semigroup, cap: int) -> Verdict:
 def _pr23i(s: Semigroup, cap: int) -> Verdict:
     j = s.nonunits_mask()
     if not is_ideal(s, j, IdealKind.TWO_SIDED):
-        return discrepancy((), {"nonunits": _w(j)})
+        return discrepancy({"nonunits": _w(j)})
     for kind in (IdealKind.RIGHT, IdealKind.LEFT):
         for m in enumerate_ideals(s, kind, cap):
             if is_subset(j, m) and m not in (j, s.full):
-                return discrepancy((), {"between": _w(m), "kind": kind.value})
+                return discrepancy({"between": _w(m), "kind": kind.value})
     return holds()
 
 
@@ -285,7 +280,7 @@ def _pr23i(s: Semigroup, cap: int) -> Verdict:
 def _pr23ii(s: Semigroup, cap: int) -> Verdict:
     j = s.nonunits_mask()
     ok = is_ideal(s, j, IdealKind.TWO_SIDED) and is_completely_prime(s, j)
-    return holds() if ok else discrepancy((), {"nonunits": _w(j)})
+    return holds() if ok else discrepancy({"nonunits": _w(j)})
 
 
 def _proper_union(s: Semigroup, cap: int, kind: IdealKind) -> Mask:
@@ -301,7 +296,7 @@ def _proper_union(s: Semigroup, cap: int, kind: IdealKind) -> Mask:
 def _pr23iii(s: Semigroup, cap: int) -> Verdict:
     u = _proper_union(s, cap, IdealKind.RIGHT)
     if u != s.nonunits_mask():
-        return discrepancy((), {"union": _w(u)})
+        return discrepancy({"union": _w(u)})
     return holds()
 
 
@@ -310,7 +305,7 @@ def _pr23iii(s: Semigroup, cap: int) -> Verdict:
 def _pr23iv(s: Semigroup, cap: int) -> Verdict:
     u = _proper_union(s, cap, IdealKind.LEFT)
     if u != s.nonunits_mask():
-        return discrepancy((), {"union": _w(u)})
+        return discrepancy({"union": _w(u)})
     return holds()
 
 
@@ -323,7 +318,7 @@ def _two_sided_comparizers(s: Semigroup, cap: int) -> list[Mask]:
 def _thm24i(s: Semigroup, cap: int) -> Verdict:
     for m in _nonempty_proper(s, comparizer_ideals(s, cap)):
         if s.product(m, m) == m and not is_waist(s, m):
-            return discrepancy((), {"ideal": _w(m)})
+            return discrepancy({"ideal": _w(m)})
     return holds()
 
 
@@ -337,7 +332,7 @@ def _thm24ii(s: Semigroup, cap: int) -> Verdict:
             continue
         for a, a_m in enumerate(s.translates(m)):
             if a_m not in waists:
-                return discrepancy((), {"ideal": _w(m), "a": a})
+                return discrepancy({"ideal": _w(m), "a": a})
     return holds()
 
 
@@ -352,10 +347,10 @@ def _thm24iii(s: Semigroup, cap: int) -> Verdict:
     for i_mask in _nonempty_proper(s, comparizer_ideals(s, cap)):
         for p in primes:
             if not is_subset(i_mask, p) and not (p in waists and is_subset(p, i_mask)):
-                return discrepancy((), {"comparizer": _w(i_mask), "prime": _w(p)})
+                return discrepancy({"comparizer": _w(i_mask), "prime": _w(p)})
         pair = _incomparable_pair([p for p in primes if is_subset(p, i_mask)])
         if pair:
-            return discrepancy((), {"comparizer": _w(i_mask), "pair": _w(pair)})
+            return discrepancy({"comparizer": _w(i_mask), "pair": _w(pair)})
     return holds()
 
 
@@ -368,7 +363,7 @@ def _thm24iv(s: Semigroup, cap: int) -> Verdict:
             continue
         core = intersect_powers(s, m)
         if not is_completely_prime(s, core):
-            return discrepancy((), {"ideal": _w(m), "core": _w(core)})
+            return discrepancy({"ideal": _w(m), "core": _w(core)})
     return holds()
 
 
@@ -380,7 +375,7 @@ def _thm24v(s: Semigroup, cap: int) -> Verdict:
         if s.product(m, m) != m or is_nilpotent_ideal(s, m):
             continue
         if not is_completely_prime(s, m):
-            return discrepancy((), {"ideal": _w(m)})
+            return discrepancy({"ideal": _w(m)})
     return holds()
 
 
@@ -394,7 +389,7 @@ def _lem25i(s: Semigroup, cap: int) -> Verdict:
             if not is_subset(c, w):
                 continue
             if is_comparizer(s, c, w) != (c in comps):
-                return discrepancy((), {"waist": _w(w), "ideal": _w(c)})
+                return discrepancy({"waist": _w(w), "ideal": _w(c)})
     return holds()
 
 
@@ -404,7 +399,7 @@ def _lem25ii(s: Semigroup, cap: int) -> Verdict:
     for w in right_waists(s, cap):
         c = w & right_annihilator(s, w)
         if not is_comparizer(s, c):
-            return discrepancy((), {"waist": _w(w), "ideal": _w(c)})
+            return discrepancy({"waist": _w(w), "ideal": _w(c)})
     return holds()
 
 
@@ -423,7 +418,7 @@ def _lem25iii(s: Semigroup, cap: int) -> Verdict:
             continue
         prev = seq[index - 2]
         if not is_comparizer(s, prev):
-            return discrepancy((), {"waist": _w(w), "power": index - 1})
+            return discrepancy({"waist": _w(w), "power": index - 1})
     return holds()
 
 
@@ -435,7 +430,7 @@ def _lem26i(s: Semigroup, cap: int) -> Verdict:
         union |= m
     c = comparizer_radical(s)
     if c != union:
-        return discrepancy((), {"elementwise": _w(c), "union": _w(union)})
+        return discrepancy({"elementwise": _w(c), "union": _w(union)})
     return holds()
 
 
@@ -443,7 +438,7 @@ def _lem26i(s: Semigroup, cap: int) -> Verdict:
                         "radical is the whole carrier")
 def _lem26ii(s: Semigroup, cap: int) -> Verdict:
     if is_right_chain(s) != (comparizer_radical(s) == s.full):
-        return discrepancy((), {"comparizer_radical": _w(comparizer_radical(s))})
+        return discrepancy({"comparizer_radical": _w(comparizer_radical(s))})
     return holds()
 
 
@@ -454,12 +449,12 @@ def _lem26ii(s: Semigroup, cap: int) -> Verdict:
 @_register("Thm2.7.i", "a nilpotent comparizer radical lies inside the "
                        "completely prime radical",
            requires=(COMPARIZER_RADICAL_NILPOTENT,),
-           exists=Gate("completely_prime_ideal_exists", lambda s, cap: (
-               "no_completely_prime_two_sided_ideal" not in radicals(s, cap).flags)))
+           exists=Gate("completely_prime_ideal_exists",
+                       lambda s, cap: completely_prime_spectrum(s, cap)))
 def _thm27i(s: Semigroup, cap: int) -> Verdict:
     c = comparizer_radical(s)
     if not is_subset(c, radicals(s, cap).completely_prime_radical):
-        return discrepancy((), {"comparizer_radical": _w(c)})
+        return discrepancy({"comparizer_radical": _w(c)})
     return holds()
 
 
@@ -471,7 +466,7 @@ def _thm27ii(s: Semigroup, cap: int) -> Verdict:
     nrad = radicals(s, cap).completely_prime_radical
     ok = is_subset(nrad, c) and is_completely_prime(s, nrad) and is_waist(s, nrad)
     if not ok:
-        return discrepancy((), {"completely_prime_radical": _w(nrad)})
+        return discrepancy({"completely_prime_radical": _w(nrad)})
     return holds()
 
 
@@ -481,7 +476,7 @@ def _thm27ii(s: Semigroup, cap: int) -> Verdict:
 def _thm27iii(s: Semigroup, cap: int) -> Verdict:
     beta = radicals(s, cap).prime_radical
     if not (is_prime(s, beta) and is_waist(s, beta)):
-        return discrepancy((), {"prime_radical": _w(beta)})
+        return discrepancy({"prime_radical": _w(beta)})
     return holds()
 
 
@@ -495,7 +490,7 @@ def _thm28i(s: Semigroup, cap: int) -> Verdict:
     for a, a_n in enumerate(s.translates(nrad)):
         for t in nilp:
             if not is_subset(s.left_mul(t, a_n), a_n):
-                return discrepancy((), {"t": t, "a": a})
+                return discrepancy({"t": t, "a": a})
     return holds()
 
 
@@ -506,7 +501,7 @@ def _thm28i(s: Semigroup, cap: int) -> Verdict:
 def _thm28ii(s: Semigroup, cap: int) -> Verdict:
     t_mask = s.nilpotent_elements()
     if not is_subset(s.product(t_mask, t_mask), t_mask):
-        return discrepancy((), {"nilpotents": _w(t_mask)})
+        return discrepancy({"nilpotents": _w(t_mask)})
     for t in mask_elems(t_mask):
         gen = (
             (1 << t)
@@ -515,7 +510,7 @@ def _thm28ii(s: Semigroup, cap: int) -> Verdict:
             | (s.product(s.right_mul(t_mask, t), t_mask) & t_mask)
         )
         if not is_a_nilpotent(s, gen, s.zero_mask):
-            return discrepancy((), {"t": t, "generated": _w(gen)})
+            return discrepancy({"t": t, "generated": _w(gen)})
     return holds()
 
 
@@ -529,7 +524,6 @@ def _thm28iii(s: Semigroup, cap: int) -> Verdict:
     good = same and is_prime(s, rad.prime_radical) and is_waist(s, rad.prime_radical)
     if not good:
         return discrepancy(
-            (),
             {
                 "nilpotent_union": _w(rad.nilpotent_union),
                 "prime_radical": _w(rad.prime_radical),
@@ -550,7 +544,7 @@ def _co29(s: Semigroup, cap: int) -> Verdict:
         if not is_subset(m, rad.prime_radical) and not is_subset(
             rad.completely_prime_radical, m
         ):
-            return discrepancy((), {"ideal": _w(m)})
+            return discrepancy({"ideal": _w(m)})
     return holds()
 
 
@@ -565,8 +559,8 @@ def _thm210(s: Semigroup, cap: int) -> Verdict:
     b2 = t_mask == rad.prime_radical
     b3 = is_completely_prime(s, rad.prime_radical)
     if not (b1 == b2 == b3):
-        return discrepancy((), {"ideal": b1, "equals_prime_radical": b2,
-                                "radical_completely_prime": b3})
+        return discrepancy({"ideal": b1, "equals_prime_radical": b2,
+                            "radical_completely_prime": b3})
     return holds()
 
 
@@ -580,7 +574,7 @@ def _lem212i(s: Semigroup, cap: int) -> Verdict:
     for a_mask, p in associated_primes(s, cap):
         if not (is_ideal(s, p, IdealKind.RIGHT) and p != s.full
                 and is_completely_prime(s, p)):
-            return discrepancy((), {"ideal": _w(a_mask), "associated": _w(p)})
+            return discrepancy({"ideal": _w(a_mask), "associated": _w(p)})
     return holds()
 
 
@@ -591,7 +585,7 @@ def _lem212ii(s: Semigroup, cap: int) -> Verdict:
         p = associated_prime(s, a_mask)
         for w in right_waists(s, cap):
             if not is_subset(w, a_mask) and not is_subset(p, w):
-                return discrepancy((), {"ideal": _w(a_mask), "waist": _w(w)})
+                return discrepancy({"ideal": _w(a_mask), "waist": _w(w)})
     return holds()
 
 
@@ -624,9 +618,7 @@ def _lem213(s: Semigroup, cap: int) -> Verdict:
                         rhs = True
                         break
         if is_waist(s, t_mask) != rhs:
-            return discrepancy(
-                (), {"ideal": _w(t_mask), "intersection": _w(inter), "rhs": rhs}
-            )
+            return discrepancy({"ideal": _w(t_mask), "intersection": _w(inter), "rhs": rhs})
     return holds()
 
 
@@ -648,8 +640,7 @@ def _co214(s: Semigroup, cap: int) -> Verdict:
         ij = _translate_intersection(s, outside, j)
         if not (t_mask == ip == ij):
             return discrepancy(
-                (),
-                {"waist": _w(t_mask), "via_prime": _w(ip), "via_nonunits": _w(ij)},
+                {"waist": _w(t_mask), "via_prime": _w(ip), "via_nonunits": _w(ij)}
             )
     return holds()
 
@@ -664,7 +655,7 @@ def _lem31(s: Semigroup, cap: int) -> Verdict:
     found = OreSweep(s).first_non_ideal_saturation()
     if found is not None:
         t_mask, a = found
-        return discrepancy((), {"ore_set": _w(t_mask), "a": a})
+        return discrepancy({"ore_set": _w(t_mask), "a": a})
     return holds()
 
 
@@ -677,13 +668,13 @@ def _lem34(s: Semigroup, cap: int) -> Verdict:
     rad = radicals(s, cap)
     for p in comparability_ideals(s, cap):
         if not is_waist(s, p):
-            return discrepancy((), {"p": _w(p), "fails": "waist"})
+            return discrepancy({"p": _w(p), "fails": "waist"})
         pair = _incomparable_pair([q for q in spec if is_subset(q, p)])
         if pair:
-            return discrepancy((), {"p": _w(p), "pair": _w(pair)})
+            return discrepancy({"p": _w(p), "pair": _w(pair)})
     nrad = rad.completely_prime_radical
     if not (is_completely_prime(s, nrad) and is_waist(s, nrad)):
-        return discrepancy((), {"completely_prime_radical": _w(nrad)})
+        return discrepancy({"completely_prime_radical": _w(nrad)})
     return holds()
 
 
@@ -693,9 +684,7 @@ def _pr35(s: Semigroup, cap: int) -> Verdict:
     for p in prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT, cap):
         rep = is_right_p_comparable(s, p)
         if len(set(rep.conditions)) != 1:
-            return discrepancy(
-                (), {"p": _w(p), "conditions": list(rep.conditions)}
-            )
+            return discrepancy({"p": _w(p), "conditions": list(rep.conditions)})
     return holds()
 
 
@@ -709,7 +698,7 @@ def _thm36i(s: Semigroup, cap: int) -> Verdict:
     for p in comparability_ideals(s, cap):
         for q in semi:
             if is_subset(q, p) and not (q in primes and q in waists):
-                return discrepancy((), {"p": _w(p), "ideal": _w(q)})
+                return discrepancy({"p": _w(p), "ideal": _w(q)})
     return holds()
 
 
@@ -721,10 +710,10 @@ def _thm36ii(s: Semigroup, cap: int) -> Verdict:
     for p in comparability_ideals(s, cap):
         pair = _incomparable_pair([q for q in primes if is_subset(q, p)])
         if pair:
-            return discrepancy((), {"p": _w(p), "pair": _w(pair)})
+            return discrepancy({"p": _w(p), "pair": _w(pair)})
     beta = radicals(s, cap).prime_radical
     if not (is_prime(s, beta) and is_waist(s, beta)):
-        return discrepancy((), {"prime_radical": _w(beta)})
+        return discrepancy({"prime_radical": _w(beta)})
     return holds()
 
 
@@ -739,7 +728,7 @@ def _thm36iii(s: Semigroup, cap: int) -> Verdict:
             if not is_subset(q, p):
                 continue
             if (q in complete) != (q in semi):
-                return discrepancy((), {"p": _w(p), "ideal": _w(q)})
+                return discrepancy({"p": _w(p), "ideal": _w(q)})
     return holds()
 
 
@@ -755,7 +744,7 @@ def _lem37(s: Semigroup, cap: int) -> Verdict:
                 continue
             for a, a_w in enumerate(s.translates(w)):
                 if a_w not in waists:
-                    return discrepancy((), {"p": _w(p), "waist": _w(w), "a": a})
+                    return discrepancy({"p": _w(p), "waist": _w(w), "a": a})
     return holds()
 
 
@@ -777,9 +766,9 @@ def _thm38(s: Semigroup, cap: int) -> Verdict:
             for b in range(a + 1, s.n):
                 b_p = trans[b]
                 if sat[a] == sat[b] and a_p != b_p:
-                    return discrepancy((), {"p": _w(p), "pair": [a, b]})
+                    return discrepancy({"p": _w(p), "pair": [a, b]})
                 if a_p == b_p and a_p != zero and sat[a] != sat[b]:
-                    return discrepancy((), {"p": _w(p), "pair": [a, b]})
+                    return discrepancy({"p": _w(p), "pair": [a, b]})
                 if a_p == b_p == zero and sat[a] != sat[b]:
                     note = ("pairs with zero common translate and distinct "
                             "saturations exist (finite truncation artifact)")
@@ -800,8 +789,7 @@ def _co39(s: Semigroup, cap: int) -> Verdict:
     for p in completely_prime_spectrum(s, cap):
         rep = is_right_p_comparable(s, p)
         if rep.holds and not rep.weak_holds:
-            return discrepancy((), {"p": _w(p), "holds": rep.holds,
-                                    "weak": rep.weak_holds})
+            return discrepancy({"p": _w(p), "holds": rep.holds, "weak": rep.weak_holds})
         if rep.weak_holds and not rep.holds:
             note = ("weakly comparable but not comparable with respect to "
                     f"P = {_w(p)}; the two notions separate at finite scale")
@@ -826,13 +814,13 @@ def _pr310(s: Semigroup, cap: int) -> Verdict:
                 continue
             cls = equivalence_class(s, a, p)
             if cls != sat[a]:
-                return discrepancy((), {"p": _w(p), "a": a, "class": _w(cls),
-                                        "saturation": _w(sat[a])})
+                return discrepancy({"p": _w(p), "a": a, "class": _w(cls),
+                                    "saturation": _w(sat[a])})
             if sat[a] != s.full and not is_waist(s, sat[a]):
-                return discrepancy((), {"p": _w(p), "a": a, "fails": "waist"})
+                return discrepancy({"p": _w(p), "a": a, "fails": "waist"})
             for b, b_p in enumerate(trans):
                 if b_p == a_p and sat[b] != sat[a]:
-                    return discrepancy((), {"p": _w(p), "pair": [a, b]})
+                    return discrepancy({"p": _w(p), "pair": [a, b]})
     return holds()
 
 
@@ -852,8 +840,7 @@ def _lem311(s: Semigroup, cap: int) -> Verdict:
             for a in mask_elems(m):
                 union |= sat[a]
             if union != m or not is_waist(s, m):
-                return discrepancy((), {"p": _w(p), "ideal": _w(m),
-                                        "union": _w(union)})
+                return discrepancy({"p": _w(p), "ideal": _w(m), "union": _w(union)})
     return holds()
 
 
@@ -868,8 +855,8 @@ def _co312(s: Semigroup, cap: int) -> Verdict:
             ip = _translate_intersection(s, outside, p)
             ij = _translate_intersection(s, outside, j)
             if not (m == ip == ij):
-                return discrepancy((), {"p": _w(p), "ideal": _w(m),
-                                        "via_p": _w(ip), "via_nonunits": _w(ij)})
+                return discrepancy({"p": _w(p), "ideal": _w(m),
+                                    "via_p": _w(ip), "via_nonunits": _w(ij)})
     return holds()
 
 
@@ -898,7 +885,7 @@ def _thm313(s: Semigroup, cap: int) -> Verdict:
             union |= sat[a]
         ok = is_subset(p0, j) and ip == m and union == m and is_waist(s, m)
         if not ok:
-            return discrepancy((), {"ideal": _w(m), "associated": _w(p0)})
+            return discrepancy({"ideal": _w(m), "associated": _w(p0)})
     return holds()
 
 
@@ -914,7 +901,7 @@ def _lem314(s: Semigroup, cap: int) -> Verdict:
                 continue
             for a, aq in enumerate(s.translates(q)):
                 if aq == s.full or associated_prime(s, aq) != q:
-                    return discrepancy((), {"p": _w(p), "q": _w(q), "a": a})
+                    return discrepancy({"p": _w(p), "q": _w(q), "a": a})
     return holds()
 
 
@@ -937,7 +924,7 @@ def _pr315(s: Semigroup, cap: int) -> Verdict:
         if good and is_ideal(s, q, IdealKind.TWO_SIDED):
             good = is_completely_prime(s, q)
         if not good:
-            return discrepancy((), {"p": _w(p), "t": t, "tail": _w(q)})
+            return discrepancy({"p": _w(p), "t": t, "tail": _w(q)})
     return holds()
 
 
@@ -953,7 +940,7 @@ def _lem44(s: Semigroup, cap: int) -> Verdict:
     for _p, q in _exceptional_pairs(s, cap):
         d = pairing_ideal(s, q, cap)
         if d is None:
-            return discrepancy((), {"q": _w(q), "fails": "no waist ideal above"})
+            return discrepancy({"q": _w(q), "fails": "no waist ideal above"})
         ok = (
             d != q
             and is_subset(q, d)
@@ -962,7 +949,7 @@ def _lem44(s: Semigroup, cap: int) -> Verdict:
             and s.product(d, d) == d
         )
         if not ok:
-            return discrepancy((), {"q": _w(q), "d": _w(d)})
+            return discrepancy({"q": _w(q), "d": _w(d)})
     return holds()
 
 
@@ -980,7 +967,7 @@ def _paired_exceptionals(s: Semigroup, cap: int) -> list[tuple[Mask, Mask]]:
 def _lem45(s: Semigroup, cap: int) -> Verdict:
     for q, d in _paired_exceptionals(s, cap):
         if has_non_nilpotent_over(s, d, q) is None:
-            return discrepancy((), {"q": _w(q), "d": _w(d)})
+            return discrepancy({"q": _w(q), "d": _w(d)})
     return holds()
 
 
@@ -1000,7 +987,7 @@ def _lem46i(s: Semigroup, cap: int) -> Verdict:
     for p, alpha in _alpha_families(s, cap):
         pair = _incomparable_pair(alpha)
         if pair:
-            return discrepancy((), {"p": _w(p), "pair": _w(pair)})
+            return discrepancy({"p": _w(p), "pair": _w(pair)})
     return holds()
 
 
@@ -1012,7 +999,7 @@ def _lem46ii(s: Semigroup, cap: int) -> Verdict:
         for a in alpha:
             for b in alpha:
                 if (a | b) not in members or (a & b) not in members:
-                    return discrepancy((), {"p": _w(p), "pair": [_w(a), _w(b)]})
+                    return discrepancy({"p": _w(p), "pair": [_w(a), _w(b)]})
     return holds()
 
 
@@ -1025,7 +1012,7 @@ def _lem46iii(s: Semigroup, cap: int) -> Verdict:
         for m in alpha:
             low &= m
         if low not in alpha:
-            return discrepancy((), {"p": _w(p), "meet": _w(low)})
+            return discrepancy({"p": _w(p), "meet": _w(low)})
     return holds()
 
 
@@ -1040,7 +1027,7 @@ def _lem46iv(s: Semigroup, cap: int) -> Verdict:
         covers = [g.lower for g in prime_segments(s, cap) if g.upper == p and not g.bottom]
         for m in alpha:
             if not any(is_subset(m, p0) for p0 in covers):
-                return discrepancy((), {"p": _w(p), "ideal": _w(m)})
+                return discrepancy({"p": _w(p), "ideal": _w(m)})
     return holds()
 
 
@@ -1057,13 +1044,11 @@ def _thm48(s: Semigroup, cap: int) -> Verdict:
         if cls.overlap:
             overlaps += 1
         if cls.label == NONE:
-            return discrepancy((), {"segment": seg.to_dict(),
-                                    "branches": cls.branches})
+            return discrepancy({"segment": seg.to_dict(), "branches": cls.branches})
         if cls.label == EXCEPTIONAL:
             base = segment_base(s, seg)
             if intersect_powers(s, cls.q) != base:
-                return discrepancy((), {"segment": seg.to_dict(),
-                                        "q": _w(cls.q)})
+                return discrepancy({"segment": seg.to_dict(), "q": _w(cls.q)})
     note = (f"{overlaps} segment(s) satisfy more than one branch definition; "
             "the label follows the case order of the classification argument")
     return holds(note=note if overlaps else None)
@@ -1081,7 +1066,7 @@ def _invariant_segments(s: Semigroup, cap: int) -> list[PrimeSegment]:
 def _lem410(s: Semigroup, cap: int) -> Verdict:
     for seg in _invariant_segments(s, cap):
         if not classify_segment(s, seg, cap).branches[ARCHIMEDEAN]:
-            return discrepancy((), {"segment": seg.to_dict()})
+            return discrepancy({"segment": seg.to_dict()})
     return holds()
 
 

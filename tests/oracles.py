@@ -211,7 +211,7 @@ def lem31_bruteforce(s: Semigroup) -> Verdict:
         for a in range(s.n):
             sat = saturate(s, s.right_principal(a), t_mask)
             if not is_ideal(s, sat, IdealKind.RIGHT):
-                return discrepancy((), {"ore_set": mask_elems(t_mask), "a": a})
+                return discrepancy({"ore_set": mask_elems(t_mask), "a": a})
     return holds()
 
 

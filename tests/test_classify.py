@@ -30,6 +30,7 @@ from sgideals.corpus import (
     build_min_chain,
     build_minimal,
 )
+from sgideals.segments import completely_prime_spectrum
 
 from oracles import (
     associated_prime_scan,
@@ -283,7 +284,21 @@ def test_radicals_ef4(ef4):
     assert rad.nilpotent_union == P_EF
     assert rad.comparizer == mask_of([0, 4, 5, 6, 7, 8])
     assert rad.nonunits == ef4.semigroup.full & ~(1 << ef4.semigroup.one)
-    assert rad.flags == ()
+
+
+@pytest.mark.parametrize(
+    "order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+)
+def test_nonunits_are_prime_in_every_sense(pools, corpus_entries, order):
+    # so every prime family the radicals intersect is nonempty
+    monoids = list(pools[order])
+    if order == 2:
+        monoids += [e.semigroup for e in corpus_entries]
+    for s in monoids:
+        j = s.nonunits_mask()
+        assert j in completely_prime_spectrum(s)
+        assert j in prime_family(s, PrimenessKind.PRIME, IdealKind.TWO_SIDED)
+        assert j in prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT)
 
 
 def test_radicals_chain_x3():

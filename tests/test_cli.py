@@ -212,7 +212,7 @@ def test_verify_exit_one_on_discrepancy(capsys, monkeypatch):
     fake = verify_mod.TheoremCheck(
         id="Fake0.0",
         statement="always fails",
-        fn=lambda s, cap: discrepancy((), {"reason": "synthetic"}),
+        fn=lambda s, cap: discrepancy({"reason": "synthetic"}),
     )
     monkeypatch.setitem(verify_mod.CHECKS, "fake0.0", fake)
     code, out, _ = run_cli(capsys, "verify", "--check", "Fake0.0", "min2")
@@ -252,7 +252,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Run the CLI's main in a fresh interpreter, then print the sgideals modules
 # it has loaded, and dataclasses if loaded (it pulls in inspect, ast, dis and
-# tokenize).
+# tokenize), so the cases below show that no command loads it.
 LOADED_PROBE = """
 import contextlib, io, json, sys
 import sgideals.cli
@@ -278,7 +278,7 @@ def _run_fresh(code: str, *argv: str) -> str:
 
 BASE = {"sgideals", "sgideals.core", "sgideals.ideals", "sgideals.cli"}
 ANALYSIS = {"sgideals.classify", "sgideals.localize", "sgideals.segments",
-            "sgideals.verdict", "dataclasses"}
+            "sgideals.verdict"}
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -287,7 +287,8 @@ ANALYSIS = {"sgideals.classify", "sgideals.localize", "sgideals.segments",
     (("corpus", "list"), {"sgideals.corpus"}),
     (("analyze", "FILE", "--json"), ANALYSIS),
     (("checks",), ANALYSIS | {"sgideals.corpus", "sgideals.verify"}),
-], ids=["import", "validate", "corpus-list", "analyze", "checks"])
+    (("verify", "FILE"), ANALYSIS | {"sgideals.corpus", "sgideals.verify"}),
+], ids=["import", "validate", "corpus-list", "analyze", "checks", "verify"])
 def test_commands_load_only_what_they_call(tmp_path, argv, extra):
     path = tmp_path / "ef4.cay"
     path.write_text(format_cayley(corpus()["ef4"].semigroup))

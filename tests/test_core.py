@@ -43,6 +43,7 @@ from sgideals.ideals import (
     power_sequence,
 )
 from sgideals.localize import is_right_p_comparable, saturation_by_element
+from sgideals.segments import prime_segments
 from sgideals.verdict import VACUOUS
 from sgideals.verify import run_check, run_suite
 
@@ -445,6 +446,18 @@ def test_memo_returns_the_identical_object(ef4):
     assert saturation_by_element(s, p) is saturation_by_element(s, p)
     # the memo is per instance: an equal table starts empty
     assert radicals(_fresh(s)) is not radicals(s)
+
+
+def test_memo_records_reject_field_assignment(ef4):
+    # every caller of a memoized function gets the same record, so no caller
+    # may change it for the others
+    s = ef4.semigroup
+    p = prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT)[0]
+    records = [(run_check(s, "Thm2.10"), "status"), (radicals(s), "nonunits"),
+               (is_right_p_comparable(s, p), "holds"), (prime_segments(s)[0], "upper")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_memo_binds_defaulted_arguments(ef4):

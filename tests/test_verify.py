@@ -1,7 +1,6 @@
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -354,7 +353,7 @@ def test_pr35_flags_a_flipped_condition(monkeypatch):
     def patched(s, p):
         rep = real(s, p)
         flipped = (rep.conditions[0], not rep.conditions[1], *rep.conditions[2:])
-        return replace(rep, conditions=flipped)
+        return rep._replace(conditions=flipped)
 
     monkeypatch.setattr(verify, "is_right_p_comparable", patched)
     assert run_check(build_min_chain(4), "Pr3.5").status == "discrepancy"
