@@ -3,14 +3,17 @@
 Every registered check returns holds, vacuous (a named hypothesis failed),
 or discrepancy (hypotheses satisfied, conclusion refuted, witness attached).
 This script sweeps all monoids with zero up to order 4, tallies the
-verdicts per check, and runs the open-question search for an archimedean
-comparable segment that is not locally invariant.
+verdicts per check, runs the open-question search for an archimedean
+comparable segment that is not locally invariant, and checks on the
+left-cancellative classes that the nonunits are the only completely prime
+ideal and that no prime ideal is exceptional.
 """
 from collections import Counter
 
+from sgideals.classify import exceptional_primes
 from sgideals.corpus import all_monoids_with_zero
-from sgideals.verify import (registered_ids, run_suite, search_converse_candidates,
-                             search_exceptional_candidates)
+from sgideals.segments import completely_prime_spectrum
+from sgideals.verify import registered_ids, run_suite, search_converse_candidates
 
 pool = []
 for n in (2, 3, 4):
@@ -41,9 +44,9 @@ if found:
     for cand in found:
         print("  candidate:", cand)
 
-exc = search_exceptional_candidates(4)
-print("\nsearch for a prime, not completely prime, ideal inside a")
-print("comparability ideal of a left-cancellative monoid:",
-      f"{len(exc)} candidate(s) up to order 4")
-for cand in exc:
-    print("  NOTABLE:", cand)
+left = [s for s in pool if s.is_left_cancellative()]
+shadow = all(completely_prime_spectrum(s) == (s.nonunits_mask(),)
+             and exceptional_primes(s) == () for s in left)
+print(f"\n{len(left)} of them are left cancellative; on each, the nonunits J are")
+print("the only completely prime ideal and no prime ideal is exceptional:", shadow)
+print('(README, "Finite shadow": the same holds at every finite order)')

@@ -47,7 +47,7 @@ _EXPORTS = {
     "verdict": ("DISCREPANCY", "HOLDS", "VACUOUS", "Verdict"),
     "verify": (
         "Gate", "TheoremCheck", "UnknownCheck", "registered_ids", "run_check", "run_suite",
-        "search_converse_candidates", "search_exceptional_candidates",
+        "search_converse_candidates",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

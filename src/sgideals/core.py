@@ -378,6 +378,8 @@ class Semigroup:
         """Apply an index bijection: new[p(i)][p(j)] = p(old[i][j])."""
         n = self.n
         p = list(perm)
+        if sorted(p) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {p}")
         new = [[0] * n for _ in range(n)]
         rows = self.rows
         for i in range(n):

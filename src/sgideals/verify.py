@@ -448,10 +448,10 @@ def _lem26ii(s: Semigroup, cap: int) -> Verdict:
 
 @_register("Thm2.7.i", "a nilpotent comparizer radical lies inside the "
                        "completely prime radical",
-           requires=(COMPARIZER_RADICAL_NILPOTENT,),
-           exists=Gate("completely_prime_ideal_exists",
-                       lambda s, cap: completely_prime_spectrum(s, cap)))
+           requires=(COMPARIZER_RADICAL_NILPOTENT,))
 def _thm27i(s: Semigroup, cap: int) -> Verdict:
+    # no exists= gate: the nonunits are completely prime in every finite
+    # monoid (README, "Finite shadow"), so the spectrum is never empty
     c = comparizer_radical(s)
     if not is_subset(c, radicals(s, cap).completely_prime_radical):
         return discrepancy({"comparizer_radical": _w(c)})
@@ -1074,32 +1074,6 @@ def _lem410(s: Semigroup, cap: int) -> Verdict:
 # counterexample search for the open converse
 
 
-def _search(order_bound: int, hits) -> list[dict]:
-    """The hits that hits(s) yields on each left-cancellative monoid with zero
-    of order 2 up to the bound, tagged with the fields that locate s."""
-    found = []
-    for order in range(2, order_bound + 1):
-        for index, s in enumerate(all_monoids_with_zero(order)):
-            if s.is_left_cancellative():
-                where = {"order": order, "index": index,
-                         "table": [list(r) for r in s.rows]}
-                found += [{**where, **hit} for hit in hits(s)]
-    return found
-
-
-def search_exceptional_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> list[dict]:
-    """Search all enumerated monoids with zero up to the bound for a prime,
-    not completely prime, two-sided ideal sitting strictly inside a
-    comparability ideal of a left-cancellative monoid.
-
-    No such structure is known at small finite scale (the archetypal
-    exceptional segment lives on an infinite carrier); any hit is reported
-    with its full table so it can be studied by hand.
-    """
-    return _search(order_bound, lambda s: (
-        {"q": _w(q), "p": _w(p)} for p, q in _exceptional_pairs(s, cap)))
-
-
 def search_converse_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> list[dict]:
     """Search all enumerated monoids with zero up to the bound for a
     left-cancellative, comparable, archimedean prime segment that is NOT
@@ -1108,7 +1082,15 @@ def search_converse_candidates(order_bound: int, cap: int = DEFAULT_CAP) -> list
     An empty list claims nothing beyond the bound; each hit carries its
     full table and segment, so it can be checked by hand.
     """
-    return _search(order_bound, lambda s: (
-        {"segment": seg.to_dict()} for seg in _comparable_segments(s, cap)
-        if classify_segment(s, seg, cap).branches[ARCHIMEDEAN]
-        and not is_locally_invariant(s, seg)))
+    found = []
+    for order in range(2, order_bound + 1):
+        for index, s in enumerate(all_monoids_with_zero(order)):
+            if not s.is_left_cancellative():
+                continue
+            for seg in _comparable_segments(s, cap):
+                if (classify_segment(s, seg, cap).branches[ARCHIMEDEAN]
+                        and not is_locally_invariant(s, seg)):
+                    found.append({"order": order, "index": index,
+                                  "table": [list(r) for r in s.rows],
+                                  "segment": seg.to_dict()})
+    return found

@@ -93,6 +93,18 @@ def test_bad_identity_and_zero():
         Semigroup([[0, 0], [0, 1.5]], one=1, zero=0)  # not an integer
 
 
+def test_relabel_rejects_a_non_permutation():
+    # too long (its tail was ignored), too short (a bare IndexError) and
+    # not injective (a misleading BadIdentity from the constructor)
+    for s, perm in ((build_chain_x(3), range(6)),
+                    (build_chain_x(3), [0, 1, 3, 2]),
+                    (build_chain_x(3), [0, 1, 2, 2, 4])):
+        assert s.n == 5
+        with pytest.raises(ValueError, match="not a permutation") as exc:
+            s.relabel(perm)
+        assert not isinstance(exc.value, SemigroupError)
+
+
 def test_multiply_examples(ef4):
     s = ef4.semigroup
     e, f, ef_, x = (ef4.element_names.index(w) for w in ("e", "f", "ef", "x"))

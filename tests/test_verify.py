@@ -6,11 +6,12 @@ import pytest
 
 from sgideals import verify
 from sgideals.core import Semigroup, mask_elems, mask_of
-from sgideals.classify import PrimenessKind, comparizer_radical
-from sgideals.ideals import DEFAULT_CAP, IdealKind, is_nilpotent_ideal
+from sgideals.classify import PrimenessKind, comparizer_radical, exceptional_primes
+from sgideals.ideals import DEFAULT_CAP, IdealKind, enumerate_ideals, is_nilpotent_ideal
 from sgideals.localize import is_right_p_comparable
-from sgideals.segments import completely_prime_spectrum
-from sgideals.corpus import build_chain_x, build_delta, build_min_chain, build_minimal, corpus
+from sgideals.segments import PrimeSegment, completely_prime_spectrum, prime_segments
+from sgideals.corpus import (build_chain_x, build_delta, build_ef, build_min_chain,
+                             build_minimal, corpus)
 from sgideals.verify import (
     CHECKS,
     UnknownCheck,
@@ -119,17 +120,29 @@ def test_suite_total_on_pool(pool234):
                 assert v.witness is not None
 
 
+def _declared_gates(check):
+    return [g.name for g in (*check.requires, check.exists) if g]
+
+
 @pytest.mark.parametrize("cap", [DEFAULT_CAP, 4])
 def test_traces_name_declared_gates(pool234, pool5, corpus_entries, cap):
     # run_check writes every trace: each entry is a gate the check declares,
-    # or the cap that stopped it
+    # or the cap that stopped it; at the default cap every declared gate
+    # also fails somewhere, so none is true of every finite monoid
+    # (min_chain(12), n = 14, fails subset_enumeration_feasible); at cap=4
+    # a cap trip can stop a check before its gates are read
     by_id = {c.id: c for c in CHECKS.values()}
-    for s in [*pool234, *pool5, *(e.semigroup for e in corpus_entries)]:
+    failed = set()
+    for s in [*pool234, *pool5, *(e.semigroup for e in corpus_entries), build_min_chain(12)]:
         for cid, v in run_suite(s, cap):
-            check = by_id[cid]
-            declared = {g.name for g in (*check.requires, check.exists) if g}
-            for name, _ in v.hypothesis_trace:
-                assert name in declared | {"cap_not_exceeded"}, (cid, name, s.rows)
+            declared = _declared_gates(by_id[cid])
+            for name, ok in v.hypothesis_trace:
+                assert name in {*declared, "cap_not_exceeded"}, (cid, name, s.rows)
+                if not ok:
+                    failed.add((cid, name))
+    if cap == DEFAULT_CAP:
+        gates = {(c.id, name) for c in CHECKS.values() for name in _declared_gates(c)}
+        assert gates - failed == set()
 
 
 def _renamed(note, perm):
@@ -154,16 +167,64 @@ def test_suite_invariant_under_relabelling(pool234, corpus_entries):
         assert got == want, s.rows
 
 
-def test_left_cancellative_monoids_have_unique_completely_prime(pool234):
-    # a nonunit u in a finite left cancellative monoid has u^i == u^(i+p)
-    # somewhere; off zero that cancels to u^p == 1, impossible, so every
-    # nonunit is nilpotent and the nonunits are the only completely prime
-    # ideal; the harness leans on this structure, so pin it down
-    for s in pool234:
-        if not s.is_left_cancellative():
-            continue
-        assert s.nilpotent_elements() == s.nonunits_mask()
-        assert completely_prime_spectrum(s) == (s.nonunits_mask(),)
+# the inputs of the benchmark's large_families workload
+LARGE_FAMILIES = ((build_ef, 30), (build_min_chain, 40), (build_chain_x, 30),
+                  (build_delta, 10), (build_min_chain, 10))
+
+
+# where each fact first fails off the hypothesis, as (order, pool index): the
+# order-3 class 2 has the idempotent nonunit 2 with 2*1 == 2*2, and the
+# order-6 class 712 is the Brandt monoid of 2x2 matrix units with an identity
+FIRST_FAILURE = {
+    "nilpotents_are_nonunits": (3, 2),
+    "nonunits_nilpotent": (3, 2),
+    "spectrum_is_nonunits": (3, 2),
+    "one_bottom_segment": (3, 2),
+    "comparability_only_nonunits": (3, 2),
+    "no_idempotent_right_ideal": (3, 2),
+    "radical_nonnilpotent_iff_full": (5, 7),
+    "no_exceptional_prime": (6, 712),
+}
+
+
+def _finite_shadow(s: Semigroup) -> dict[str, bool]:
+    """The facts README "Finite shadow" proves for every finite
+    left-cancellative monoid with zero, J the nonunits."""
+    j = s.nonunits_mask()
+    c = comparizer_radical(s)
+    return {
+        "nilpotents_are_nonunits": s.nilpotent_elements() == j,
+        "nonunits_nilpotent": is_nilpotent_ideal(s, j),
+        "spectrum_is_nonunits": completely_prime_spectrum(s) == (j,),
+        "one_bottom_segment": prime_segments(s) == (PrimeSegment(0, j, True),),
+        "no_exceptional_prime": exceptional_primes(s) == (),
+        "comparability_only_nonunits": set(verify.comparability_ideals(s)) <= {j},
+        "radical_nonnilpotent_iff_full": (not is_nilpotent_ideal(s, c)) == (c == s.full),
+        "no_idempotent_right_ideal": not any(
+            s.product(m, m) == m for m in enumerate_ideals(s, IdealKind.RIGHT)
+            if m not in (0, s.zero_mask, s.full)),
+    }
+
+
+def test_left_cancellative_monoids_have_unique_completely_prime(pools, corpus_entries):
+    # every fact holds on every left-cancellative input, and each fails on
+    # some other input, so none holds by construction; the first such input
+    # is pinned as (order, pool index)
+    inputs = [*(((n, i), s) for n, pool in pools.items() for i, s in enumerate(pool)),
+              *((e.name, e.semigroup) for e in corpus_entries),
+              *((f"{build.__name__}({k})", build(k)) for build, k in LARGE_FAMILIES)]
+    left_cancellative, first_failure = 0, {}
+    for where, s in inputs:
+        facts = _finite_shadow(s)
+        if s.is_left_cancellative():
+            left_cancellative += 1
+            assert all(facts.values()), (where, facts)
+        else:
+            for name, ok in facts.items():
+                if not ok:
+                    first_failure.setdefault(name, where)
+    assert left_cancellative == 51
+    assert first_failure == FIRST_FAILURE
 
 
 def test_thm48_note_on_degenerate_overlap():
@@ -205,7 +266,8 @@ def test_search_converse_candidates_revalidate(monkeypatch):
         "segment": {"lower": [], "upper": [0, 2, 3, 4, 5], "bottom": True},
     }]
     monkeypatch.undo()
-    found += search_converse_candidates(4)
+    # the real pools hold no hit up to the enumerator's limit
+    assert search_converse_candidates(6) == []
     for cand in found:
         s = Semigroup(cand["table"], one=1, zero=0)
         assert s.is_left_cancellative()
@@ -225,27 +287,6 @@ def test_chain_x4_never_a_candidate():
     c4 = build_chain_x(4).canonical_form()
     for cand in found:
         assert Semigroup(cand["table"], 1, 0).canonical_form() != c4
-
-
-def test_search_exceptional_candidates_completes():
-    from sgideals.verify import search_exceptional_candidates
-
-    found = search_exceptional_candidates(4)
-    # any candidate would be a small finite exceptional configuration, which
-    # is not known to exist; revalidate rather than assert emptiness
-    from sgideals.classify import is_completely_prime, is_prime
-
-    for cand in found:
-        s = Semigroup(cand["table"], 1, 0)
-        q = mask_of(cand["q"])
-        assert is_prime(s, q) and not is_completely_prime(s, q)
-
-
-def test_searches_empty_through_order_6():
-    from sgideals.verify import search_exceptional_candidates
-
-    assert search_exceptional_candidates(6) == []
-    assert search_converse_candidates(6) == []
 
 
 def test_order7_converse_of_lem410_fails():
