@@ -218,16 +218,14 @@ def _lem21i(s: Semigroup, cap: int) -> Verdict:
 
 @_register("Lem2.1.ii", "unions of right comparizer ideals are right comparizers")
 def _lem21ii(s: Semigroup, cap: int) -> Verdict:
-    comps = comparizer_ideals(s, cap)
+    # the comparizer condition passes to subsets (b*J inside b*I when J lies
+    # inside I), so the union of every comparizer ideal settles every union
     total = 0
-    for i, a in enumerate(comps):
-        total |= a
-        for b in comps[i + 1:]:
-            if not is_comparizer(s, a | b):
-                return discrepancy({"left": _w(a), "right": _w(b)})
-    if comps and not is_comparizer(s, total):
-        return discrepancy({"union_of_all": _w(total)})
-    return holds()
+    for m in comparizer_ideals(s, cap):
+        total |= m
+    if is_comparizer(s, total):
+        return holds()
+    return discrepancy({"union_of_all": _w(total)})
 
 
 @_register("Lem2.1.iii", "right ideals inside a right comparizer ideal are right comparizers")
@@ -601,22 +599,18 @@ def _translate_intersection(s: Semigroup, outside, p: Mask) -> Mask:
                       "intersection of the translates a*P_r(T) over a outside T, or "
                       "that intersection is a principal cover bS of T")
 def _lem213(s: Semigroup, cap: int) -> Verdict:
-    fam = enumerate_ideals(s, IdealKind.RIGHT, cap)
+    princ = s.right_principals
     for t_mask, p in associated_primes(s, cap):
         outside = mask_elems(s.full & ~t_mask)
         inter = _translate_intersection(s, outside, p)
-        rhs = t_mask == inter
-        if not rhs:
-            for b in outside:
-                bs = s.right_principal(b)
-                if bs == inter and is_subset(t_mask, bs) and t_mask != bs:
-                    if not any(
-                        h != t_mask and h != bs
-                        and is_subset(t_mask, h) and is_subset(h, bs)
-                        for h in fam
-                    ):
-                        rhs = True
-                        break
+        # a principal cover: inter is some bS strictly above T, and no right
+        # ideal lies strictly between, that is T | cS == bS for every c in
+        # bS outside T (README, "Principal covers")
+        rhs = t_mask == inter or (
+            is_subset(t_mask, inter)
+            and any(princ[b] == inter for b in outside)
+            and all(t_mask | princ[c] == inter for c in mask_elems(inter & ~t_mask))
+        )
         if is_waist(s, t_mask) != rhs:
             return discrepancy({"ideal": _w(t_mask), "intersection": _w(inter), "rhs": rhs})
     return holds()

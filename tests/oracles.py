@@ -131,6 +131,21 @@ def comparizer_union_bruteforce(s: Semigroup) -> int:
     return out
 
 
+def lem21ii_pairs_bruteforce(s: Semigroup) -> bool:
+    """Lem2.1.ii as stated: for every pair of right ideals passing
+    comparizer_bruteforce, their union passes it too.  A union of right
+    ideals is a right ideal, so it passes exactly when it is in `passing`."""
+    passing = {m for m in ideals_bruteforce(s, "right") if comparizer_bruteforce(s, m)}
+    return all(a | b in passing for a in passing for b in passing)
+
+
+def is_cover_scan(family, lo: int, hi: int) -> bool:
+    """No member of `family` lies strictly between lo and hi."""
+    return not any(
+        h != lo and h != hi and is_subset(lo, h) and is_subset(h, hi) for h in family
+    )
+
+
 def completely_prime_scan(s: Semigroup, m: int) -> bool:
     if m == 0 or m == (1 << s.n) - 1:
         return False
@@ -289,6 +304,21 @@ def null_monoid(n: int) -> Semigroup:
     table = [[0] * n for _ in range(n)]
     for i in range(n):
         table[1][i] = table[i][1] = i
+    return Semigroup(table, 1, 0)
+
+
+def free_truncated(k: int, length: int) -> Semigroup:
+    """The free monoid on k letters with every word of at least `length`
+    letters sent to 0: element 0 is the zero, 1 the empty word, then the
+    shorter nonempty words in shortlex order."""
+    words = [()]
+    for size in range(1, length):
+        words += product(range(k), repeat=size)
+    index = {w: i + 1 for i, w in enumerate(words)}
+    table = [[0] * (len(words) + 1) for _ in range(len(words) + 1)]
+    for u, i in index.items():
+        for v, j in index.items():
+            table[i][j] = index.get(u + v, 0)
     return Semigroup(table, 1, 0)
 
 

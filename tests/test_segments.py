@@ -1,4 +1,4 @@
-from sgideals.core import mask_elems, mask_of
+from sgideals.core import Semigroup, mask_elems, mask_of
 from sgideals.ideals import IdealKind, is_ideal
 from sgideals.segments import (
     classify_segment,
@@ -104,6 +104,22 @@ def test_degenerate_overlap_square_zero():
     assert cls.branches["simple"] and cls.branches["archimedean"]
     assert cls.label == "simple"
     assert cls.overlap
+
+
+def test_classify_exceptional_bottom():
+    # B2^1 (the 2x2 matrix units with an identity) plus a null element 6,
+    # 6*x == x*6 == 0 for x != 1: the one bottom segment 0 < J has no
+    # archimedean ideal at 2, and {0, 6} is an exceptional prime strictly
+    # inside J with nothing strictly between the two
+    rows = ["0000000", "0123456", "0223000", "0300230", "0445000", "0500450", "0600000"]
+    s = Semigroup([[int(c) for c in r] for r in rows], one=1, zero=0)
+    (seg,) = prime_segments(s)
+    assert seg.bottom and seg.upper == s.nonunits_mask() == mask_of([0, 2, 3, 4, 5, 6])
+    cls = classify_segment(s, seg)
+    assert cls.label == "exceptional"
+    assert cls.q == mask_of([0, 6])
+    assert cls.branches == {"archimedean": False, "simple": False, "exceptional": True}
+    assert not cls.overlap
 
 
 def test_lower_union(ef4):

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from sgideals import verify
-from sgideals.core import Semigroup, mask_elems, mask_of
+from sgideals.core import Semigroup, is_subset, mask_elems, mask_of
 from sgideals.classify import PrimenessKind, comparizer_radical, exceptional_primes
 from sgideals.ideals import DEFAULT_CAP, IdealKind, enumerate_ideals, is_nilpotent_ideal
 from sgideals.localize import is_right_p_comparable
@@ -22,6 +22,8 @@ from sgideals.verify import (
     run_suite,
     search_converse_candidates,
 )
+
+from oracles import free_truncated, ideals_bruteforce, is_cover_scan, lem21ii_pairs_bruteforce
 
 
 def test_id_normalization():
@@ -333,13 +335,86 @@ def _patch_two_sided_family(monkeypatch, kind, *masks):
     monkeypatch.setattr(verify, "prime_family", patched)
 
 
-@pytest.mark.parametrize("cid", ["Lem2.1.ii", "Lem2.1.iii"])
-def test_comparizer_checks_flag_a_flipped_test(monkeypatch, cid):
+# Lem2.1.ii reads the test on the union of every comparizer ideal alone,
+# which is the whole carrier of the right chain chain_x(4); Lem2.1.iii reads
+# it on every right ideal below the comparizer radical, {0} among them
+@pytest.mark.parametrize("cid, flipped", [
+    pytest.param("Lem2.1.ii", lambda s: s.full, id="Lem2.1.ii"),
+    pytest.param("Lem2.1.iii", lambda s: s.zero_mask, id="Lem2.1.iii"),
+])
+def test_comparizer_checks_flag_a_flipped_test(monkeypatch, cid, flipped):
     assert run_check(build_chain_x(4), cid).status == "holds"
     real = verify.is_comparizer
     monkeypatch.setattr(verify, "is_comparizer",
-                        lambda s, i, within=None: real(s, i, within) != (i == s.zero_mask))
+                        lambda s, i, within=None: real(s, i, within) != (i == flipped(s)))
     assert run_check(build_chain_x(4), cid).status == "discrepancy"
+
+
+def test_lem21ii_matches_pairwise_bruteforce(pools, corpus_entries):
+    # the union of all comparizer ideals against the literal statement over
+    # every pair, neither side through the comparizer kernel
+    inputs = [*(s for n in (2, 3, 4, 5) for s in pools[n]),
+              *(e.semigroup for e in corpus_entries)]
+    for s in inputs:
+        want = "holds" if lem21ii_pairs_bruteforce(s) else "discrepancy"
+        assert run_check(s, "Lem2.1.ii").status == want
+
+
+# the first of the three order-7 classes, and no smaller input, on which
+# Lem2.13's right side is a principal cover: the waist {0} is not the
+# intersection {0, 2} of its translates, which is 2S with nothing strictly
+# between
+COVER7_ROWS = ["0000000", "0123456", "0200002", "0300020", "0400224", "0500225", "0623446"]
+
+
+def _cover7() -> Semigroup:
+    return Semigroup([[int(c) for c in r] for r in COVER7_ROWS], one=1, zero=0)
+
+
+def test_lem213_principal_cover():
+    s = _cover7()
+    assert run_check(s, "Lem2.13").status == "holds"
+    zero = s.zero_mask
+    assert verify.is_waist(s, zero)
+    outside = mask_elems(s.full & ~zero)
+    inter = verify._translate_intersection(s, outside, verify.associated_prime(s, zero))
+    # a body reading only "T == intersection" would call {0} no waist here
+    assert inter != zero and inter == s.right_principal(2) == mask_of([0, 2])
+
+
+def test_lem213_flags_a_flipped_waist(monkeypatch):
+    real = verify.is_waist
+    monkeypatch.setattr(verify, "is_waist", lambda s, m: real(s, m) != (m == s.zero_mask))
+    v = run_check(_cover7(), "Lem2.13")
+    assert v.status == "discrepancy"
+    assert v.witness == {"ideal": [0], "intersection": [0, 2], "rhs": True}
+
+
+def test_principal_cover_criterion(pools, corpus_entries):
+    # no right ideal lies strictly between T and bS exactly when T | cS is
+    # bS for every c in bS outside T; the family side is a power-set scan
+    inputs = [*(s for pool in pools.values() for s in pool),
+              *(e.semigroup for e in corpus_entries)]
+    pairs = covers = 0
+    for s in inputs:
+        fam = ideals_bruteforce(s, "right")
+        for t in fam:
+            for bs in set(s.right_principals):
+                if t == bs or not is_subset(t, bs):
+                    continue
+                cover = all(t | s.right_principal(c) == bs for c in mask_elems(bs & ~t))
+                assert cover == is_cover_scan(fam, t, bs)
+                pairs, covers = pairs + 1, covers + cover
+    assert 0 < covers < pairs
+
+
+def test_suite_on_free_truncated():
+    # F(2, 4): words of length at least 4 in two letters are 0
+    s = free_truncated(2, 4)
+    assert s.n == 16
+    results = run_suite(s)
+    assert len(results) == 54
+    assert not [cid for cid, v in results if v.status == "discrepancy"]
 
 
 def test_lem25i_flags_a_flipped_comparizer_family(monkeypatch):
