@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "localize": (
         "ComparabilityReport", "NotCompletelyPrime", "NotMultClosed", "equivalence_class",
-        "is_right_ore_set", "is_right_p_comparable", "nested_saturation_inclusion_check",
-        "right_ore_condition", "saturate",
+        "is_right_ore_set", "is_right_p_comparable", "right_ore_condition",
+        "saturate",
     ),
     "segments": (
         "PrimeSegment", "SegmentClass", "classify_segment", "completely_prime_spectrum",

@@ -186,10 +186,7 @@ def _print_verdicts(report: dict) -> None:
         line = f"  {row['id']:12s} {row['status']}"
         if row["status"] == "vacuous":
             failed = [n for n, ok in row["hypothesis_trace"] if not ok]
-            if failed:
-                line += f"  (fails: {', '.join(failed)})"
-            elif row.get("note"):
-                line += f"  ({row['note']})"
+            line += f"  (fails: {', '.join(failed)})"
         if row["status"] == "discrepancy":
             line += f"  witness={row['witness']}"
         if row["status"] == "holds" and row.get("note"):
@@ -198,10 +195,11 @@ def _print_verdicts(report: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    from .corpus import all_monoids_with_zero
     from .verify import UnknownCheck
 
     if args.enumerate is not None:
+        from .corpus import all_monoids_with_zero
+
         pool = all_monoids_with_zero(args.enumerate)
         targets = [(f"order{s.n}#{i}", s, None) for i, s in enumerate(pool)]
         print(f"enumerated {len(pool)} monoids with zero of order {args.enumerate}")

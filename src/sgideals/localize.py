@@ -9,7 +9,6 @@ from typing import NamedTuple
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, mask_of, memoized
 from .classify import is_completely_prime, is_mult_closed, is_waist
 from .ideals import IdealKind, ideal_closure, is_ideal
-from .verdict import DISCREPANCY, HOLDS, Verdict, vacuous
 
 
 class NotCompletelyPrime(ValueError):
@@ -278,35 +277,3 @@ def equivalence_class(s: Semigroup, a: int, p_mask: Mask) -> Mask:
             out |= b_s
     return out
 
-
-# nested_saturation_inclusion_check sweeps pairs of subsets of the carrier
-NESTED_SWEEP_MAX_ORDER = 14
-
-
-def nested_saturation_inclusion_check(s: Semigroup) -> Verdict:
-    """Verbatim check that sat(aS, T') is inside sat(aS, T) for nested
-    multiplicatively closed T inside T'.
-
-    Saturation is monotone in the denominator set, so the stated inclusion
-    runs the wrong way; this check is kept as an executable record and is
-    expected to produce a discrepancy with a small witness on most inputs.
-    It is not part of the registered suite.
-    """
-    trace = (("subset_enumeration_feasible", s.n <= NESTED_SWEEP_MAX_ORDER),)
-    if s.n > NESTED_SWEEP_MAX_ORDER:
-        return vacuous(trace, note="carrier too large to enumerate subsets")
-    closed = [t for t in range(1 << s.n) if is_mult_closed(s, t)]
-    for t1 in closed:
-        for t2 in closed:
-            if t1 == t2 or not is_subset(t1, t2):
-                continue
-            for a in range(s.n):
-                a_s = s.right_principal(a)
-                if not is_subset(saturate(s, a_s, t2), saturate(s, a_s, t1)):
-                    return Verdict(
-                        DISCREPANCY,
-                        trace,
-                        {"t_small": mask_elems(t1), "t_large": mask_elems(t2), "a": a},
-                        "monotone direction holds instead",
-                    )
-    return Verdict(HOLDS, trace)

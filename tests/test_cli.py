@@ -98,6 +98,40 @@ def test_analyze_path_target(tmp_path, capsys):
     assert json.loads(out)["order"] == 6
 
 
+def test_analyze_path_text_renders_indices(tmp_path, capsys):
+    # a file carries no element names, so the text sets list indices
+    s = corpus()["ef4"].semigroup
+    path = tmp_path / "ef4.cay"
+    path.write_text(format_cayley(s))
+    code, text, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    report = analysis_report(str(path), s, None, 10**6)
+    assert text.startswith(f"{path}: order 9, one 1, zero 0, hash {report['hash']}\n")
+    assert "  nilpotent_elements           {0, 5, 6, 7, 8}\n" in text
+    for key, val in report["radicals"].items():
+        if key != "flags":
+            assert f"  {key:28s} {{{', '.join(map(str, val))}}}\n" in text
+    assert "x2" not in text and "note:" not in text
+
+
+def test_analyze_cap_exceeded_exits_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "ef4", "--cap", "2")
+    assert code == 2 and out == ""
+    assert err == "cap exceeded: two-sided ideal enumeration truncated\n"
+
+
+def test_verify_text_names_the_failed_gate(capsys):
+    # a blown cap is vacuous with the trace (cap_not_exceeded, False), so
+    # every vacuous row names a failed gate
+    code, out, _ = run_cli(capsys, "verify", "ef4", "--cap", "2")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 54
+    assert all("  (fails: " in r for r in rows if r.split()[1] == "vacuous")
+    assert "  Lem2.13      vacuous  (fails: cap_not_exceeded)" in rows
+    assert "  Co2.14       vacuous  (fails: left_cancellative)" in rows
+
+
 def test_analyze_twelve_elements_does_not_stall(tmp_path, capsys):
     # delta(10) has 10! automorphisms; the canonical hash of a relabelled
     # copy must come from the pruned search, not from all 10! labellings
@@ -277,8 +311,8 @@ def _run_fresh(code: str, *argv: str) -> str:
 
 
 BASE = {"sgideals", "sgideals.core", "sgideals.ideals", "sgideals.cli"}
-ANALYSIS = {"sgideals.classify", "sgideals.localize", "sgideals.segments",
-            "sgideals.verdict"}
+ANALYSIS = {"sgideals.classify", "sgideals.localize", "sgideals.segments"}
+VERIFY = ANALYSIS | {"sgideals.verdict", "sgideals.verify"}
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -286,8 +320,8 @@ ANALYSIS = {"sgideals.classify", "sgideals.localize", "sgideals.segments",
     (("validate", "FILE"), set()),
     (("corpus", "list"), {"sgideals.corpus"}),
     (("analyze", "FILE", "--json"), ANALYSIS),
-    (("checks",), ANALYSIS | {"sgideals.corpus", "sgideals.verify"}),
-    (("verify", "FILE"), ANALYSIS | {"sgideals.corpus", "sgideals.verify"}),
+    (("checks",), VERIFY),
+    (("verify", "FILE"), VERIFY),
 ], ids=["import", "validate", "corpus-list", "analyze", "checks", "verify"])
 def test_commands_load_only_what_they_call(tmp_path, argv, extra):
     path = tmp_path / "ef4.cay"
@@ -316,8 +350,7 @@ EXPORTS = {
                 "is_right_chain is_right_comparizer is_right_waist is_semiprime "
                 "is_strongly_comparizer is_waist prime_family radicals right_waists",
     "localize": "ComparabilityReport NotCompletelyPrime NotMultClosed equivalence_class "
-                "is_right_ore_set is_right_p_comparable nested_saturation_inclusion_check "
-                "right_ore_condition saturate",
+                "is_right_ore_set is_right_p_comparable right_ore_condition saturate",
     "segments": "PrimeSegment SegmentClass classify_segment completely_prime_spectrum "
                 "has_non_nilpotent_over is_locally_invariant is_locally_right_invariant "
                 "lower_union pairing_ideal prime_segments strictly_between tail_intersection",

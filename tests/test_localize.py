@@ -8,7 +8,6 @@ from sgideals.localize import (
     equivalence_class,
     is_right_ore_set,
     is_right_p_comparable,
-    nested_saturation_inclusion_check,
     right_ore_sets,
     saturate,
     saturation_by_element,
@@ -137,19 +136,17 @@ def test_sat_equals_translate(ef4):
     assert ("left_cancellative", False) in v.hypothesis_trace
 
 
-def test_nested_saturation_direction_is_monotone(ef4):
-    # the antitone inclusion for nested denominator sets fails outright; the
-    # check records a witness instead of normalizing it away
-    v = nested_saturation_inclusion_check(ef4.semigroup)
-    assert v.status == "discrepancy"
-    w = v.witness
-    s = ef4.semigroup
-    t1, t2 = mask_of(w["t_small"]), mask_of(w["t_large"])
-    a = w["a"]
-    big = saturate(s, s.right_principal(a), t2)
-    small = saturate(s, s.right_principal(a), t1)
-    assert big & ~small != 0  # the larger denominator set saturates further
-    assert small & ~big == 0  # and the monotone containment does hold
+def test_nested_saturation_direction_is_monotone(pool234, corpus_entries):
+    # the antitone inclusion, sat(aS, T') inside sat(aS, T) for nested
+    # multiplicatively closed T inside T', fails on every input at its first
+    # pair, the empty set inside any nonempty closed T': sat(aS, {}) is
+    # empty, while 0*t = 0 lies in aS and so puts 0 in sat(aS, T')
+    for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
+        closed = [t for t in range(1, 1 << s.n) if is_mult_closed(s, t)]
+        assert s.zero_mask in closed
+        for a_s in set(s.right_principals):
+            assert saturate(s, a_s, 0) == 0
+            assert all(saturate(s, a_s, t) & s.zero_mask for t in closed)
 
 
 def test_monotone_inclusion_always(pool234):

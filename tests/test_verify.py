@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -260,7 +261,8 @@ def test_search_converse_candidates_revalidate(monkeypatch):
 
     # positive control: the pinned order-7 counterexample as the only pool
     # member, so the revalidation below runs on a real hit
-    monkeypatch.setattr(verify, "all_monoids_with_zero", lambda order: (
+    # sgideals.corpus, read as an attribute, is the function corpus()
+    monkeypatch.setattr(sys.modules["sgideals.corpus"], "all_monoids_with_zero", lambda order: (
         (Semigroup(ORDER7_TABLE, one=1, zero=0),) if order == 7 else ()))
     found = search_converse_candidates(7)
     assert found == [{
@@ -388,6 +390,23 @@ def test_lem213_flags_a_flipped_waist(monkeypatch):
     v = run_check(_cover7(), "Lem2.13")
     assert v.status == "discrepancy"
     assert v.witness == {"ideal": [0], "intersection": [0, 2], "rhs": True}
+
+
+# Co2.14 and Lem3.14 read associated primes: on chain_x(4) P_r({0}) is the
+# nonunits {0, 2, 3, 4, 5}, and {0} is both a right waist and the translate
+# 0*J; given the identity as well, Co2.14's intersection through the prime
+# keeps 5 and Lem3.14's prime of 0*J is no longer J
+@pytest.mark.parametrize("cid, witness", [
+    ("Co2.14", {"waist": [0], "via_prime": [0, 5], "via_nonunits": [0]}),
+    ("Lem3.14", {"p": [0, 2, 3, 4, 5], "q": [0, 2, 3, 4, 5], "a": 0}),
+])
+def test_prime_checks_flag_a_flipped_associated_prime(monkeypatch, cid, witness):
+    assert run_check(build_chain_x(4), cid).status == "holds"
+    real = verify.associated_prime
+    monkeypatch.setattr(verify, "associated_prime", lambda s, a_mask: (
+        real(s, a_mask) ^ (1 << s.one) if a_mask == s.zero_mask else real(s, a_mask)))
+    v = run_check(build_chain_x(4), cid)
+    assert v.status == "discrepancy" and v.witness == witness
 
 
 def test_principal_cover_criterion(pools, corpus_entries):
