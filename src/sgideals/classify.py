@@ -118,7 +118,7 @@ def prime_family(
     """All nonempty proper ideals of ideal_kind passing the primeness test."""
     fn = _PRIME_FNS[kind]
     return tuple(
-        m for m in enumerate_ideals(s, ideal_kind, cap) if m and m != s.full and fn(s, m)
+        m for m in enumerate_ideals(s, ideal_kind, cap) if m != s.full and fn(s, m)
     )
 
 
@@ -265,18 +265,8 @@ class RadicalReport(NamedTuple):
     nonunits: Mask
 
     def to_dict(self) -> dict:
-        return {
-            "prime_radical": mask_elems(self.prime_radical),
-            "prime_right_radical": mask_elems(self.prime_right_radical),
-            "completely_prime_radical": mask_elems(self.completely_prime_radical),
-            "nil_radical": mask_elems(self.nil_radical),
-            "nilpotent_union": mask_elems(self.nilpotent_union),
-            "nilpotent_elements": mask_elems(self.nilpotent_elements),
-            "comparizer": mask_elems(self.comparizer),
-            "nonunits": mask_elems(self.nonunits),
-            # report schema 1 carries the key; radicals never raises a flag
-            "flags": [],
-        }
+        # report schema 1 carries the flags key; radicals never raises a flag
+        return {**{k: mask_elems(v) for k, v in self._asdict().items()}, "flags": []}
 
 
 @memoized

@@ -2,13 +2,14 @@
 
 Subcommands: validate, analyze, verify, enumerate, corpus (list | dump).
 Exit codes: 0 success (holds or vacuous throughout), 1 at least one
-discrepancy, 2 input or usage error.  JSON output is the source of truth;
-the text renderings are projections of the same dictionaries.
+discrepancy, 2 input, usage or output error.  JSON output is the source of
+truth; the text renderings are projections of the same dictionaries.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import (
@@ -350,9 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args) or 0
+        code = args.fn(args) or 0
+        sys.stdout.flush()
+        return code
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a write to stdout or to the --ndjson file failed
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself: send what it holds nowhere, or the exit flush raises
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

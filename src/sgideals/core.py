@@ -320,15 +320,9 @@ class Semigroup:
 
     @memoized
     def units_mask(self) -> Mask:
-        n, one, rows = self.n, self.one, self.rows
-        out = 0
-        for u in range(n):
-            row = rows[u]
-            for v in range(n):
-                if row[v] == one and rows[v][u] == one:
-                    out |= 1 << u
-                    break
-        return out
+        """The u with 1 in uS: a one-sided inverse is two-sided (README "Finite shadow")."""
+        one = self.one
+        return mask_of(u for u, us in enumerate(self.right_principals) if mask_contains(us, one))
 
     def nonunits_mask(self) -> Mask:
         return self.full & ~self.units_mask()

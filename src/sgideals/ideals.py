@@ -119,11 +119,7 @@ def _divisibility_classes(s: Semigroup, kind: IdealKind):
     by_mask: dict[Mask, Mask] = {}
     for a, m in enumerate(principals(s, kind)):
         by_mask[m] = by_mask.get(m, 0) | (1 << a)
-    classes = []
-    for m, members in by_mask.items():
-        classes.append((members, m & ~members))
-    classes.sort(key=lambda c: (popcount(c[0] | c[1]), c[0]))
-    return classes
+    return [(members, m & ~members) for m, members in by_mask.items()]
 
 
 @memoized

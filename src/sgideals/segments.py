@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized, popcount
+from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoized
 from .classify import (
     PrimenessKind,
     exceptional_primes,
@@ -72,8 +72,8 @@ def completely_prime_spectrum(s: Semigroup, cap: int = DEFAULT_CAP):
 
 @memoized
 def prime_segments(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[PrimeSegment, ...]:
-    """Covering pairs of the spectrum poset, plus one bottom segment per
-    minimal spectrum element."""
+    """Covering pairs of the spectrum poset, plus one bottom segment per minimal
+    element, by upper then lower ideal in family order, which spec and below keep."""
     spec = completely_prime_spectrum(s, cap)
     segs = []
     for p1 in spec:
@@ -82,10 +82,9 @@ def prime_segments(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[PrimeSegment, 
             segs.append(PrimeSegment(lower=0, upper=p1, bottom=True))
             continue
         for p2 in below:
-            if any(p2 != q and q != p1 and is_subset(p2, q) and is_subset(q, p1) for q in below):
+            if any(p2 != q and is_subset(p2, q) for q in below):
                 continue
             segs.append(PrimeSegment(lower=p2, upper=p1, bottom=False))
-    segs.sort(key=lambda g: (popcount(g.upper), g.upper, popcount(g.lower), g.lower))
     return tuple(segs)
 
 
@@ -121,7 +120,7 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
     p1 = seg.upper
     gap = p1 & ~base
     two = enumerate_ideals(s, IdealKind.TWO_SIDED, cap)
-    inside = [m for m in two if m and is_subset(m, p1)]
+    inside = [m for m in two if is_subset(m, p1)]
 
     witnesses: dict = {}
     arch = True
@@ -143,9 +142,8 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
     between = strictly_between(s, base, p1, cap)
     simple = not between
     if between:
-        witnesses["intermediate_ideal"] = mask_elems(
-            min(between, key=lambda m: (popcount(m), m))
-        )
+        # between is in family order, so its first member is the least
+        witnesses["intermediate_ideal"] = mask_elems(between[0])
 
     q_found = None
     candidates = exceptional_primes(s, cap)
@@ -195,7 +193,7 @@ def pairing_ideal(s: Semigroup, q_mask: Mask, cap: int = DEFAULT_CAP) -> Mask | 
     above = [
         m
         for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap)
-        if m != q_mask and is_subset(q_mask, m) and m != s.full and is_waist(s, m)
+        if m != q_mask and is_subset(q_mask, m) and is_waist(s, m)
     ]
     if not above:
         return None
@@ -233,13 +231,10 @@ def is_locally_right_invariant(s: Semigroup, seg: PrimeSegment) -> bool:
 def tail_intersection(s: Semigroup, t: int) -> Mask:
     """Intersection of the principal right ideals of all powers of t.
 
-    The power sequence of an element cycles within n steps, so the
-    intersection over all n is exact.
+    The ideals decrease, t^(k+1)S = t^k(tS) inside t^kS, and s.powers(t)
+    holds every power of t, so the last of them gives the intersection.
     """
-    out = s.full
-    for v in s.powers(t):
-        out &= s.right_principal(v)
-    return out
+    return s.right_principals[s.powers(t)[-1]]
 
 
 def power_tail_report(s: Semigroup, t: int, p_mask: Mask) -> dict:

@@ -144,6 +144,8 @@ def registered_ids() -> list[str]:
 
 
 def _nonempty_proper(s: Semigroup, masks):
+    # every body passes the empty mask, but Lem2.2.i would then memoize its
+    # translates, an entry per instance that no verdict needs (README)
     return [m for m in masks if m and m != s.full]
 
 
@@ -406,16 +408,9 @@ def _lem25iii(s: Semigroup, cap: int) -> Verdict:
     zero = s.zero_mask
     for w in right_waists(s, cap):
         seq = power_sequence(s, w)
-        index = None
-        for k, m in enumerate(seq, start=1):
-            if is_subset(m, zero):
-                index = k
-                break
-        if index is None or index < 2:
-            continue
-        prev = seq[index - 2]
-        if not is_comparizer(s, prev):
-            return discrepancy({"waist": _w(w), "power": index - 1})
+        k = next((k for k in range(1, len(seq)) if is_subset(seq[k], zero)), None)
+        if k is not None and not is_comparizer(s, seq[k - 1]):
+            return discrepancy({"waist": _w(w), "power": k})
     return holds()
 
 
@@ -536,8 +531,6 @@ def _thm28iii(s: Semigroup, cap: int) -> Verdict:
 def _co29(s: Semigroup, cap: int) -> Verdict:
     rad = radicals(s, cap)
     for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap):
-        if not m:
-            continue
         if not is_subset(m, rad.prime_radical) and not is_subset(
             rad.completely_prime_radical, m
         ):
@@ -1008,7 +1001,7 @@ def _lem46iii(s: Semigroup, cap: int) -> Verdict:
                s, cap, PrimenessKind.COMPLETELY_SEMIPRIME)))
 def _lem46iv(s: Semigroup, cap: int) -> Verdict:
     for p, alpha in _alpha_families(s, cap, PrimenessKind.COMPLETELY_SEMIPRIME):
-        covers = [g.lower for g in prime_segments(s, cap) if g.upper == p and not g.bottom]
+        covers = [g.lower for g in prime_segments(s, cap) if g.upper == p]
         for m in alpha:
             if not any(is_subset(m, p0) for p0 in covers):
                 return discrepancy({"p": _w(p), "ideal": _w(m)})

@@ -52,6 +52,21 @@ def power_scan(s: Semigroup, a: int, k: int) -> int:
     return v
 
 
+def tail_intersection_scan(s: Semigroup, t: int) -> int:
+    """The intersection of t^k S over k = 1 .. n + 1, by which the powers of
+    t have cycled."""
+    out = s.full
+    for k in range(1, s.n + 2):
+        out &= right_principal_scan(s, power_scan(s, t, k))
+    return out
+
+
+def units_scan(s: Semigroup) -> int:
+    """The u with some v such that u*v == v*u == 1."""
+    return mask_of(u for u in range(s.n)
+                   if any(s.mul(u, v) == s.one == s.mul(v, u) for v in range(s.n)))
+
+
 def translates_scan(s: Semigroup, m: int) -> tuple:
     """a*X for every a, one table read per product a*x."""
     return tuple(

@@ -206,6 +206,36 @@ def test_enumerate_ndjson_unwritable_path_exits_2(tmp_path, capsys):
     assert f"error: cannot write {path}" in err
 
 
+def _cli_process(*argv: str, stdout) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, "-m", "sgideals.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": str(SRC)},
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+def test_closed_stdout_is_an_output_error():
+    # the reader stops after 100 bytes of some 170 kB of reports, more than
+    # a pipe buffers, so the command writes into a closed pipe
+    with _cli_process("verify", "--enumerate", "4", "--json", stdout=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err.startswith("error: cannot write output: ") and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv, to_full", [
+    (("enumerate", "4", "--ndjson", "/dev/full"), False),
+    (("corpus", "list"), True),
+], ids=["ndjson", "stdout"])
+def test_full_device_is_an_output_error(argv, to_full):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(*argv, stdout=full if to_full else subprocess.PIPE)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode() == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_enumerate_2(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "2")
     assert code == 0 and out.strip() == "1"

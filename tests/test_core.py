@@ -55,6 +55,7 @@ from oracles import (
     right_principal_scan,
     shuffled,
     translates_scan,
+    units_scan,
 )
 
 
@@ -153,9 +154,13 @@ def test_nilpotent_elements(ef4):
     assert not d.is_nilpotent_element(2)  # idempotent generator
 
 
-def test_units(ef4, pool234):
+def test_units(ef4, pool234, pools, corpus_entries):
     s = ef4.semigroup
     assert s.units_mask() == 1 << s.one
+    # units_mask reads 1 in uS alone: a one-sided inverse is two-sided
+    for t in [*(u for pool in pools.values() for u in pool),
+              *(e.semigroup for e in corpus_entries)]:
+        assert t.units_mask() == units_scan(t)
     for t in pool234:
         units = t.units_mask()
         assert mask_contains(units, t.one)

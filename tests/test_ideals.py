@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from sgideals import ideals, verify
 from sgideals.core import Semigroup, mask_elems, mask_of
 from sgideals.ideals import (
+    DEFAULT_CAP,
     CapExceeded,
     IdealKind,
     enumerate_ideals,
@@ -214,6 +215,31 @@ def test_a_tripped_cap_is_searched_once_per_kind(monkeypatch):
     results = run_suite(build_delta(12), 1000)  # 4,098 ideals of each kind
     assert sum(v.note == "cap" for _, v in results) > 1
     assert searches and max(searches.values()) == 1
+
+
+def test_ideal_search_is_free_in_its_class_order(pools, monkeypatch):
+    # the down-sets reached and the count at which the cap trips do not
+    # depend on the order of the divisibility classes
+    def fresh(s):
+        return Semigroup(s.rows, s.one, s.zero)
+
+    def families(s, cap):
+        out = []
+        for kind in IdealKind:
+            try:
+                out.append(enumerate_ideals(s, kind, cap))
+            except CapExceeded:
+                out.append(None)
+        return out
+
+    inputs = [s for n in (2, 3, 4, 5) for s in pools[n]]
+    want = {cap: [families(fresh(s), cap) for s in inputs] for cap in (DEFAULT_CAP, 4)}
+    real = ideals._divisibility_classes
+    monkeypatch.setattr(ideals, "_divisibility_classes", lambda s, kind: real(s, kind)[::-1])
+    for cap, fams in want.items():
+        assert [families(fresh(s), cap) for s in inputs] == fams
+    assert any(None in fams for fams in want[4])
+    assert not any(None in fams for fams in want[DEFAULT_CAP])
 
 
 def test_nil_predicates(ef4):

@@ -11,6 +11,7 @@ from sgideals.segments import (
     power_tail_report,
     prime_segments,
     segment_base,
+    strictly_between,
     tail_intersection,
 )
 from sgideals.corpus import (
@@ -19,6 +20,8 @@ from sgideals.corpus import (
     build_min_chain,
     build_minimal,
 )
+
+from oracles import tail_intersection_scan
 
 P_EF = mask_of([0, 5, 6, 7, 8])
 
@@ -161,13 +164,19 @@ def test_locally_invariant(ef4):
             assert is_locally_invariant(s, seg)  # commutative table
 
 
-def test_tail_intersection(ef4):
+def test_tail_intersection(ef4, pools, corpus_entries):
     m3 = build_min_chain(3)
     assert tail_intersection(m3, 3) == mask_of([0, 2, 3])
     s = ef4.semigroup
     assert tail_intersection(s, s.one) == s.full
     ef_ = ef4.element_names.index("ef")
     assert tail_intersection(s, ef_) == s.right_principal(ef_)
+    # t^(k+1)S lies inside t^kS, so the last distinct power gives the
+    # intersection the scan takes over every power
+    for s in [*(t for pool in pools.values() for t in pool),
+              *(e.semigroup for e in corpus_entries)]:
+        for t in range(s.n):
+            assert tail_intersection(s, t) == tail_intersection_scan(s, t)
 
 
 def test_power_tail_report_ef(ef4):
@@ -191,10 +200,23 @@ def test_segment_base():
     assert seg.bottom and segment_base(m2, seg) == mask_of([0])
 
 
+def _family_key(m):
+    return (bin(m).count("1"), m)
+
+
 def test_segments_are_covering_pairs(pool234, corpus_entries):
     for s in pool234 + [e.semigroup for e in corpus_entries]:
         spec = set(completely_prime_spectrum(s))
-        for seg in prime_segments(s):
+        segs = prime_segments(s)
+        # the loops emit the segments in order: the spectrum is in family
+        # order and each list of ideals below an upper one keeps it
+        keys = [(*_family_key(g.upper), *_family_key(g.lower)) for g in segs]
+        assert keys == sorted(keys)
+        for seg in segs:
+            between = strictly_between(s, segment_base(s, seg), seg.upper)
+            if between:
+                least = mask_elems(min(between, key=_family_key))
+                assert classify_segment(s, seg).witnesses["intermediate_ideal"] == least
             assert seg.upper in spec
             if seg.bottom:
                 assert seg.lower == 0

@@ -516,3 +516,71 @@ def test_lem46_flags_incomparable_semiprimes(monkeypatch, cid):
     if cid != "Lem4.6.iii":
         # both sweep the family in its order, so they name the same pair
         assert v.witness["pair"] == [[0, 2], [0, 3]]
+
+
+# -- controls for guards that state the theorem: on every finite input they
+# change no verdict, so each is fed a patched family that only the guard
+# keeps from changing the status
+
+
+def test_lem46iv_reads_only_the_covers_of_its_ideal(monkeypatch):
+    # each segment keeps its lower end and names the next spectrum member as
+    # its upper ideal (the largest wraps to the least): no segment of
+    # min_chain(4) is then named after {0, 2}, whose completely semiprime
+    # ideal {0} is left without a cover; a body reading every lower end
+    # would find one and hold
+    real = verify.prime_segments
+
+    def rotated(s, cap=DEFAULT_CAP):
+        spec = completely_prime_spectrum(s, cap)
+        up = {p: spec[(i + 1) % len(spec)] for i, p in enumerate(spec)}
+        return tuple(g._replace(upper=up[g.upper]) for g in real(s, cap))
+
+    monkeypatch.setattr(verify, "prime_segments", rotated)
+    v = run_check(build_min_chain(4), "Lem4.6.iv")
+    assert v.status == "discrepancy" and v.witness == {"p": [0, 2], "ideal": [0]}
+
+
+@pytest.mark.parametrize("exceptional", [
+    pytest.param(lambda s: s.nonunits_mask(), id="the-comparability-ideal"),
+    pytest.param(lambda s: 1 << s.one, id="outside-it"),
+])
+def test_exceptional_pairs_need_a_prime_strictly_inside(monkeypatch, exceptional):
+    # chain_x(4)'s one comparability ideal is J; an exceptional prime equal
+    # to J, or not inside it, pairs with nothing, and both checks stay
+    # vacuous by their gate (with the pair, Lem4.4 finds no waist above it)
+    monkeypatch.setattr(verify, "exceptional_primes",
+                        lambda s, cap=DEFAULT_CAP: (exceptional(s),))
+    for cid in ("Lem4.4", "Lem4.5"):
+        v = run_check(build_chain_x(4), cid)
+        assert v.status == "vacuous" and v.hypothesis_trace[-1] == ("has_exceptional_prime", False)
+
+
+def test_lem314_reads_only_primes_below_its_ideal(monkeypatch):
+    # with {0} as the comparability ideal of chain_x(4) and {0, 5} (x^4 S) as
+    # the spectrum, nothing lies below: the check holds, where reading {0, 5}
+    # would find 0*{0, 5} = {0}, whose associated prime is J
+    monkeypatch.setattr(verify, "comparability_ideals", lambda s, cap=DEFAULT_CAP: (s.zero_mask,))
+    monkeypatch.setattr(verify, "completely_prime_spectrum",
+                        lambda s, cap=DEFAULT_CAP: (mask_of([0, 5]),))
+    assert run_check(build_chain_x(4), "Lem3.14").status == "holds"
+
+
+def test_thm24v_reads_only_idempotent_comparizers(monkeypatch):
+    # {0, 5} of chain_x(4), declared nonnilpotent, is not completely prime;
+    # its square {0} differs from it, so the idempotence clause skips it
+    monkeypatch.setattr(verify, "_two_sided_comparizers", lambda s, cap: [mask_of([0, 5])])
+    monkeypatch.setattr(verify, "is_nilpotent_ideal", lambda s, m: False)
+    assert run_check(build_chain_x(4), "Thm2.4.v").status == "holds"
+
+
+def test_pr315_asks_complete_primeness_of_two_sided_tails_only(monkeypatch):
+    # the group of order 2 with a zero adjoined; {0, 1} as the tail of g is
+    # prime and a waist, and no ideal, so it need not be completely prime
+    # (it is not: g*g = 1); no right ideal of a monoid of order at most 6 is
+    # prime, a waist, one-sided and not completely prime; the body is called
+    # directly, since its exists gate holds the unpatched _nonzero_tails
+    s = Semigroup([[0, 0, 0], [0, 1, 2], [0, 2, 1]], one=1, zero=0)
+    monkeypatch.setattr(verify, "_nonzero_tails", lambda s, cap: [(s.zero_mask, 2)])
+    monkeypatch.setattr(verify, "tail_intersection", lambda s, t: mask_of([0, 1]))
+    assert verify.CHECKS["pr3.15"].fn(s, DEFAULT_CAP).status == "holds"
