@@ -137,7 +137,7 @@ def _print_analysis(report: dict) -> None:
               f"weak={row['weak_holds']} {conds}")
     print("segments:")
     for row in report["segments"]:
-        lo = "empty" if not row["lower"] and row["bottom"] else _render_set(row["lower"], names)
+        lo = "empty" if row["bottom"] else _render_set(row["lower"], names)
         print(f"  {lo} < {_render_set(row['upper'], names)}  class={row['class']}"
               + ("  (overlapping branches)" if row["overlap"] else ""))
     for note in report["notes"]:

@@ -1,11 +1,13 @@
 """Built-in example monoids and the exhaustive small-order enumerator.
 
-Index conventions used by every builder:
+Index conventions used by every builder, each the order of the element
+list that the builder hands to `_table` with its product rule:
 
   chain_x(N):    0:"0", 1:"1", then x^k at index k+1 for k = 1..N
   min_chain(n):  0:"0", 1:"1", then x_i at index i+1
   delta(n):      0:"0", 1:"1", then x_i at index i+1
   ef(N):         0:"0", 1:"1", 2:"e", 3:"f", 4:"ef", then x^k at index k+4
+  adjoined(H):   H's own indices, then e, f, ef at H.n, H.n+1, H.n+2
 
 The enumerator fixes zero at index 0 and the identity at index 1 and
 emits one table per isomorphism class: its lex-minimal labelling, with the
@@ -29,30 +31,24 @@ class NontrivialUnits(ValueError):
     pass
 
 
+def _table(elems: list, mul) -> list[list[int]]:
+    """The Cayley table of `mul` on the labels `elems`, by index.  `None`, where
+    present, is the zero: it absorbs every element, and `mul` may return it."""
+    index = {v: i for i, v in enumerate(elems)}
+    return [[index[None if u is None or v is None else mul(u, v)] for v in elems]
+            for u in elems]
+
+
 def build_chain_x(n_pow: int) -> Semigroup:
     """The truncated power chain {0, 1, x, .., x^N} with x^(N+1) = 0.
 
     Left cancellative and a right chain; the workhorse for every statement
-    that needs both properties.
+    that needs both properties.  An element is its power of x.
     """
     if n_pow < 1:
         raise ValueError("need at least one power of x")
-    n = n_pow + 2
-
-    def idx(k):  # power k -> index, with overflow to zero
-        if k == 0:
-            return 1
-        return k + 1 if k <= n_pow else 0
-
-    def pw(i):  # index -> power, None for zero
-        return None if i == 0 else i - 1
-
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            a, b = pw(i), pw(j)
-            table[i][j] = 0 if a is None or b is None else idx(a + b)
-    return Semigroup(table, one=1, zero=0)
+    rows = _table([None, *range(n_pow + 1)], lambda a, b: a + b if a + b <= n_pow else None)
+    return Semigroup(rows, one=1, zero=0)
 
 
 def chain_x_names(n_pow: int) -> tuple[str, ...]:
@@ -60,36 +56,26 @@ def chain_x_names(n_pow: int) -> tuple[str, ...]:
 
 
 def build_min_chain(count: int) -> Semigroup:
-    """{0, 1, x_1, .., x_n} with x_i * x_j = x_min(i,j); every x_i idempotent."""
+    """{0, 1, x_1, .., x_n} with x_i * x_j = x_min(i,j); every x_i idempotent.
+    An element is its subscript, and the identity is 0."""
     if count < 2:
         raise ValueError("need at least two chain generators")
-    n = count + 2
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        table[1][i] = i
-        table[i][1] = i
-    for i in range(2, n):
-        for j in range(2, n):
-            table[i][j] = min(i, j)
-    return Semigroup(table, one=1, zero=0)
+    rows = _table([None, *range(count + 1)], lambda i, j: min(i, j) if i and j else i + j)
+    return Semigroup(rows, one=1, zero=0)
 
 
 def build_delta(count: int) -> Semigroup:
-    """{0, 1, x_1, .., x_n} with x_i * x_j = x_j when i == j, else 0.
+    """{0, 1, x_1, .., x_n} with x_i * x_j = x_j when i == j, else 0, labelled
+    as in build_min_chain.
 
     Fails left cancellation; its minimal completely prime ideals sit in
     pairwise incomparable position.
     """
     if count < 2:
         raise ValueError("need at least two generators")
-    n = count + 2
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        table[1][i] = i
-        table[i][1] = i
-    for i in range(2, n):
-        table[i][i] = i
-    return Semigroup(table, one=1, zero=0)
+    rows = _table([None, *range(count + 1)],
+                  lambda i, j: i + j if not (i and j) else (j if i == j else None))
+    return Semigroup(rows, one=1, zero=0)
 
 
 def generator_names(count: int) -> tuple[str, ...]:
@@ -108,12 +94,8 @@ def build_ef(n_pow: int) -> Semigroup:
         raise ValueError("need x^2 distinct from 0")
     elems = [None, (0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     elems += [(0, 0, k) for k in range(1, n_pow + 1)]
-    index = {v: i for i, v in enumerate(elems)}
-    n = len(elems)
 
     def mul(u, v):
-        if u is None or v is None:
-            return None
         a1, b1, k1 = u
         a2, b2, k2 = v
         k = k1 + k2
@@ -123,14 +105,11 @@ def build_ef(n_pow: int) -> Semigroup:
             return (0, 0, k)
         return (a1 | a2, b1 | b2, 0)
 
-    table = [[index.get(mul(u, v), 0) for v in elems] for u in elems]
-    return Semigroup(table, one=1, zero=0)
+    return Semigroup(_table(elems, mul), one=1, zero=0)
 
 
 def ef_names(n_pow: int) -> tuple[str, ...]:
-    return ("0", "1", "e", "f", "ef") + tuple(
-        f"x{k}" if k > 1 else "x" for k in range(1, n_pow + 1)
-    )
+    return ("0", "1", "e", "f", "ef") + chain_x_names(n_pow)[2:]
 
 
 def build_adjoined(h: Semigroup) -> Semigroup:
@@ -139,6 +118,7 @@ def build_adjoined(h: Semigroup) -> Semigroup:
 
     Requires the unit group of H to be trivial: a nontrivial unit u would
     force (e*u)*u' = u*u' = 1 while e*(u*u') = e, breaking associativity.
+    e, f and ef are the sets of their letters, and multiply by union.
     """
     from .classify import is_right_chain
 
@@ -146,26 +126,18 @@ def build_adjoined(h: Semigroup) -> Semigroup:
         raise NotRightChain("the base monoid must be a right chain")
     if h.units_mask() != (1 << h.one):
         raise NontrivialUnits("the base monoid must have trivial units")
-    nh = h.n
-    n = nh + 3
-    E, F, EF = nh, nh + 1, nh + 2
-    flags = {E: (1, 0), F: (0, 1), EF: (1, 1)}
-    table = [[0] * n for _ in range(n)]
-    for i in range(nh):
-        for j in range(nh):
-            table[i][j] = h.rows[i][j]
-    for g, (a, b) in flags.items():
-        for i in range(nh):
-            if i == h.one:
-                table[g][i] = g
-                table[i][g] = g
-            else:
-                table[g][i] = i
-                table[i][g] = i
-        for g2, (a2, b2) in flags.items():
-            fa, fb = a | a2, b | b2
-            table[g][g2] = {(1, 0): E, (0, 1): F, (1, 1): EF}[(fa, fb)]
-    return Semigroup(table, one=h.one, zero=h.zero)
+
+    def mul(u, v):
+        if isinstance(u, int) and isinstance(v, int):
+            return h.rows[u][v]
+        if isinstance(u, frozenset) and isinstance(v, frozenset):
+            return u | v
+        # g*x = x*g = x for x in H other than 1, and g*1 = 1*g = g
+        g, x = (u, v) if isinstance(u, frozenset) else (v, u)
+        return g if x == h.one else x
+
+    elems = [*range(h.n), frozenset("e"), frozenset("f"), frozenset("ef")]
+    return Semigroup(_table(elems, mul), one=h.one, zero=h.zero)
 
 
 def build_minimal() -> Semigroup:

@@ -245,7 +245,7 @@ def power_tail_report(s: Semigroup, t: int, p_mask: Mask) -> dict:
         "element": t,
         "tail": mask_elems(tail),
         "two_sided": is_ideal(s, tail, IdealKind.TWO_SIDED),
-        "completely_prime": bool(tail and tail != s.full and is_completely_prime(s, tail)),
+        "completely_prime": tail != s.full and is_completely_prime(s, tail),
         "t_in_p": mask_contains(p_mask, t),
         # v lies in vS, so every power ideal is nonzero iff no power is 0
         "all_power_ideals_nonzero": not mask_contains(s.nilpotent_elements(), t),

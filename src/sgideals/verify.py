@@ -579,10 +579,11 @@ def _lem212ii(s: Semigroup, cap: int) -> Verdict:
     return holds()
 
 
-def _translate_intersection(s: Semigroup, outside, p: Mask) -> Mask:
+def _translate_intersection(s: Semigroup, m: Mask, p: Mask) -> Mask:
+    """The intersection of the translates a*P over the elements a outside M."""
     trans = s.translates(p)
     out = s.full
-    for a in outside:
+    for a in mask_elems(s.full & ~m):
         out &= trans[a]
     return out
 
@@ -592,7 +593,7 @@ def _translate_intersection(s: Semigroup, outside, p: Mask) -> Mask:
                       "that intersection is a principal cover bS of T")
 def _lem213(s: Semigroup, cap: int) -> Verdict:
     for t_mask, p in associated_primes(s, cap):
-        inter = _translate_intersection(s, mask_elems(s.full & ~t_mask), p)
+        inter = _translate_intersection(s, t_mask, p)
         # T == inter, or inter is a principal cover of T; the cover follows
         # from T strictly inside inter (README, "Principal covers")
         rhs = is_subset(t_mask, inter)
@@ -612,9 +613,8 @@ def _co214(s: Semigroup, cap: int) -> Verdict:
     j = s.nonunits_mask()
     for t_mask in right_waists(s, cap):
         p = associated_prime(s, t_mask)
-        outside = mask_elems(s.full & ~t_mask)
-        ip = _translate_intersection(s, outside, p)
-        ij = _translate_intersection(s, outside, j)
+        ip = _translate_intersection(s, t_mask, p)
+        ij = _translate_intersection(s, t_mask, j)
         if not (t_mask == ip == ij):
             return discrepancy(
                 {"waist": _w(t_mask), "via_prime": _w(ip), "via_nonunits": _w(ij)}
@@ -828,9 +828,8 @@ def _co312(s: Semigroup, cap: int) -> Verdict:
     j = s.nonunits_mask()
     for p in comparability_ideals(s, cap):
         for m in _ideals_with_associated(s, cap, p):
-            outside = mask_elems(s.full & ~m)
-            ip = _translate_intersection(s, outside, p)
-            ij = _translate_intersection(s, outside, j)
+            ip = _translate_intersection(s, m, p)
+            ij = _translate_intersection(s, m, j)
             if not (m == ip == ij):
                 return discrepancy({"p": _w(p), "ideal": _w(m),
                                     "via_p": _w(ip), "via_nonunits": _w(ij)})
@@ -854,8 +853,7 @@ def _comparable_associated(s: Semigroup, cap: int) -> list[tuple[Mask, Mask]]:
 def _thm313(s: Semigroup, cap: int) -> Verdict:
     j = s.nonunits_mask()
     for m, p0 in _comparable_associated(s, cap):
-        outside = mask_elems(s.full & ~m)
-        ip = _translate_intersection(s, outside, p0)
+        ip = _translate_intersection(s, m, p0)
         sat = saturation_by_element(s, p0)
         union = 0
         for a in mask_elems(m):

@@ -172,11 +172,13 @@ def test_tail_intersection(ef4, pools, corpus_entries):
     ef_ = ef4.element_names.index("ef")
     assert tail_intersection(s, ef_) == s.right_principal(ef_)
     # t^(k+1)S lies inside t^kS, so the last distinct power gives the
-    # intersection the scan takes over every power
+    # intersection the scan takes over every power; it holds that power, so
+    # it is never empty (power_tail_report relies on this)
     for s in [*(t for pool in pools.values() for t in pool),
               *(e.semigroup for e in corpus_entries)]:
         for t in range(s.n):
-            assert tail_intersection(s, t) == tail_intersection_scan(s, t)
+            tail = tail_intersection(s, t)
+            assert tail == tail_intersection_scan(s, t) and tail != 0
 
 
 def test_power_tail_report_ef(ef4):

@@ -378,8 +378,7 @@ def test_lem213_principal_cover():
     assert run_check(s, "Lem2.13").status == "holds"
     zero = s.zero_mask
     assert verify.is_waist(s, zero)
-    outside = mask_elems(s.full & ~zero)
-    inter = verify._translate_intersection(s, outside, verify.associated_prime(s, zero))
+    inter = verify._translate_intersection(s, zero, verify.associated_prime(s, zero))
     # a body reading only "T == intersection" would call {0} no waist here
     assert inter != zero and inter == s.right_principal(2) == mask_of([0, 2])
 
