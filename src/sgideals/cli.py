@@ -165,10 +165,12 @@ def cmd_analyze(args) -> int:
 
 
 def verdict_report(name: str, s: Semigroup, cap: int, only: str | None) -> dict:
-    from .verify import run_check, run_suite
+    from .verify import CHECKS, normalize_id, run_check, run_suite
 
     if only is not None:
-        results = [(only, run_check(s, only, cap))]
+        # run first: an unknown id raises UnknownCheck before the lookup
+        verdict = run_check(s, only, cap)
+        results = [(CHECKS[normalize_id(only)].id, verdict)]
     else:
         results = run_suite(s, cap)
     return {

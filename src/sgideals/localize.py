@@ -3,7 +3,7 @@ completely prime right ideal."""
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, mask_of, memoized
@@ -63,100 +63,100 @@ def saturate(s: Semigroup, x_mask: Mask, t_mask: Mask) -> Mask:
     return out
 
 
-def _union_tables(masks: Sequence[Mask], half: int) -> tuple[list[Mask], list[Mask]]:
-    """Tables lo, hi such that lo[X & low] | hi[X >> half], where
-    low = (1 << half) - 1, is the OR of masks[x] over the x in X."""
-    out = []
-    for part in (masks[:half], masks[half:]):
-        table = [0]
-        for m in part:
-            table += [v | m for v in table]
-        out.append(table)
-    return out[0], out[1]
-
-
 class OreSweep:
     """The multiplicatively closed right Ore sets T of s, and the
-    saturations sat(aS, T), read from half-width lookup tables over the
-    subsets of the carrier (README, "The Lem3.1 sweep").
+    saturations sat(aS, T), with each predicate of T held as a truth table:
+    an int of 2^n bits whose bit T is set when the predicate holds for T
+    (README, "The Lem3.1 sweep").
 
-    Iterating yields every such T in increasing order, at O(n) table reads
-    per subset; the tables are built once, in the constructor.
+    Iterating yields every such T in increasing order; the tables are built
+    once, in the constructor.
     """
 
     def __init__(self, s: Semigroup):
-        n, rows = s.n, s.rows
-        self.n = n
-        self.half = half = n // 2
-        self.low = (1 << half) - 1
-        # T -> a*T, one table per a
-        self._times_t = [_union_tables([1 << v for v in rows[a]], half) for a in range(n)]
-        # Y -> {t : tS meets Y}, from the t with v in tS for each v
-        self._meets = _union_tables(s.left_divisors(), half)
-        # Y -> Y*S
-        self._times_s = _union_tables(s.right_principals, half)
-        # T -> sat(aS, T), one table per distinct aS
-        by_ideal: dict[Mask, tuple[list[Mask], list[Mask]]] = {}
-        self._sat = []
-        self._sat_distinct = []  # (least a with that aS, its tables)
-        for a, a_s in enumerate(s.right_principals):
-            got = by_ideal.get(a_s)
-            if got is None:
-                pulled_in = [0] * n  # t -> {y : y*t in aS}
-                for y in range(n):
-                    row = rows[y]
-                    for t in range(n):
-                        if a_s >> row[t] & 1:
-                            pulled_in[t] |= 1 << y
-                got = by_ideal[a_s] = _union_tables(pulled_in, half)
-                self._sat_distinct.append((a, *got))
-            self._sat.append(got)
+        n, rows, princ, pre = s.n, s.rows, s.right_principals, s.preimages()
+        every = (1 << (1 << n)) - 1
+        # has[i]: the T holding i, Knuth's magic mask, its first period
+        # doubled until it spans all 2^n bits
+        has = []
+        for i in range(n):
+            mask, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+            while width < 1 << n:
+                mask |= mask << width
+                width <<= 1
+            has.append(mask)
+        self._lacks = [every ^ h for h in has]
+        self._avoiding = {0: every}
+        self._times_s = princ  # yS for each y, the right-ideal test's one input
+        # sat(aS, T) = {y : y*t in aS for some t in T}, so y is outside it
+        # exactly for the T avoiding {t : y*t in aS}; one list of those
+        # tables per distinct aS, kept with the least a
+        by_ideal: dict[Mask, tuple[int, list[Mask]]] = {}
+        for a, a_s in enumerate(princ):
+            if a_s not in by_ideal:
+                pulled = [0] * n
+                for v in mask_elems(a_s):
+                    for y in range(n):
+                        pulled[y] |= pre[y][v]
+                by_ideal[a_s] = (a, [self._avoids(m) for m in pulled])
+        self._sat = [by_ideal[a_s][1] for a_s in princ]
+        self._distinct = list(by_ideal.values())
+        # T is not closed when a*b is outside it for some a and b in T, and
+        # not right Ore when some a is outside sat(tS, T), that is a*T misses
+        # tS, for some t in T
+        bad = 0
+        for a in range(n):
+            escapes = short = 0
+            for b, v in enumerate(rows[a]):
+                escapes |= has[b] & self._lacks[v]
+            for out in self._sat[a]:
+                short |= out
+            bad |= has[a] & (escapes | short)
+        self._ore = every & ~bad
+
+    def _avoids(self, m: Mask) -> Mask:
+        """The truth table of the T disjoint from M."""
+        got = self._avoiding.get(m)
+        if got is None:
+            low = m & -m
+            got = self._avoiding[m] = self._avoids(m ^ low) & self._lacks[low.bit_length() - 1]
+        return got
 
     def __iter__(self) -> Iterator[Mask]:
-        n, half, low = self.n, self.half, self.low
-        times_t = self._times_t
-        meets_lo, meets_hi = self._meets
-        for t in range(1 << n):
-            t_lo, t_hi = t & low, t >> half
-            outside = ~t
-            # closed: a*T inside T for every a in T
-            rest = t
-            while rest:
-                bit = rest & -rest
-                lo, hi = times_t[bit.bit_length() - 1]
-                if (lo[t_lo] | hi[t_hi]) & outside:
-                    break
-                rest ^= bit
-            if rest:
-                continue
-            # right Ore: every t in T has tS meeting a*T, for every a in S
-            for lo, hi in times_t:
-                a_t = lo[t_lo] | hi[t_hi]
-                if t & ~(meets_lo[a_t & low] | meets_hi[a_t >> half]):
-                    break
-            else:
-                yield t
+        bits = bin(self._ore)[:1:-1]
+        t = bits.find("1")
+        while t >= 0:
+            yield t
+            t = bits.find("1", t + 1)
 
     def saturations(self, t_mask: Mask) -> list[Mask]:
         """sat(aS, T) for every a, in increasing a."""
-        t_lo, t_hi = t_mask & self.low, t_mask >> self.half
-        return [lo[t_lo] | hi[t_hi] for lo, hi in self._sat]
+        return [mask_of(y for y, out in enumerate(outside) if not out >> t_mask & 1)
+                for outside in self._sat]
 
     def first_non_ideal_saturation(self) -> tuple[Mask, int] | None:
         """The first T in sweep order, and then the least a, for which
         sat(aS, T) is not a right ideal; None when every one is.
 
         sat(aS, T) depends on aS alone, so one a per distinct aS is read.
+        It fails for T when some y inside it has some v in yS outside it.
         """
-        half, low = self.half, self.low
-        times_s_lo, times_s_hi = self._times_s
-        for t in self:
-            t_lo, t_hi = t & low, t >> half
-            for a, lo, hi in self._sat_distinct:
-                x = lo[t_lo] | hi[t_hi]
-                if (times_s_lo[x & low] | times_s_hi[x >> half]) & ~x:
-                    return t, a
-        return None
+        fails, first = [], 0
+        for a, outside in self._distinct:
+            fail = 0
+            for out, y_s in zip(outside, self._times_s):
+                leaves = 0
+                for v in mask_elems(y_s):
+                    leaves |= outside[v]
+                fail |= leaves & ~out
+            fails.append((a, fail))
+            first |= fail
+        first &= self._ore
+        if not first:
+            return None
+        # t is an Ore set, so bit t of each table is already masked
+        t = (first & -first).bit_length() - 1
+        return t, next(a for a, fail in fails if fail >> t & 1)
 
 
 def right_ore_sets(s: Semigroup) -> tuple[Mask, ...]:

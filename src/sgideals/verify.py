@@ -201,8 +201,9 @@ COMPARIZER_RADICAL_NONNILPOTENT = Gate(
     "comparizer_radical_nonnilpotent",
     lambda s, cap: not is_nilpotent_ideal(s, comparizer_radical(s)),
 )
-# Lem3.1 quantifies over all 2^n subsets of the carrier; each costs O(n)
-# table reads (localize.OreSweep), so the 2^n count is what sets the limit
+# Lem3.1 reads all 2^n subsets of the carrier at once, each predicate a
+# truth table of 2^n bits (localize.OreSweep), so time and memory double per
+# element; README "The Lem3.1 sweep" gives the times up to n = 20
 SUBSET_ENUMERATION_FEASIBLE = Gate("subset_enumeration_feasible", lambda s, cap: s.n <= 12)
 
 

@@ -152,6 +152,17 @@ def test_verify_single_check(capsys):
     assert code == 0 and "holds" in out
 
 
+def test_verify_check_reports_the_registered_id(capsys):
+    # an alias runs the check and is reported under its registered id, and
+    # a registered id prints the bytes it always did
+    code, out, _ = run_cli(capsys, "verify", "--check", "Lemma 3.1", "min2")
+    assert code == 0 and out.splitlines()[1] == "  Lem3.1       holds"
+    code, out, _ = run_cli(capsys, "verify", "--check", "Lemma 3.1", "min2", "--json")
+    assert code == 0 and [r["id"] for r in json.loads(out)["results"]] == ["Lem3.1"]
+    code, out, _ = run_cli(capsys, "verify", "--check", "Thm4.8", "chain_x4")
+    assert (code, out) == (0, "chain_x4 (hash 2280797121313584)\n  Thm4.8       holds\n")
+
+
 def test_verify_corpus_exit_codes(capsys):
     for name in corpus():
         code, out, _ = run_cli(capsys, "verify", name)

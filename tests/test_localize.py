@@ -205,18 +205,51 @@ def test_ore_sweep_matches_bruteforce_pools_and_corpus(pool234, pool5, corpus_en
         _assert_sweep_matches_bruteforce(s)
 
 
+@pytest.mark.slow
+def test_ore_sweep_matches_bruteforce_order6(pool6):
+    for s in pool6:
+        _assert_sweep_matches_bruteforce(s)
+
+
+class _ForcedSweep(OreSweep):
+    """OreSweep with every yS read as the whole carrier, so that a
+    saturation passes the right-ideal test only when it is empty or S."""
+
+    def __init__(self, s):
+        super().__init__(s)
+        self._times_s = (s.full,) * s.n
+
+
+def _forced_witness(s):
+    # the first Ore set T, and then the least a, whose sat(aS, T) is
+    # neither empty nor S, from the literal definitions
+    return next(((t_mask, a) for t_mask in right_ore_sets_bruteforce(s) for a in range(s.n)
+                 if saturate_scan(s, set(s.rows[a]), mask_elems(t_mask)) not in (0, s.full)),
+                None)
+
+
 def test_first_non_ideal_saturation_witness_order(pool234, pool5):
     # every saturation is a right ideal (Lem3.1), so the test is run with
-    # Y*S read as the whole carrier: then the first failure is the first T,
-    # and then the least a, whose sat(aS, T) is not the carrier
-    for s in [*pool234, *pool5]:
-        sweep = OreSweep(s)
-        assert sweep.first_non_ideal_saturation() is None
-        lo, hi = sweep._times_s
-        sweep._times_s = ([s.full] * len(lo), hi)
-        want = next(((t_mask, a) for t_mask in sweep
-                     for a, sat in enumerate(sweep.saturations(t_mask)) if sat != s.full), None)
-        assert sweep.first_non_ideal_saturation() == want
+    # every yS read as the whole carrier: then the first failure is the
+    # first T, and then the least a, whose sat(aS, T) is neither empty (T
+    # empty: no y to read) nor S; on the pools as enumerated that is always
+    # ({1}, 0), so each is run relabelled too
+    pools = [*pool234, *pool5]
+    for s in [*pools, *(shuffled(s, i) for i, s in enumerate(pools))]:
+        assert OreSweep(s).first_non_ideal_saturation() is None
+        want = _forced_witness(s)
+        assert want is not None
+        assert _ForcedSweep(s).first_non_ideal_saturation() == want
+
+
+def test_lem31_forced_discrepancy(pool234, monkeypatch):
+    from sgideals import verify
+
+    monkeypatch.setattr(verify, "OreSweep", _ForcedSweep)
+    for s in [*pool234, *(shuffled(s, i) for i, s in enumerate(pool234))]:
+        t_mask, a = _forced_witness(s)
+        got = run_check(s, "Lem3.1")
+        assert (got.status, got.witness) == ("discrepancy", {"ore_set": mask_elems(t_mask), "a": a})
 
 
 FAMILIES = {"null": null_monoid, "delta": lambda n: build_delta(n - 2),
