@@ -282,12 +282,11 @@ def test_verdict_report_schema(capsys):
 def test_verify_exit_one_on_discrepancy(capsys, monkeypatch):
     # a synthetic always-failing check exercises the exit-code contract
     from sgideals import verify as verify_mod
-    from sgideals.verdict import discrepancy
 
     fake = verify_mod.TheoremCheck(
         id="Fake0.0",
         statement="always fails",
-        fn=lambda s, cap: discrepancy({"reason": "synthetic"}),
+        fn=lambda s, cap: iter([{"reason": "synthetic"}]),
     )
     monkeypatch.setitem(verify_mod.CHECKS, "fake0.0", fake)
     code, out, _ = run_cli(capsys, "verify", "--check", "Fake0.0", "min2")

@@ -6,6 +6,9 @@
   package, the tests and the demos.  `__init__.py` is exempt, since
   re-exporting is what its imports are for.  The tests read private
   helpers on purpose, so the first rule stays with the package.
+- In `verify.py` only `run_check` builds a Verdict: a check body yields its
+  witnesses and may return a note, so `holds`, `discrepancy` and `vacuous`
+  are called nowhere else.
 """
 import ast
 from pathlib import Path
@@ -61,3 +64,18 @@ def test_no_unused_imports(path):
     ]
     assert unused == []
 
+
+
+def test_only_run_check_builds_verdicts():
+    tree = _tree(SRC / "verify.py")
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "run_check":
+            inside = {id(n) for n in ast.walk(node)}
+    calls = [
+        f"line {node.lineno}: {node.func.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"holds", "discrepancy", "vacuous"} and id(node) not in inside
+    ]
+    assert inside and calls == []

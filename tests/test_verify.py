@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 import sys
@@ -8,7 +9,8 @@ import pytest
 from sgideals import verify
 from sgideals.core import Semigroup, is_subset, mask_elems, mask_of
 from sgideals.classify import PrimenessKind, comparizer_radical, exceptional_primes
-from sgideals.ideals import DEFAULT_CAP, IdealKind, enumerate_ideals, is_nilpotent_ideal
+from sgideals.ideals import (DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals,
+                             is_nilpotent_ideal)
 from sgideals.localize import is_right_p_comparable
 from sgideals.segments import PrimeSegment, completely_prime_spectrum, prime_segments
 from sgideals.corpus import (build_chain_x, build_delta, build_ef, build_min_chain,
@@ -36,7 +38,8 @@ def test_id_normalization():
 
 
 def test_registry_keys_are_normalised():
-    # run_check looks a key up as given before normalising it
+    # _register keys every check by its normalised id, and run_check
+    # normalises the id it is asked for, so every key is a fixed point
     assert all(normalize_id(key) == key for key in CHECKS)
     s = build_chain_x(4)
     for spelling in ("Lemma 2.1.ii", "lem2.1.ii", "LEM_2.1.ii"):
@@ -54,6 +57,69 @@ def test_unknown_check():
         run_check(build_minimal(), "Thm9.9")
 
 
+# the run_check contract, on synthetic checks: a body yields its witnesses
+# and may return a note, and run_check alone turns that into a Verdict
+ALWAYS = verify.Gate("always", lambda s, cap: True)
+
+
+def _run_synthetic(monkeypatch, body, found=("object",)):
+    exists = verify.Gate("finds", lambda s, cap: found)
+    check = verify.TheoremCheck("Syn0.0", "synthetic", body, (ALWAYS,), exists)
+    monkeypatch.setitem(CHECKS, "syn0.0", check)
+    return run_check(build_minimal(), "Syn0.0")
+
+
+def test_run_check_turns_a_witness_into_a_discrepancy(monkeypatch):
+    def body(s, cap, found):
+        yield {"a": 1}
+        raise AssertionError("resumed after the first witness")
+
+    v = _run_synthetic(monkeypatch, body)
+    assert v.status == "discrepancy" and v.witness == {"a": 1}
+    assert v.hypothesis_trace == (("always", True), ("finds", True))
+
+
+@pytest.mark.parametrize("note", ["a note", None])
+def test_run_check_turns_a_return_into_holds(monkeypatch, note):
+    def body(s, cap, found):
+        yield from ()
+        if note is not None:
+            return note
+
+    v = _run_synthetic(monkeypatch, body)
+    assert (v.status, v.witness, v.note) == ("holds", None, note)
+    assert v.hypothesis_trace == (("always", True), ("finds", True))
+
+
+def test_run_check_turns_a_blown_cap_into_vacuous(monkeypatch):
+    def body(s, cap, found):
+        raise CapExceeded("synthetic")
+        yield {"a": 1}
+
+    v = _run_synthetic(monkeypatch, body)
+    assert (v.status, v.note) == ("vacuous", "cap")
+
+
+def test_run_check_skips_the_body_when_nothing_exists(monkeypatch):
+    def body(s, cap, found):
+        raise AssertionError("entered")
+
+    v = _run_synthetic(monkeypatch, body, found=[])
+    assert v.status == "vacuous"
+    assert v.hypothesis_trace == (("always", True), ("finds", False))
+
+
+def test_run_check_hands_the_exists_objects_to_the_body(monkeypatch):
+    found, seen = [object()], []
+
+    def body(s, cap, objects):
+        seen.append(objects)
+        yield from ()
+
+    assert _run_synthetic(monkeypatch, body, found=found).status == "holds"
+    assert seen[0] is found
+
+
 def test_registry_covers_catalog():
     ids = registered_ids()
     assert len(ids) == len(set(ids))
@@ -66,6 +132,9 @@ def test_registry_covers_catalog():
         assert any(i.startswith(prefix) for i in ids), prefix
     for check in CHECKS.values():
         assert check.statement  # every check describes its content
+        # run_check calls next() on the body, so a body with no yield would
+        # raise TypeError on a valid semigroup
+        assert inspect.isgeneratorfunction(check.fn), check.id
 
 
 def test_known_verdicts():
@@ -577,9 +646,8 @@ def test_pr315_asks_complete_primeness_of_two_sided_tails_only(monkeypatch):
     # the group of order 2 with a zero adjoined; {0, 1} as the tail of g is
     # prime and a waist, and no ideal, so it need not be completely prime
     # (it is not: g*g = 1); no right ideal of a monoid of order at most 6 is
-    # prime, a waist, one-sided and not completely prime; the body is called
-    # directly, since its exists gate holds the unpatched _nonzero_tails
+    # prime, a waist, one-sided and not completely prime
     s = Semigroup([[0, 0, 0], [0, 1, 2], [0, 2, 1]], one=1, zero=0)
-    monkeypatch.setattr(verify, "_nonzero_tails", lambda s, cap: [(s.zero_mask, 2)])
     monkeypatch.setattr(verify, "tail_intersection", lambda s, t: mask_of([0, 1]))
-    assert verify.CHECKS["pr3.15"].fn(s, DEFAULT_CAP).status == "holds"
+    body = verify.CHECKS["pr3.15"].fn(s, DEFAULT_CAP, [(s.zero_mask, 2)])
+    assert next(body, None) is None
