@@ -119,10 +119,6 @@ def is_subset(a: Mask, b: Mask) -> bool:
     return a & ~b == 0
 
 
-def popcount(mask: Mask) -> int:
-    return mask.bit_count()
-
-
 class Semigroup:
     """A validated finite monoid with zero.
 
@@ -185,18 +181,15 @@ class Semigroup:
         return self.rows[a][b]
 
     def power(self, a: int, k: int) -> int:
+        """a^k, read from powers(a) = [a, .., a^m]: past its end the powers
+        cycle back to the first occurrence of a^m*a."""
         if k < 1:
             raise ValueError("exponent must be >= 1")
-        acc = None
-        base = a
-        rows = self.rows
-        while k:
-            if k & 1:
-                acc = base if acc is None else rows[acc][base]
-            k >>= 1
-            if k:
-                base = rows[base][base]
-        return acc
+        seq = self.powers(a)
+        if k <= len(seq):
+            return seq[k - 1]
+        start = seq.index(self.rows[seq[-1]][a])
+        return seq[start + (k - 1 - start) % (len(seq) - start)]
 
     def powers(self, a: int) -> list[int]:
         """a, a^2, a^3, .. up to the first repeat, each once.  The sequence
@@ -343,7 +336,7 @@ class Semigroup:
                 v = rows[a][b] if left else rows[b][a]
                 if v == zero:
                     continue
-                if v in seen and seen[v] != b:
+                if v in seen:
                     return (a, seen[v], b)
                 seen[v] = b
         return None

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple
 
-from .core import Semigroup, mask_elems, mask_of
+from .core import Semigroup
 
 
 class NotRightChain(ValueError):
@@ -153,7 +153,6 @@ class CorpusEntry(NamedTuple):
     name: str
     semigroup: Semigroup
     element_names: tuple[str, ...]
-    expected: dict
     notes: tuple[str, ...] = ()
 
 
@@ -167,88 +166,13 @@ EF_SATURATION_NOTE = (
 
 def corpus() -> dict[str, CorpusEntry]:
     """The built-in examples by name, built afresh on every call."""
-    ef4 = build_ef(4)
-    efn = ef_names(4)
-
-    def ix(names, *labels):
-        return sorted(names.index(w) for w in labels)
-
-    p_ef = ix(efn, "0", "x", "x2", "x3", "x4")
     entries = [
-        CorpusEntry(
-            name="min2",
-            semigroup=build_minimal(),
-            element_names=("0", "1"),
-            expected={
-                "order": 2,
-                "is_right_chain": True,
-                "is_left_cancellative": True,
-                "nilpotent_elements": [0],
-                "completely_prime_spectrum": [[0]],
-            },
-        ),
-        CorpusEntry(
-            name="chain_x4",
-            semigroup=build_chain_x(4),
-            element_names=chain_x_names(4),
-            expected={
-                "order": 6,
-                "is_right_chain": True,
-                "is_left_cancellative": True,
-                "nilpotent_elements": [0, 2, 3, 4, 5],
-                "completely_prime_spectrum": [[0, 2, 3, 4, 5]],
-            },
-        ),
-        CorpusEntry(
-            name="ef4",
-            semigroup=ef4,
-            element_names=efn,
-            expected={
-                "order": 9,
-                "is_right_chain": False,
-                "is_left_cancellative": False,
-                "nilpotent_elements": p_ef,
-                "comparability_holds": [p_ef],
-            },
-            notes=(EF_SATURATION_NOTE,),
-        ),
-        CorpusEntry(
-            name="min_chain3",
-            semigroup=build_min_chain(3),
-            element_names=generator_names(3),
-            expected={
-                "order": 5,
-                "is_right_chain": True,
-                "is_left_cancellative": False,
-                "completely_prime_spectrum": [[0], [0, 2], [0, 2, 3], [0, 2, 3, 4]],
-            },
-        ),
-        CorpusEntry(
-            name="min_chain4",
-            semigroup=build_min_chain(4),
-            element_names=generator_names(4),
-            expected={
-                "order": 6,
-                "is_right_chain": True,
-                "is_left_cancellative": False,
-            },
-        ),
-        CorpusEntry(
-            name="delta3",
-            semigroup=build_delta(3),
-            element_names=generator_names(3),
-            expected={
-                "order": 5,
-                "is_right_chain": False,
-                "is_left_cancellative": False,
-                "completely_prime_spectrum": [
-                    [0, 2, 3],
-                    [0, 2, 3, 4],
-                    [0, 2, 4],
-                    [0, 3, 4],
-                ],
-            },
-        ),
+        CorpusEntry("min2", build_minimal(), ("0", "1")),
+        CorpusEntry("chain_x4", build_chain_x(4), chain_x_names(4)),
+        CorpusEntry("ef4", build_ef(4), ef_names(4), notes=(EF_SATURATION_NOTE,)),
+        CorpusEntry("min_chain3", build_min_chain(3), generator_names(3)),
+        CorpusEntry("min_chain4", build_min_chain(4), generator_names(4)),
+        CorpusEntry("delta3", build_delta(3), generator_names(3)),
     ]
     return {e.name: e for e in entries}
 
@@ -258,34 +182,6 @@ def corpus_entry(name: str) -> CorpusEntry:
         return corpus()[name]
     except KeyError:
         raise KeyError(f"unknown corpus entry {name!r}; have {sorted(corpus())}")
-
-
-def evaluate_expected(entry: CorpusEntry) -> list[tuple[str, bool, object]]:
-    """Check every recorded fact live; returns (key, ok, computed) rows."""
-    from .classify import is_right_chain
-    from .localize import is_right_p_comparable
-    from .segments import completely_prime_spectrum
-
-    s = entry.semigroup
-    out = []
-    for key, want in entry.expected.items():
-        if key == "order":
-            got = s.n
-        elif key == "is_right_chain":
-            got = is_right_chain(s)
-        elif key == "is_left_cancellative":
-            got = s.is_left_cancellative()
-        elif key == "nilpotent_elements":
-            got = mask_elems(s.nilpotent_elements())
-        elif key == "completely_prime_spectrum":
-            got = sorted(mask_elems(m) for m in completely_prime_spectrum(s))
-        elif key == "comparability_holds":
-            got = [p for p in want if is_right_p_comparable(s, mask_of(p)).holds]
-        else:
-            out.append((key, False, "unknown fact key"))
-            continue
-        out.append((key, got == want, got))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Mask, Semigroup, is_subset, mask_elems, mask_of, memoized, popcount
+from .core import Mask, Semigroup, is_subset, mask_elems, mask_of, memoized
 
 DEFAULT_CAP = 1_000_000
 
@@ -141,7 +141,7 @@ def _ideal_search(s: Semigroup, kind: IdealKind, cap: int) -> tuple[Mask, ...] |
                     return None
                 seen.add(new)
                 queue.append(new)
-    return tuple(sorted(seen, key=lambda m: (popcount(m), m)))
+    return tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
 
 
 def enumerate_ideals(s: Semigroup, kind: IdealKind, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:

@@ -48,19 +48,12 @@ def right_ore_condition(s: Semigroup, t_mask: Mask) -> bool:
 
 
 def saturate(s: Semigroup, x_mask: Mask, t_mask: Mask) -> Mask:
-    """{y : y*t in X for some t in T}.
+    """{y : y*t in X for some t in T}: the y whose translate y*T meets X.
 
     Contains X whenever T contains the identity; a right ideal whenever T
     is a right Ore set.
     """
-    rows = s.rows
-    members = mask_elems(t_mask)
-    out = 0
-    for y in range(s.n):
-        row = rows[y]
-        if any(mask_contains(x_mask, row[t]) for t in members):
-            out |= 1 << y
-    return out
+    return mask_of(y for y, y_t in enumerate(s.translates(t_mask)) if y_t & x_mask)
 
 
 class OreSweep:
@@ -203,14 +196,10 @@ class ComparabilityReport(NamedTuple):
 
 @memoized
 def saturation_by_element(s: Semigroup, p_mask: Mask) -> tuple[Mask, ...]:
-    """sat(aS, S-P) for every a.  y is in it exactly when y*(S-P) meets aS,
-    so each distinct aS costs one AND test per translate y*(S-P), read from
-    the table the Ore condition reads too."""
-    translates = s.translates(s.full & ~p_mask)
-    by_ideal = {
-        a_s: mask_of(y for y, y_t in enumerate(translates) if y_t & a_s)
-        for a_s in set(s.right_principals)
-    }
+    """sat(aS, S-P) for every a, one saturation per distinct aS; each reads
+    the translates y*(S-P) that the Ore condition reads too."""
+    t_mask = s.full & ~p_mask
+    by_ideal = {a_s: saturate(s, a_s, t_mask) for a_s in set(s.right_principals)}
     return tuple(by_ideal[a_s] for a_s in s.right_principals)
 
 

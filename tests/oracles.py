@@ -248,10 +248,12 @@ def lem31_bruteforce(s: Semigroup) -> Verdict:
 def p_comparability_bruteforce(s: Semigroup, p_mask: int):
     """The comparability report for a completely prime right ideal P, and
     sat(aS, S-P) for every a, by the pair loops over all (a, b) with
-    `saturate` per a (the analysis before it read per-monoid tables)."""
+    `saturate_scan` per a, apart from the translate table the library reads."""
     n = s.n
     t_mask = s.full & ~p_mask
-    sat = tuple(saturate(s, s.right_principal(a), t_mask) for a in range(n))
+    t_members = mask_elems(t_mask)
+    sat = tuple(saturate_scan(s, set(mask_elems(s.right_principal(a))), t_members)
+                for a in range(n))
     princ = s.right_principals
 
     witness = None

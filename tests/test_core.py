@@ -116,13 +116,18 @@ def test_multiply_examples(ef4):
     assert s.mul(x, x4) == s.zero
 
 
-def test_element_power(ef4):
+def test_element_power(ef4, pool5, corpus_entries):
     s = ef4.semigroup
     x = ef4.element_names.index("x")
     assert s.power(x, 5) == s.zero == power_scan(s, x, 5)
     assert s.power(s.one, 17) == s.one
     m = build_min_chain(3)
     assert m.power(3, 2) == 3  # idempotent generator
+    # k up to 2n + 1 runs past the index and through the cycle at least once
+    for s in [*pool5, *(e.semigroup for e in corpus_entries)]:
+        for a in range(s.n):
+            for k in range(1, 2 * s.n + 2):
+                assert s.power(a, k) == power_scan(s, a, k)
 
 
 def test_power_additivity(pool234):

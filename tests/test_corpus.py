@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from sgideals.core import Semigroup, isomorphic_fixing_one_zero
+from sgideals.core import Semigroup, isomorphic_fixing_one_zero, mask_of
 from sgideals.corpus import (
     NontrivialUnits,
     NotRightChain,
@@ -20,11 +20,11 @@ from sgideals.corpus import (
     corpus_entry,
     ef_names,
     enumerate_monoids_with_zero,
-    evaluate_expected,
     generator_names,
 )
 from sgideals.classify import is_right_chain
 from sgideals.localize import is_right_p_comparable
+from sgideals.segments import completely_prime_spectrum
 
 from oracles import isomorphic_bruteforce, monoids_with_zero_first_seen
 
@@ -303,13 +303,42 @@ def test_enumeration_complete_at_3():
     assert cells == [0, 1, 2]
 
 
+P_EF4 = ["0", "x", "x2", "x3", "x4"]  # ef4's nilpotents, by element name
+
+# (order, is_right_chain, is_left_cancellative, nilpotent elements,
+# completely prime spectrum, comparability ideals checked), the last three
+# by element name; None where the entry records no such fact
+FACTS = {
+    "min2": (2, True, True, ["0"], [["0"]], None),
+    "chain_x4": (6, True, True, ["0", "x", "x2", "x3", "x4"], [["0", "x", "x2", "x3", "x4"]],
+                 None),
+    "ef4": (9, False, False, P_EF4, None, [P_EF4]),
+    "min_chain3": (5, True, False, None, [["0"], ["0", "x1"], ["0", "x1", "x2"],
+                                          ["0", "x1", "x2", "x3"]], None),
+    "min_chain4": (6, True, False, None, None, None),
+    "delta3": (5, False, False, None, [["0", "x1", "x2"], ["0", "x1", "x2", "x3"],
+                                       ["0", "x1", "x3"], ["0", "x2", "x3"]], None),
+}
+
+
 def test_corpus_registry_and_facts():
     reg = corpus()
-    assert set(reg) == {"min2", "chain_x4", "ef4", "min_chain3", "min_chain4", "delta3"}
-    for entry in reg.values():
-        assert len(entry.element_names) == entry.semigroup.n
-        for key, ok, got in evaluate_expected(entry):
-            assert ok, (entry.name, key, got)
+    assert set(reg) == set(FACTS)
+    for name, entry in reg.items():
+        s, names = entry.semigroup, entry.element_names
+        assert len(names) == s.n
+        order, chain, cancel, nilp, spectrum, comparable = FACTS[name]
+        assert (s.n, is_right_chain(s), s.is_left_cancellative()) == (order, chain, cancel), name
+
+        def mask(labels):
+            return mask_of(names.index(w) for w in labels)
+
+        if nilp is not None:
+            assert s.nilpotent_elements() == mask(nilp), name
+        if spectrum is not None:
+            assert sorted(completely_prime_spectrum(s)) == sorted(map(mask, spectrum)), name
+        if comparable is not None:
+            assert all(is_right_p_comparable(s, mask(p)).holds for p in comparable), name
 
 
 def test_corpus_entry_lookup():

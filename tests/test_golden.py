@@ -13,7 +13,9 @@ ideals.principals.  The standard output of `sgideals verify --enumerate N
 --json` is pinned byte for byte at orders 5 and 6, recorded when the
 command still collected its pool through its own enumerator sink; the
 order-6 digest is read back from that output, so the 1,101 reports are
-computed once.  The corpus, default-cap pool, order-6 and `--enumerate`
+computed once.  The verdict reports of the large families (n = 12 to 42)
+are pinned at both caps as well, recorded before saturation and element
+powers each lost their second implementation.  The corpus, default-cap pool, order-6 and `--enumerate`
 pins were recorded again when Thm2.7.i dropped an existence gate that no
 finite monoid fails; putting its constant `true` entry back into each
 Thm2.7.i trace reproduces the earlier pins exactly.
@@ -32,7 +34,8 @@ import pytest
 
 from sgideals.cli import analysis_report, main, verdict_report
 from sgideals.core import Semigroup
-from sgideals.corpus import all_monoids_with_zero, corpus
+from sgideals.corpus import (all_monoids_with_zero, build_chain_x, build_delta, build_ef,
+                             build_min_chain, corpus)
 from sgideals.ideals import DEFAULT_CAP
 
 GOLDEN = {
@@ -40,6 +43,9 @@ GOLDEN = {
     "pools_default_cap": "1d557cd3118a9929771affedca4b44b5d8d9ad177e1d752769ac306c2b566d40",
     "pools_cap4": "8f2a6db30c01fe95d36b2fe994748c147b86cc47318f64332e27931a17582607",
 }
+# verdict_report of ef(30), min_chain(40), chain_x(30), delta(10) and
+# min_chain(10), at the default cap and then at cap 4
+LARGE_FAMILIES = "852feac1d1188b09b5575cf82dc7883313e0efc1bea93f02807f0cb111f6e443"
 ORDER6 = "c0f00d2bb2e6788b3d8ad9b655ccada1618fc8ac5e0621c62474120ce843353a"
 VERIFY_ENUMERATE = {
     5: "b9b035c19dff41d6692ea5b4349e4ed7b1c75478679332fc2efb9731b071080d",
@@ -89,6 +95,16 @@ def test_golden_report_digest(part):
     else:
         payload = _pool_reports(4 if part == "pools_cap4" else DEFAULT_CAP)
     assert _digest(payload) == GOLDEN[part]
+
+
+def test_large_family_reports_digest():
+    # traces and notes at n = 12..42, where the benchmark pins statuses only
+    large = [("ef(30)", build_ef(30)), ("min_chain(40)", build_min_chain(40)),
+             ("chain_x(30)", build_chain_x(30)), ("delta(10)", build_delta(10)),
+             ("min_chain(10)", build_min_chain(10))]
+    payload = [verdict_report(name, _fresh(s), cap, None)
+               for cap in (DEFAULT_CAP, 4) for name, s in large]
+    assert _digest(payload) == LARGE_FAMILIES
 
 
 def _verify_enumerate_stdout(order: int) -> str:

@@ -46,6 +46,18 @@ def test_registry_keys_are_normalised():
         assert run_check(s, spelling) == run_check(s, "Lem2.1.ii")
 
 
+def test_run_suite_passes_registry_keys(monkeypatch):
+    # run_check reads a registry key as it is, so the suite never calls
+    # normalize_id; other spellings still go through it
+    def refuse(raw):
+        raise AssertionError(f"normalize_id({raw!r})")
+
+    monkeypatch.setattr(verify, "normalize_id", refuse)
+    assert len(run_suite(build_chain_x(4))) == 54
+    monkeypatch.undo()
+    assert run_check(build_chain_x(4), "Lemma 3.1") == run_check(build_chain_x(4), "lem3.1")
+
+
 def test_incomparable_pair():
     assert _incomparable_pair([0b1, 0b11, 0b100, 0b110]) == (0b1, 0b100)
     assert _incomparable_pair([0b1, 0b11, 0b111]) is None
@@ -502,6 +514,16 @@ def test_suite_on_free_truncated():
     results = run_suite(s)
     assert len(results) == 54
     assert not [cid for cid, v in results if v.status == "discrepancy"]
+
+
+# Thm2.7.iii, and Thm3.6.ii after its chain clause, read is_prime on the
+# prime radical alone, {0, x, .., x^4} on chain_x(4)
+@pytest.mark.parametrize("cid", ["Thm2.7.iii", "Thm3.6.ii"])
+def test_prime_radical_checks_flag_a_refused_prime(monkeypatch, cid):
+    assert run_check(build_chain_x(4), cid).status == "holds"
+    monkeypatch.setattr(verify, "is_prime", lambda s, x: False)
+    v = run_check(build_chain_x(4), cid)
+    assert v.status == "discrepancy" and v.witness == {"prime_radical": [0, 2, 3, 4, 5]}
 
 
 def test_lem25i_flags_a_flipped_comparizer_family(monkeypatch):
