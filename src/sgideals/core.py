@@ -101,13 +101,28 @@ def mask_of(indices) -> Mask:
     return m
 
 
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """The set bits of every byte value b, in increasing order: the lowest
+    bit of b, then the bits of b with that bit cleared."""
+    table = [()]
+    for b in range(1, 256):
+        table.append(((b & -b).bit_length() - 1, *table[b & (b - 1)]))
+    return tuple(table)
+
+
+_BYTE_BITS = _byte_bits()
+
+
 def mask_elems(mask: Mask) -> list[int]:
-    """Sorted list of set bits."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    """Sorted list of set bits, read a byte at a time from _BYTE_BITS; each
+    higher byte adds its offset."""
+    out = list(_BYTE_BITS[mask & 255])
+    base = 0
+    while mask := mask >> 8:
+        base += 8
+        bits = _BYTE_BITS[mask & 255]
+        if bits:
+            out += [base + i for i in bits]
     return out
 
 
@@ -240,9 +255,23 @@ class Semigroup:
         return out
 
     @memoized
+    def _columns(self) -> tuple[tuple[Mask, ...], ...]:
+        """a*x as a one-bit mask, indexed [x][a]."""
+        return tuple(tuple(1 << v for v in col) for col in zip(*self.rows))
+
+    def left_muls(self, x: Mask) -> tuple[Mask, ...]:
+        """a*X for every a, indexed by a: the columns of the x in X, ORed
+        whole.  Not memoized, so a caller may pass any number of masks."""
+        cols = self._columns()
+        out = [0] * self.n
+        for c in mask_elems(x):
+            out = list(map(operator.or_, out, cols[c]))
+        return tuple(out)
+
+    @memoized
     def translates(self, x: Mask) -> tuple[Mask, ...]:
-        """a*X for every a, indexed by a."""
-        return tuple(self.left_mul(a, x) for a in range(self.n))
+        """a*X for every a, indexed by a, kept on the instance."""
+        return self.left_muls(x)
 
     def right_mul(self, m: Mask, a: int) -> Mask:
         rows = self.rows

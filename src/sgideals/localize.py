@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, mask_of, memoized
 from .classify import is_completely_prime, is_mult_closed, is_waist
-from .ideals import IdealKind, ideal_closure, is_ideal
+from .ideals import IdealKind, is_ideal
 
 
 class NotCompletelyPrime(ValueError):
@@ -44,16 +44,22 @@ def right_ore_condition(s: Semigroup, t_mask: Mask) -> bool:
     lacks the identity; is_right_ore_set adds both.
     """
     t_principals = [s.right_principal(t) for t in mask_elems(t_mask)]
-    return all(a_t & t_s for a_t in s.translates(t_mask) for t_s in t_principals)
+    return all(a_t & t_s for a_t in s.left_muls(t_mask) for t_s in t_principals)
+
+
+def _saturation(trans: tuple[Mask, ...], x_mask: Mask) -> Mask:
+    """The y whose translate y*T, read from trans, meets X."""
+    return mask_of(y for y, y_t in enumerate(trans) if y_t & x_mask)
 
 
 def saturate(s: Semigroup, x_mask: Mask, t_mask: Mask) -> Mask:
     """{y : y*t in X for some t in T}: the y whose translate y*T meets X.
 
     Contains X whenever T contains the identity; a right ideal whenever T
-    is a right Ore set.
+    is a right Ore set.  The translates are not memoized, so a sweep over
+    T keeps none of them on the instance.
     """
-    return mask_of(y for y, y_t in enumerate(s.translates(t_mask)) if y_t & x_mask)
+    return _saturation(s.left_muls(t_mask), x_mask)
 
 
 class OreSweep:
@@ -196,11 +202,29 @@ class ComparabilityReport(NamedTuple):
 
 @memoized
 def saturation_by_element(s: Semigroup, p_mask: Mask) -> tuple[Mask, ...]:
-    """sat(aS, S-P) for every a, one saturation per distinct aS; each reads
-    the translates y*(S-P) that the Ore condition reads too."""
-    t_mask = s.full & ~p_mask
-    by_ideal = {a_s: saturate(s, a_s, t_mask) for a_s in set(s.right_principals)}
+    """sat(aS, S-P) for every a, one saturation per distinct aS, all read
+    from one table of the translates y*(S-P)."""
+    trans = s.left_muls(s.full & ~p_mask)
+    by_ideal = {a_s: _saturation(trans, a_s) for a_s in set(s.right_principals)}
     return tuple(by_ideal[a_s] for a_s in s.right_principals)
+
+
+def _classes(values: tuple) -> dict:
+    """For each value, the mask of the indices a with values[a] equal to it."""
+    same: dict = {}
+    for a, v in enumerate(values):
+        same[v] = same.get(v, 0) | 1 << a
+    return same
+
+
+def _first_split(above: list[Mask], values: tuple, same: dict) -> tuple[int, int] | None:
+    """The least a with some b in above[a] outside the class of values[a],
+    and the least such b; None when there is none."""
+    for a, up in enumerate(above):
+        split = up & ~same[values[a]]
+        if split:
+            return a, (split & -split).bit_length() - 1
+    return None
 
 
 @memoized
@@ -208,34 +232,39 @@ def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
     """Pairwise comparability with respect to a completely prime right ideal.
 
     Evaluates the defining three-way condition over all pairs, plus the four
-    equivalent reformulations, each independently and exhaustively.  The
-    pairs are read from s.left_divisors(): aS lies inside bS exactly when b
-    is in left_divisors()[a], and bS inside aS exactly when b is in aS.
+    equivalent reformulations, each exhaustively.  The pairs are read from
+    s.left_divisors(): aS lies inside bS exactly when b is in
+    left_divisors()[a], and bS inside aS exactly when b is in aS.  Each
+    pair loop is a mask test per a against the classes of equal saturation
+    (README, "Element kernels").
     """
     _validate_cp_right(s, p_mask)
     n, full = s.n, s.full
     t_mask = full & ~p_mask
     sat = saturation_by_element(s, p_mask)
+    same = _classes(sat)
     princ = s.right_principals
     # outside[a]: the b with aS not inside bS; above[a]: the b > a with aS
     # and bS incomparable
     outside = [full & ~d for d in s.left_divisors()]
     above = [(outside[a] & ~princ[a]) >> (a + 1) << (a + 1) for a in range(n)]
 
-    witness = next(
-        ((a, b) for a in range(n) for b in mask_elems(above[a]) if sat[b] != sat[a]), None
-    )
+    witness = _first_split(above, sat, same)
     cond1 = witness is None
 
-    cond2 = all(is_subset(sat[b], sat[a]) for a in range(n) for b in mask_elems(outside[a]))
-    cond3 = all(
-        is_subset(ideal_closure(s, outside[a], IdealKind.RIGHT), sat[a]) for a in range(n)
-    )
+    # notsub[v]: the b whose saturation is not inside v, a union of
+    # disjoint classes, so their sum
+    notsub = {v: sum(m for w, m in same.items() if w & ~v) for v in same}
+    cond2 = not any(out & notsub[v] for out, v in zip(outside, sat))
+    # outside[a] is a right ideal, so the union of the bS over its b, which
+    # the principal form tests, is outside[a] itself
+    cond3 = all(is_subset(out, v) for out, v in zip(outside, sat))
     # S-P is multiplicatively closed and holds the identity, since P is
-    # completely prime and proper: only the Ore condition is left to test
-    cond4 = right_ore_condition(s, t_mask) and all(
-        is_subset(outside[a], sat[a]) for a in range(n)
-    )
+    # completely prime and proper: only the Ore condition is left to test.
+    # a*T meets tS exactly when a is in sat(tS, T), so it holds when every
+    # t in T saturates to the whole carrier; the membership clause is
+    # cond3's mask test
+    cond4 = is_subset(t_mask, same.get(full, 0)) and cond3
     # each sat[a] a right ideal and a waist, or the whole carrier, which is
     # flagged improper when met before the first a that fails
     admitted = {
@@ -246,7 +275,7 @@ def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
     improper = full in sat[:first_bad]
 
     trans = s.translates(p_mask)
-    weak = all(trans[b] == trans[a] for a in range(n) for b in mask_elems(above[a]))
+    weak = _first_split(above, trans, _classes(trans)) is None
     return ComparabilityReport(
         p=p_mask,
         holds=cond1,

@@ -8,10 +8,23 @@ import random
 from itertools import permutations, product
 
 from sgideals.classify import is_mult_closed, is_waist
-from sgideals.core import Semigroup, is_subset, mask_contains, mask_elems, mask_of
+from sgideals.core import Semigroup, is_subset, mask_contains
 from sgideals.ideals import IdealKind, is_ideal
-from sgideals.localize import ComparabilityReport, right_ore_condition, saturate
+from sgideals.localize import ComparabilityReport
 from sgideals.verdict import Verdict, discrepancy, holds
+
+
+def elems_scan(m: int) -> list[int]:
+    """The set bits of m in increasing order, one bit tested at a time."""
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def mask_scan(indices) -> int:
+    """The mask with a bit set for each index, duplicates allowed."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
 def subsets(n):
@@ -30,7 +43,7 @@ def ideals_bruteforce(s: Semigroup, kind: str) -> list[int]:
     """All ideal masks of one kind by power-set filtering."""
     out = []
     for m in subsets(s.n):
-        members = set(mask_elems(m))
+        members = set(elems_scan(m))
         ok = True
         if kind in ("right", "two-sided"):
             ok = ok and is_right_ideal_scan(s, members)
@@ -42,7 +55,7 @@ def ideals_bruteforce(s: Semigroup, kind: str) -> list[int]:
 
 
 def right_principal_scan(s: Semigroup, a: int) -> int:
-    return mask_of(s.mul(a, b) for b in range(s.n))
+    return mask_scan(s.mul(a, b) for b in range(s.n))
 
 
 def power_scan(s: Semigroup, a: int, k: int) -> int:
@@ -63,47 +76,54 @@ def tail_intersection_scan(s: Semigroup, t: int) -> int:
 
 def units_scan(s: Semigroup) -> int:
     """The u with some v such that u*v == v*u == 1."""
-    return mask_of(u for u in range(s.n)
-                   if any(s.mul(u, v) == s.one == s.mul(v, u) for v in range(s.n)))
+    return mask_scan(u for u in range(s.n)
+                     if any(s.mul(u, v) == s.one == s.mul(v, u) for v in range(s.n)))
 
 
 def translates_scan(s: Semigroup, m: int) -> tuple:
     """a*X for every a, one table read per product a*x."""
     return tuple(
-        mask_of(s.mul(a, x) for x in range(s.n) if m >> x & 1) for a in range(s.n)
+        mask_scan(s.mul(a, x) for x in range(s.n) if m >> x & 1) for a in range(s.n)
     )
 
 
+def right_ore_scan(s: Semigroup, t_mask: int) -> bool:
+    """a*T meets tS for every a in S and t in T, each a*T by translates_scan."""
+    trans = translates_scan(s, t_mask)
+    t_principals = [right_principal_scan(s, t) for t in elems_scan(t_mask)]
+    return all(a_t & t_s for t_s in t_principals for a_t in trans)
+
+
 def set_product_scan(s: Semigroup, xs, ys) -> int:
-    return mask_of(s.mul(a, b) for a in xs for b in ys)
+    return mask_scan(s.mul(a, b) for a in xs for b in ys)
 
 
 def preimages_scan(s: Semigroup) -> tuple:
     """The c with a*c == v for every a and v, one pass over row a per v."""
     return tuple(
-        tuple(mask_of(c for c in range(s.n) if s.mul(a, c) == v) for v in range(s.n))
+        tuple(mask_scan(c for c in range(s.n) if s.mul(a, c) == v) for v in range(s.n))
         for a in range(s.n)
     )
 
 
 def right_annihilator_scan(s: Semigroup, m: int) -> int:
     """{b : a*b == 0 for every a in I}, as written."""
-    return mask_of(b for b in range(s.n) if all(s.mul(a, b) == s.zero for a in mask_elems(m)))
+    return mask_scan(b for b in range(s.n) if all(s.mul(a, b) == s.zero for a in elems_scan(m)))
 
 
 def associated_prime_scan(s: Semigroup, m: int) -> int:
     """P_r(A) = {t : x*t in A for some x outside A}, as written."""
     outside = [x for x in range(s.n) if not m >> x & 1]
-    return mask_of(t for t in range(s.n) if any(m >> s.mul(x, t) & 1 for x in outside))
+    return mask_scan(t for t in range(s.n) if any(m >> s.mul(x, t) & 1 for x in outside))
 
 
 def waist_bruteforce(s: Semigroup, m: int) -> bool:
     """Comparable with every right ideal, right ideals by power-set filter."""
     if m == (1 << s.n) - 1:
         return False
-    me = set(mask_elems(m))
+    me = set(elems_scan(m))
     for other in ideals_bruteforce(s, "right"):
-        oe = set(mask_elems(other))
+        oe = set(elems_scan(other))
         if not (me <= oe or oe <= me):
             return False
     return True
@@ -112,13 +132,13 @@ def waist_bruteforce(s: Semigroup, m: int) -> bool:
 def comparizer_bruteforce(s: Semigroup, m: int) -> bool:
     """The right-ideal-pair form: A inside B, or B*I inside A."""
     fam = ideals_bruteforce(s, "right")
-    i_members = mask_elems(m)
+    i_members = elems_scan(m)
     for a_mask in fam:
-        ae = set(mask_elems(a_mask))
+        ae = set(elems_scan(a_mask))
         for b_mask in fam:
-            if ae <= set(mask_elems(b_mask)):
+            if ae <= set(elems_scan(b_mask)):
                 continue
-            bi = {s.mul(b, i) for b in mask_elems(b_mask) for i in i_members}
+            bi = {s.mul(b, i) for b in elems_scan(b_mask) for i in i_members}
             if not bi <= ae:
                 return False
     return True
@@ -127,13 +147,13 @@ def comparizer_bruteforce(s: Semigroup, m: int) -> bool:
 def restricted_comparizer_bruteforce(s: Semigroup, w: int, c: int) -> bool:
     """The comparizer condition with a and b ranging over W only: for all
     a, b in W, a in bS or b*C inside aS, as a literal double loop."""
-    members = mask_elems(w)
+    members = elems_scan(w)
     for a in members:
-        a_s = set(mask_elems(right_principal_scan(s, a)))
+        a_s = set(elems_scan(right_principal_scan(s, a)))
         for b in members:
-            if a in mask_elems(right_principal_scan(s, b)):
+            if a in elems_scan(right_principal_scan(s, b)):
                 continue
-            if not {s.mul(b, x) for x in mask_elems(c)} <= a_s:
+            if not {s.mul(b, x) for x in elems_scan(c)} <= a_s:
                 return False
     return True
 
@@ -164,7 +184,7 @@ def is_cover_scan(family, lo: int, hi: int) -> bool:
 def completely_prime_scan(s: Semigroup, m: int) -> bool:
     if m == 0 or m == (1 << s.n) - 1:
         return False
-    members = set(mask_elems(m))
+    members = set(elems_scan(m))
     for a in range(s.n):
         for b in range(s.n):
             if s.mul(a, b) in members and a not in members and b not in members:
@@ -175,7 +195,7 @@ def completely_prime_scan(s: Semigroup, m: int) -> bool:
 def prime_scan(s: Semigroup, m: int) -> bool:
     if m == 0 or m == (1 << s.n) - 1:
         return False
-    members = set(mask_elems(m))
+    members = set(elems_scan(m))
     for a in range(s.n):
         if a in members:
             continue
@@ -190,7 +210,7 @@ def prime_scan(s: Semigroup, m: int) -> bool:
 def semiprime_scan(s: Semigroup, m: int) -> bool:
     if m == 0 or m == (1 << s.n) - 1:
         return False
-    members = set(mask_elems(m))
+    members = set(elems_scan(m))
     for a in range(s.n):
         if a in members:
             continue
@@ -209,7 +229,7 @@ def beta_bruteforce(s: Semigroup) -> int:
 
 
 def saturate_scan(s: Semigroup, x_members, t_members) -> int:
-    return mask_of(
+    return mask_scan(
         y for y in range(s.n) if any(s.mul(y, t) in x_members for t in t_members)
     )
 
@@ -220,7 +240,7 @@ def right_ore_sets_bruteforce(s: Semigroup) -> list[int]:
     rows = s.rows
     out = []
     for t_mask in subsets(s.n):
-        members = mask_elems(t_mask)
+        members = elems_scan(t_mask)
         if any(rows[a][b] not in members for a in members for b in members):
             continue
         if all(
@@ -233,28 +253,30 @@ def right_ore_sets_bruteforce(s: Semigroup) -> list[int]:
 
 
 def lem31_bruteforce(s: Semigroup) -> Verdict:
-    """Lem3.1's body as a filter over all 2^n subsets, with the library's
-    per-subset predicates (the sweep before it read lookup tables)."""
+    """Lem3.1's body as a filter over all 2^n subsets, one subset at a
+    time, with the Ore condition and the saturations by scans."""
+    principals = [set(elems_scan(right_principal_scan(s, a))) for a in range(s.n)]
     for t_mask in range(1 << s.n):
-        if not is_mult_closed(s, t_mask) or not right_ore_condition(s, t_mask):
+        if not is_mult_closed(s, t_mask) or not right_ore_scan(s, t_mask):
             continue
+        t_members = elems_scan(t_mask)
         for a in range(s.n):
-            sat = saturate(s, s.right_principal(a), t_mask)
+            sat = saturate_scan(s, principals[a], t_members)
             if not is_ideal(s, sat, IdealKind.RIGHT):
-                return discrepancy({"ore_set": mask_elems(t_mask), "a": a})
+                return discrepancy({"ore_set": elems_scan(t_mask), "a": a})
     return holds()
 
 
 def p_comparability_bruteforce(s: Semigroup, p_mask: int):
     """The comparability report for a completely prime right ideal P, and
-    sat(aS, S-P) for every a, by the pair loops over all (a, b) with
-    `saturate_scan` per a, apart from the translate table the library reads."""
+    sat(aS, S-P) for every a, by the pair loops over all (a, b), with
+    `saturate_scan` per a and the Ore condition and the translates a*P by
+    scans."""
     n = s.n
     t_mask = s.full & ~p_mask
-    t_members = mask_elems(t_mask)
-    sat = tuple(saturate_scan(s, set(mask_elems(s.right_principal(a))), t_members)
-                for a in range(n))
-    princ = s.right_principals
+    t_members = elems_scan(t_mask)
+    princ = [right_principal_scan(s, a) for a in range(n)]
+    sat = tuple(saturate_scan(s, set(elems_scan(princ[a])), t_members) for a in range(n))
 
     witness = None
     cond1 = True
@@ -279,7 +301,7 @@ def p_comparability_bruteforce(s: Semigroup, p_mask: int):
         for a in range(n)
         for b in range(n)
     )
-    cond4 = right_ore_condition(s, t_mask) and all(
+    cond4 = right_ore_scan(s, t_mask) and all(
         is_subset(princ[a], princ[b]) or mask_contains(sat[a], b)
         for a in range(n)
         for b in range(n)
@@ -297,7 +319,7 @@ def p_comparability_bruteforce(s: Semigroup, p_mask: int):
             cond5 = False
             break
 
-    trans = [s.left_mul(a, p_mask) for a in range(n)]
+    trans = translates_scan(s, p_mask)
     weak = all(
         is_subset(princ[a], princ[b])
         or is_subset(princ[b], princ[a])

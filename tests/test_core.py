@@ -42,13 +42,19 @@ from sgideals.ideals import (
     enumerate_ideals,
     power_sequence,
 )
-from sgideals.localize import is_right_p_comparable, saturation_by_element
+from sgideals.localize import (
+    is_right_p_comparable,
+    right_ore_condition,
+    saturate,
+    saturation_by_element,
+)
 from sgideals.segments import prime_segments
 from sgideals.verdict import VACUOUS
 from sgideals.verify import run_check, run_suite
 
 from oracles import (
     canonical_form_bruteforce,
+    elems_scan,
     null_monoid,
     power_scan,
     preimages_scan,
@@ -228,6 +234,39 @@ def test_translates_match_scan(pool234, corpus_entries):
     for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
         for x in range(1 << s.n):
             assert s.translates(x) == translates_scan(s, x)
+
+
+def test_mask_elems_matches_scan():
+    for m in range(1 << 16):
+        assert mask_elems(m) == elems_scan(m)
+    # every width to 300 bits, so each byte boundary is the top bit of some
+    # mask, and the bits on both sides of each boundary set together
+    rng = random.Random(29)
+    masks = [rng.getrandbits(w) | 1 << (w - 1) for w in range(1, 301) for _ in range(3)]
+    masks += [3 << (8 * k - 1) for k in range(1, 38)]
+    for m in masks:
+        assert mask_elems(m) == elems_scan(m)
+
+
+@pytest.mark.parametrize("build, k", [(build_ef, 30), (build_min_chain, 40)])
+def test_translates_match_scan_at_benchmark_size(build, k):
+    s = shuffled(build(k), k)
+    rng = random.Random(k)
+    masks = [0, s.full, *(1 << a for a in range(s.n)), *s.right_principals,
+             *(rng.getrandbits(s.n) for _ in range(40))]
+    for x in masks:
+        assert s.translates(x) == s.left_muls(x) == translates_scan(s, x)
+
+
+def test_saturation_sweep_memoizes_no_translates():
+    """saturate and right_ore_condition keep no translates: a sweep over
+    all 512 T of ef(4) leaves at most the column table on the instance."""
+    s = build_ef(4)
+    x = s.right_principal(2)
+    for t in range(1 << s.n):
+        saturate(s, x, t)
+        right_ore_condition(s, t)
+    assert {key[0].__qualname__ for key in s._cache} <= {"Semigroup._columns"}
 
 
 def test_preimages_match_scan(pool234, corpus_entries):

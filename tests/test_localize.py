@@ -304,6 +304,14 @@ def test_comparability_matches_bruteforce_relabelled_families(family, k):
     _assert_comparability_matches_bruteforce([s])
 
 
+def test_comparability_matches_bruteforce_benchmark_families():
+    # the large_families inputs but min_chain(10), relabelled: 57 reports,
+    # 14 of them failing the pairwise condition
+    monoids = [shuffled(build(k), k) for build, k in
+               [(build_min_chain, 40), (build_ef, 30), (build_delta, 10), (build_chain_x, 30)]]
+    assert _assert_comparability_matches_bruteforce(monoids) > 0
+
+
 @pytest.mark.slow
 def test_comparability_matches_bruteforce_order6(pool6):
     assert _assert_comparability_matches_bruteforce(pool6) > 0
