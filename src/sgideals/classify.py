@@ -31,9 +31,7 @@ class PrimenessKind(str, Enum):
 @memoized
 def sandwiches(s: Semigroup) -> tuple[tuple[Mask, ...], ...]:
     """aSb for every a and b, indexed [a][b]; one row per distinct aS."""
-    by_ideal = {
-        a_s: tuple(s.right_mul(a_s, b) for b in range(s.n)) for a_s in set(s.right_principals)
-    }
+    by_ideal = {a_s: s.right_muls(a_s) for a_s in set(s.right_principals)}
     return tuple(by_ideal[a_s] for a_s in s.right_principals)
 
 
@@ -209,18 +207,6 @@ def comparizer_ideals(s: Semigroup, cap: int = DEFAULT_CAP) -> tuple[Mask, ...]:
     """Every right ideal passing the comparizer test, in family order; the
     empty ideal always passes, and the full one when S is a right chain."""
     return tuple(m for m in enumerate_ideals(s, IdealKind.RIGHT, cap) if is_comparizer(s, m))
-
-
-def is_strongly_comparizer(s: Semigroup, a_mask: Mask) -> bool:
-    """For every a, b: aS inside bS, or b*A inside a*A."""
-    if not is_ideal(s, a_mask, IdealKind.RIGHT):
-        raise NotAnIdeal("comparizer candidates must be right ideals")
-    trans = s.translates(a_mask)
-    return all(
-        is_subset(trans[b], trans[a])
-        for a, d in enumerate(s.left_divisors())
-        for b in mask_elems(s.full & ~d)
-    )
 
 
 def comparizer_radical(s: Semigroup) -> Mask:

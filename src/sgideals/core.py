@@ -195,17 +195,6 @@ class Semigroup:
     def mul(self, a: int, b: int) -> int:
         return self.rows[a][b]
 
-    def power(self, a: int, k: int) -> int:
-        """a^k, read from powers(a) = [a, .., a^m]: past its end the powers
-        cycle back to the first occurrence of a^m*a."""
-        if k < 1:
-            raise ValueError("exponent must be >= 1")
-        seq = self.powers(a)
-        if k <= len(seq):
-            return seq[k - 1]
-        start = seq.index(self.rows[seq[-1]][a])
-        return seq[start + (k - 1 - start) % (len(seq) - start)]
-
     def powers(self, a: int) -> list[int]:
         """a, a^2, a^3, .. up to the first repeat, each once.  The sequence
         then cycles through its tail, so it holds every power of a; a
@@ -244,16 +233,6 @@ class Semigroup:
         """aS, the principal right ideal of a (contains a)."""
         return self.right_principals[a]
 
-    def left_mul(self, a: int, m: Mask) -> Mask:
-        """The set a*X for X given as a mask."""
-        row = self.rows[a]
-        out = 0
-        while m:
-            low = m & -m
-            out |= 1 << row[low.bit_length() - 1]
-            m ^= low
-        return out
-
     @memoized
     def _columns(self) -> tuple[tuple[Mask, ...], ...]:
         """a*x as a one-bit mask, indexed [x][a]."""
@@ -268,19 +247,20 @@ class Semigroup:
             out = list(map(operator.or_, out, cols[c]))
         return tuple(out)
 
+    def right_muls(self, x: Mask) -> tuple[Mask, ...]:
+        """X*b for every b, indexed by b: the rows of the x in X, each entry
+        read as a one-bit mask, ORed whole.  Not memoized, and no row table
+        is kept, so a caller may pass any number of masks."""
+        rows = self.rows
+        out = [0] * self.n
+        for r in mask_elems(x):
+            out = list(map(operator.or_, out, map((1).__lshift__, rows[r])))
+        return tuple(out)
+
     @memoized
     def translates(self, x: Mask) -> tuple[Mask, ...]:
         """a*X for every a, indexed by a, kept on the instance."""
         return self.left_muls(x)
-
-    def right_mul(self, m: Mask, a: int) -> Mask:
-        rows = self.rows
-        out = 0
-        while m:
-            low = m & -m
-            out |= 1 << rows[low.bit_length() - 1][a]
-            m ^= low
-        return out
 
     @memoized
     def preimages(self) -> tuple[tuple[Mask, ...], ...]:
@@ -325,17 +305,15 @@ class Semigroup:
         A (or a left ideal B) the result is again an ideal of that kind.
 
         A right ideal B goes through its right generators, A*B = (A*G)S.  Any
-        other B has no such G: A*B need not be closed under S, so each a*B
-        is taken element by element."""
+        other B has no such G: A*B need not be closed under S, so A*B
+        is the union of the translates a*B over the a in A."""
         gens = self.right_generators(b_mask)
         if gens is not None:
             return self.generated_product(a_mask, gens)
+        trans = self.left_muls(b_mask)
         out = 0
-        m = a_mask
-        while m:
-            low = m & -m
-            out |= self.left_mul(low.bit_length() - 1, b_mask)
-            m ^= low
+        for a in mask_elems(a_mask):
+            out |= trans[a]
         return out
 
     # -- units and cancellation ---------------------------------------------
@@ -565,10 +543,6 @@ def decode_canonical(blob: bytes) -> Semigroup:
     n, one, zero, entries = values[0], values[1], values[2], values[3:]
     table = [entries[i * n : (i + 1) * n] for i in range(n)]
     return Semigroup(table, one, zero)
-
-
-def isomorphic_fixing_one_zero(a: Semigroup, b: Semigroup) -> bool:
-    return a.canonical_form() == b.canonical_form()
 
 
 # ---------------------------------------------------------------------------

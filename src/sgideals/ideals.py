@@ -38,11 +38,6 @@ def principals(s: Semigroup, kind: IdealKind) -> tuple[Mask, ...]:
     return tuple(ideal_closure(s, sa, IdealKind.RIGHT) for sa in left)
 
 
-def principal(s: Semigroup, a: int, kind: IdealKind) -> Mask:
-    """aS, Sa or SaS; contains a because the identity is present."""
-    return principals(s, kind)[a]
-
-
 def ideal_closure(s: Semigroup, seed: Mask, kind: IdealKind) -> Mask:
     """Smallest ideal of the given kind containing seed.
 
@@ -77,22 +72,6 @@ def power_sequence(s: Semigroup, x: Mask) -> list[Mask]:
             return seq
         seen.add(cur)
         seq.append(cur)
-
-
-def ideal_power(s: Semigroup, x: Mask, k: int) -> Mask:
-    """X^k by iterated elementwise product; exact for arbitrary subsets.
-
-    Read from the power sequence: past its end the powers cycle back to the
-    first occurrence of its last value.
-    """
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    seq = power_sequence(s, x)
-    if k <= len(seq):
-        return seq[k - 1]
-    start = seq.index(seq[-1])
-    period = len(seq) - 1 - start
-    return seq[start + (k - 1 - start) % period]
 
 
 def intersect_powers(s: Semigroup, x: Mask) -> Mask:

@@ -158,11 +158,6 @@ class OreSweep:
         return t, next(a for a, fail in fails if fail >> t & 1)
 
 
-def right_ore_sets(s: Semigroup) -> tuple[Mask, ...]:
-    """Every multiplicatively closed right Ore set of s, in increasing order."""
-    return tuple(OreSweep(s))
-
-
 def _validate_cp_right(s: Semigroup, p_mask: Mask) -> None:
     if not is_ideal(s, p_mask, IdealKind.RIGHT):
         raise NotCompletelyPrime("P must be a right ideal")

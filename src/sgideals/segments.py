@@ -7,7 +7,6 @@ from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, memoize
 from .classify import (
     PrimenessKind,
     exceptional_primes,
-    is_completely_prime,
     is_waist,
     prime_family,
 )
@@ -16,7 +15,6 @@ from .ideals import (
     IdealKind,
     enumerate_ideals,
     intersect_powers,
-    is_ideal,
 )
 
 ARCHIMEDEAN = "archimedean"
@@ -174,15 +172,6 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
     )
 
 
-def lower_union(s: Semigroup, p1: Mask, cap: int = DEFAULT_CAP) -> Mask:
-    """Union of all two-sided ideals properly contained in P1."""
-    out = 0
-    for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap):
-        if m != p1 and is_subset(m, p1):
-            out |= m
-    return out
-
-
 def pairing_ideal(s: Semigroup, q_mask: Mask, cap: int = DEFAULT_CAP) -> Mask | None:
     """Intersection of the two-sided right-waist ideals properly containing Q.
 
@@ -215,17 +204,8 @@ def has_non_nilpotent_over(s: Semigroup, d_mask: Mask, q_mask: Mask):
 def is_locally_invariant(s: Semigroup, seg: PrimeSegment) -> bool:
     """P1*a == a*P1 for every a in the gap."""
     p1 = seg.upper
-    trans = s.translates(p1)
-    return all(s.right_mul(p1, a) == trans[a] for a in mask_elems(p1 & ~segment_base(s, seg)))
-
-
-def is_locally_right_invariant(s: Semigroup, seg: PrimeSegment) -> bool:
-    """P1*a inside a*P1 for every a in the gap."""
-    p1 = seg.upper
-    trans = s.translates(p1)
-    return all(
-        is_subset(s.right_mul(p1, a), trans[a]) for a in mask_elems(p1 & ~segment_base(s, seg))
-    )
+    left, right = s.translates(p1), s.right_muls(p1)
+    return all(right[a] == left[a] for a in mask_elems(p1 & ~segment_base(s, seg)))
 
 
 def tail_intersection(s: Semigroup, t: int) -> Mask:
@@ -235,18 +215,3 @@ def tail_intersection(s: Semigroup, t: int) -> Mask:
     holds every power of t, so the last of them gives the intersection.
     """
     return s.right_principals[s.powers(t)[-1]]
-
-
-def power_tail_report(s: Semigroup, t: int, p_mask: Mask) -> dict:
-    """Diagnostic bundle for the tail intersection of one element relative
-    to a distinguished completely prime ideal."""
-    tail = tail_intersection(s, t)
-    return {
-        "element": t,
-        "tail": mask_elems(tail),
-        "two_sided": is_ideal(s, tail, IdealKind.TWO_SIDED),
-        "completely_prime": tail != s.full and is_completely_prime(s, tail),
-        "t_in_p": mask_contains(p_mask, t),
-        # v lies in vS, so every power ideal is nonzero iff no power is 0
-        "all_power_ideals_nonzero": not mask_contains(s.nilpotent_elements(), t),
-    }

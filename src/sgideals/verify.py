@@ -476,8 +476,9 @@ def _thm28i(s: Semigroup, cap: int) -> Witnesses:
     nrad = radicals(s, cap).completely_prime_radical
     nilp = mask_elems(s.nilpotent_elements())
     for a, a_n in enumerate(s.translates(nrad)):
+        t_a_n = s.left_muls(a_n)
         for t in nilp:
-            if not is_subset(s.left_mul(t, a_n), a_n):
+            if not is_subset(t_a_n[t], a_n):
                 yield {"t": t, "a": a}
 
 
@@ -489,13 +490,14 @@ def _thm28ii(s: Semigroup, cap: int) -> Witnesses:
     t_mask = s.nilpotent_elements()
     if not is_subset(s.product(t_mask, t_mask), t_mask):
         yield {"nilpotents": _w(t_mask)}
+    # left[a] = a*T and right[t] = T*t, so (T*t)*T is the union of the
+    # left[a] over the a in right[t]
+    left, right = s.left_muls(t_mask), s.right_muls(t_mask)
     for t in mask_elems(t_mask):
-        gen = (
-            (1 << t)
-            | (s.left_mul(t, t_mask) & t_mask)
-            | (s.right_mul(t_mask, t) & t_mask)
-            | (s.product(s.right_mul(t_mask, t), t_mask) & t_mask)
-        )
+        t_t_t = 0
+        for a in mask_elems(right[t]):
+            t_t_t |= left[a]
+        gen = (1 << t) | ((left[t] | right[t] | t_t_t) & t_mask)
         if not is_a_nilpotent(s, gen, s.zero_mask):
             yield {"t": t, "generated": _w(gen)}
 

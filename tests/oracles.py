@@ -87,6 +87,13 @@ def translates_scan(s: Semigroup, m: int) -> tuple:
     )
 
 
+def right_translates_scan(s: Semigroup, m: int) -> tuple:
+    """X*b for every b, one table read per product x*b."""
+    return tuple(
+        mask_scan(s.mul(x, b) for x in range(s.n) if m >> x & 1) for b in range(s.n)
+    )
+
+
 def right_ore_scan(s: Semigroup, t_mask: int) -> bool:
     """a*T meets tS for every a in S and t in T, each a*T by translates_scan."""
     trans = translates_scan(s, t_mask)

@@ -17,7 +17,6 @@ from sgideals.classify import (
     is_right_comparizer,
     is_right_waist,
     is_semiprime,
-    is_strongly_comparizer,
     is_waist,
     prime_family,
     radicals,
@@ -27,6 +26,7 @@ from sgideals.classify import (
 from sgideals.corpus import (
     build_chain_x,
     build_delta,
+    build_ef,
     build_min_chain,
     build_minimal,
 )
@@ -44,6 +44,8 @@ from oracles import (
     right_principal_scan,
     semiprime_scan,
     set_product_scan,
+    shuffled,
+    translates_scan,
     waist_bruteforce,
 )
 
@@ -118,8 +120,9 @@ def test_prime_total(pool234, pool5):
         assert is_prime(s, s.full) and is_semiprime(s, s.full)
 
 
-def test_sandwiches_match_scan(pool234):
-    for s in pool234:
+def test_sandwiches_match_scan(pool234, corpus_entries):
+    benchmark_size = [shuffled(build_ef(30), 30), shuffled(build_min_chain(40), 40)]
+    for s in [*pool234, *(e.semigroup for e in corpus_entries), *benchmark_size]:
         sw = sandwiches(s)
         for a in range(s.n):
             a_s = mask_elems(right_principal_scan(s, a))
@@ -213,14 +216,6 @@ def test_comparizer_total(pool234):
                 assert is_comparizer(s, c, w) == restricted_comparizer_bruteforce(s, w, c)
         for c in range(1 << s.n):
             assert is_comparizer(s, c) == is_comparizer(s, c, s.full)
-
-
-def test_strongly_comparizer_is_comparizer(pool234):
-    # b*A inside a*A inside aS, so the strong form implies the plain form
-    for s in pool234:
-        for m in enumerate_ideals(s, IdealKind.RIGHT):
-            if is_strongly_comparizer(s, m):
-                assert is_right_comparizer(s, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,7 +343,7 @@ def test_associated_prime(ef4):
     # right zero divisors of the truncated chain: every power of x, plus 0
     assert zero_div == P_EF
     x = ef4.element_names.index("x")
-    xp = s.left_mul(x, P_EF)
+    xp = translates_scan(s, P_EF)[x]
     assert xp == mask_of([0, 6, 7, 8])
     assert associated_prime(s, xp) == P_EF
     with pytest.raises(NotProper):

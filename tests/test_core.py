@@ -59,6 +59,7 @@ from oracles import (
     power_scan,
     preimages_scan,
     right_principal_scan,
+    right_translates_scan,
     shuffled,
     translates_scan,
     units_scan,
@@ -122,26 +123,12 @@ def test_multiply_examples(ef4):
     assert s.mul(x, x4) == s.zero
 
 
-def test_element_power(ef4, pool5, corpus_entries):
+def test_element_power(ef4):
     s = ef4.semigroup
     x = ef4.element_names.index("x")
-    assert s.power(x, 5) == s.zero == power_scan(s, x, 5)
-    assert s.power(s.one, 17) == s.one
-    m = build_min_chain(3)
-    assert m.power(3, 2) == 3  # idempotent generator
-    # k up to 2n + 1 runs past the index and through the cycle at least once
-    for s in [*pool5, *(e.semigroup for e in corpus_entries)]:
-        for a in range(s.n):
-            for k in range(1, 2 * s.n + 2):
-                assert s.power(a, k) == power_scan(s, a, k)
-
-
-def test_power_additivity(pool234):
-    for s in pool234:
-        for a in range(s.n):
-            for j in range(1, 4):
-                for k in range(1, 4):
-                    assert s.power(a, j + k) == s.mul(s.power(a, j), s.power(a, k))
+    assert s.powers(x)[-1] == s.zero and len(s.powers(x)) == 5  # x^5 == 0
+    assert s.powers(s.one) == [s.one]
+    assert build_min_chain(3).powers(3) == [3]  # idempotent generator
 
 
 def test_powers_match_scan(pool234, pool5, corpus_entries):
@@ -256,6 +243,7 @@ def test_translates_match_scan_at_benchmark_size(build, k):
              *(rng.getrandbits(s.n) for _ in range(40))]
     for x in masks:
         assert s.translates(x) == s.left_muls(x) == translates_scan(s, x)
+        assert s.right_muls(x) == right_translates_scan(s, x)
 
 
 def test_saturation_sweep_memoizes_no_translates():
@@ -284,7 +272,8 @@ MEMO_ENTRIES = ((build_delta, 10, 65), (build_min_chain, 10, 77), (build_chain_x
 def test_memo_holds_no_per_mask_products(build, arg, entries):
     s = build(arg)
     run_suite(s)
-    unmemoized = {Semigroup.product, Semigroup.generated_product, power_sequence, associated_prime}
+    unmemoized = {Semigroup.product, Semigroup.generated_product, Semigroup.left_muls,
+                  Semigroup.right_muls, power_sequence, associated_prime}
     assert not {f.__qualname__ for f in unmemoized} & {key[0].__qualname__ for key in s._cache}
     # + 1 for the one associated_primes(s, cap) tuple, a single entry per
     # right ideal family that replaces a call per mask
@@ -303,11 +292,11 @@ def test_opposite_is_the_transpose(pool234, corpus_entries):
 
 
 def test_opposite_translates_are_right_products(pool234, corpus_entries):
-    # a*X in S^op is X*a in S
+    # a*X in S^op is X*a in S, on every mask
     for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
         op = s.opposite()
         for x in range(1 << s.n):
-            assert op.translates(x) == tuple(s.right_mul(x, a) for a in range(s.n))
+            assert op.translates(x) == s.right_muls(x) == right_translates_scan(s, x)
 
 
 def test_opposite_swaps_left_and_right(pool234, pool5, corpus_entries):

@@ -5,10 +5,7 @@ from sgideals.segments import (
     completely_prime_spectrum,
     has_non_nilpotent_over,
     is_locally_invariant,
-    is_locally_right_invariant,
-    lower_union,
     pairing_ideal,
-    power_tail_report,
     prime_segments,
     segment_base,
     strictly_between,
@@ -125,13 +122,6 @@ def test_classify_exceptional_bottom():
     assert not cls.overlap
 
 
-def test_lower_union(ef4):
-    m3 = build_min_chain(3)
-    assert lower_union(m3, mask_of([0, 2, 3])) == mask_of([0, 2])
-    assert lower_union(m3, mask_of([0])) == 0
-    assert lower_union(ef4.semigroup, P_EF) == mask_of([0, 6, 7, 8])
-
-
 def test_pairing_ideal_gates(ef4):
     s = ef4.semigroup
     # the only exceptional-prime hypothesis holder would need a prime that is
@@ -157,7 +147,6 @@ def test_locally_invariant(ef4):
     c4 = build_chain_x(4)
     for seg in prime_segments(c4):
         assert is_locally_invariant(c4, seg)
-        assert is_locally_right_invariant(c4, seg)
     s = ef4.semigroup
     for seg in prime_segments(s):
         if seg.bottom:
@@ -173,27 +162,12 @@ def test_tail_intersection(ef4, pools, corpus_entries):
     assert tail_intersection(s, ef_) == s.right_principal(ef_)
     # t^(k+1)S lies inside t^kS, so the last distinct power gives the
     # intersection the scan takes over every power; it holds that power, so
-    # it is never empty (power_tail_report relies on this)
+    # it is never empty
     for s in [*(t for pool in pools.values() for t in pool),
               *(e.semigroup for e in corpus_entries)]:
         for t in range(s.n):
             tail = tail_intersection(s, t)
             assert tail == tail_intersection_scan(s, t) and tail != 0
-
-
-def test_power_tail_report_ef(ef4):
-    # the tail of the idempotent ef is two sided, contains ef, misses e and
-    # f, and is therefore not completely prime; the hypothesis flag records
-    # that ef lies outside the distinguished completely prime ideal
-    s = ef4.semigroup
-    names = ef4.element_names
-    ef_, e, f = names.index("ef"), names.index("e"), names.index("f")
-    rep = power_tail_report(s, ef_, P_EF)
-    assert rep["two_sided"]
-    assert ef_ in rep["tail"] and e not in rep["tail"] and f not in rep["tail"]
-    assert not rep["completely_prime"]
-    assert rep["t_in_p"] is False
-    assert rep["all_power_ideals_nonzero"]
 
 
 def test_segment_base():

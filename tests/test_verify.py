@@ -26,7 +26,14 @@ from sgideals.verify import (
     search_converse_candidates,
 )
 
-from oracles import free_truncated, ideals_bruteforce, is_cover_scan, lem21ii_pairs_bruteforce
+from oracles import (
+    free_truncated,
+    ideals_bruteforce,
+    is_cover_scan,
+    lem21ii_pairs_bruteforce,
+    right_translates_scan,
+    translates_scan,
+)
 
 
 def test_id_normalization():
@@ -391,8 +398,8 @@ def test_order7_converse_of_lem410_fails():
         "archimedean": True, "simple": False, "exceptional": False,
     }
     assert not is_locally_invariant(s, seg)
-    assert mask_elems(s.right_mul(n_mask, 4)) == [0, 2]
-    assert mask_elems(s.left_mul(4, n_mask)) == [0, 2, 3]
+    assert mask_elems(right_translates_scan(s, n_mask)[4]) == [0, 2]
+    assert mask_elems(translates_scan(s, n_mask)[4]) == [0, 2, 3]
     tally = Counter(v.status for _, v in run_suite(s))
     assert tally == {"holds": 43, "vacuous": 11}
 
