@@ -7,7 +7,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .core import Mask, Semigroup, is_subset, mask_contains, mask_elems, mask_of, memoized
-from .classify import is_completely_prime, is_mult_closed, is_waist
+from .classify import is_completely_prime, is_mult_closed
 from .ideals import IdealKind, is_ideal
 
 
@@ -222,6 +222,21 @@ def _first_split(above: list[Mask], values: tuple, same: dict) -> tuple[int, int
     return None
 
 
+def _ideal_waist_or_full(s: Semigroup, m: Mask) -> bool:
+    """m is a right ideal and a waist, or the whole carrier, in one pass
+    over the carrier.  m is a right ideal when the bS over its b OR to m;
+    no bS with b outside m then lies inside m (b is in bS), so m is a waist
+    when it lies inside the AND of those bS, the whole carrier when m is
+    (README, "Element kernels")."""
+    inside, meet = 0, s.full
+    for b, b_s in enumerate(s.right_principals):
+        if m >> b & 1:
+            inside |= b_s
+        else:
+            meet &= b_s
+    return inside == m and is_subset(m, meet)
+
+
 @memoized
 def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
     """Pairwise comparability with respect to a completely prime right ideal.
@@ -262,9 +277,7 @@ def is_right_p_comparable(s: Semigroup, p_mask: Mask) -> ComparabilityReport:
     cond4 = is_subset(t_mask, same.get(full, 0)) and cond3
     # each sat[a] a right ideal and a waist, or the whole carrier, which is
     # flagged improper when met before the first a that fails
-    admitted = {
-        m: is_ideal(s, m, IdealKind.RIGHT) and (m == full or is_waist(s, m)) for m in set(sat)
-    }
+    admitted = {m: _ideal_waist_or_full(s, m) for m in set(sat)}
     first_bad = next((a for a in range(n) if not admitted[sat[a]]), n)
     cond5 = first_bad == n
     improper = full in sat[:first_bad]

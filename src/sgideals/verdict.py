@@ -28,8 +28,8 @@ class Verdict(NamedTuple):
         }
 
 
-def holds(note=None) -> Verdict:
-    return Verdict(HOLDS, note=note)
+def holds(note=None, trace=()) -> Verdict:
+    return Verdict(HOLDS, tuple(trace), None, note)
 
 
 def vacuous(trace, note=None) -> Verdict:
@@ -39,7 +39,7 @@ def vacuous(trace, note=None) -> Verdict:
     return v
 
 
-def discrepancy(witness) -> Verdict:
+def discrepancy(witness, trace=()) -> Verdict:
     if witness is None:
         raise ValueError("a discrepancy must carry a witness")
-    return Verdict(DISCREPANCY, witness=witness)
+    return Verdict(DISCREPANCY, tuple(trace), witness)

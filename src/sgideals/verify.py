@@ -10,6 +10,10 @@ makes a discrepancy, and a body that ends without one holds with its note.
 Quantified objects are swept in full (within the enumeration cap), and a
 failed conclusion always carries a minimal witness.  Checks never raise on a
 valid semigroup; a blown ideal cap turns into a vacuous verdict, reason "cap".
+run_suite decides each distinct requires= tuple once per monoid: a check
+stopped by a failed required gate, with no note and no exists= entry in its
+trace, lends its vacuous verdict, the same object, to every later check with
+an equal requires= tuple (README, "The suite decides each hypothesis once").
 """
 from __future__ import annotations
 
@@ -65,7 +69,7 @@ from .segments import (
     strictly_between,
     tail_intersection,
 )
-from .verdict import Verdict, discrepancy, holds, vacuous
+from .verdict import VACUOUS, Verdict, discrepancy, holds, vacuous
 
 
 class UnknownCheck(KeyError):
@@ -140,16 +144,31 @@ def run_check(s: Semigroup, check_id: str, cap: int = DEFAULT_CAP) -> Verdict:
         try:
             witness = next(body)
         except StopIteration as end:
-            verdict = holds(end.value)
-        else:
-            verdict = discrepancy(witness)
+            return holds(end.value, gates)
+        return discrepancy(witness, gates)
     except CapExceeded:
         return vacuous((("cap_not_exceeded", False),), note="cap")
-    return verdict._replace(hypothesis_trace=gates)
 
 
 def run_suite(s: Semigroup, cap: int = DEFAULT_CAP) -> list[tuple[str, Verdict]]:
-    return [(c.id, run_check(s, key, cap)) for key, c in sorted(CHECKS.items())]
+    """Every registered check in id order, each verdict equal to
+    run_check(s, key, cap).  A vacuous verdict with no note and one trace
+    entry per required gate was stopped by a required gate before any
+    exists= gate was read, so it depends on the requires= tuple, s and cap
+    alone: later checks with an equal tuple reuse that object instead of
+    calling run_check.  A "cap" verdict or an exists= failure is never
+    reused."""
+    stopped: dict[tuple[Gate, ...], Verdict] = {}
+    out = []
+    for key, check in sorted(CHECKS.items()):
+        verdict = stopped.get(check.requires)
+        if verdict is None:
+            verdict = run_check(s, key, cap)
+            if (verdict.status == VACUOUS and verdict.note is None
+                    and len(verdict.hypothesis_trace) == len(check.requires)):
+                stopped[check.requires] = verdict
+        out.append((check.id, verdict))
+    return out
 
 
 def registered_ids() -> list[str]:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from sgideals.core import Semigroup, mask_elems, mask_of
@@ -5,20 +7,21 @@ from sgideals.localize import (
     NotCompletelyPrime,
     NotMultClosed,
     OreSweep,
+    _ideal_waist_or_full,
     equivalence_class,
     is_right_ore_set,
     is_right_p_comparable,
     saturate,
     saturation_by_element,
 )
-from sgideals.classify import PrimenessKind, is_mult_closed, prime_family
+from sgideals.classify import PrimenessKind, is_mult_closed, is_waist, prime_family
 from sgideals.corpus import (
     build_chain_x,
     build_delta,
     build_ef,
     build_min_chain,
 )
-from sgideals.ideals import IdealKind
+from sgideals.ideals import IdealKind, is_ideal
 from sgideals.verify import run_check
 
 from oracles import (
@@ -285,6 +288,28 @@ def _assert_comparability_matches_bruteforce(monoids):
             assert saturation_by_element(s, p) == sat
             failing += not got.holds
     return failing
+
+
+def test_waist_form_kernel_matches_the_predicates(pool234, pool5, corpus_entries):
+    # the fifth form's one-pass test against is_ideal and is_waist: every
+    # mask of the monoids of order at most 4 and the corpus, and every
+    # saturation by S-P of the order-5 pool
+    def literal(s, m):
+        return is_ideal(s, m, IdealKind.RIGHT) and (m == s.full or is_waist(s, m))
+
+    seen = Counter()
+    for s in [*pool234, *(e.semigroup for e in corpus_entries)]:
+        for m in range(1 << s.n):
+            want = literal(s, m)
+            assert _ideal_waist_or_full(s, m) == want, (s.rows, m)
+            seen[want] += 1
+    for s in pool5:
+        for p in prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT):
+            for m in set(saturation_by_element(s, p)):
+                want = literal(s, m)
+                assert _ideal_waist_or_full(s, m) == want, (s.rows, p, m)
+                seen[want, "saturation"] += 1
+    assert min(seen.values()) > 0 and len(seen) == 4
 
 
 def test_comparability_matches_bruteforce_pools_and_corpus(pool234, pool5, corpus_entries):

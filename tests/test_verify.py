@@ -32,6 +32,7 @@ from oracles import (
     is_cover_scan,
     lem21ii_pairs_bruteforce,
     right_translates_scan,
+    shuffled,
     translates_scan,
 )
 
@@ -137,6 +138,120 @@ def test_run_check_hands_the_exists_objects_to_the_body(monkeypatch):
 
     assert _run_synthetic(monkeypatch, body, found=found).status == "holds"
     assert seen[0] is found
+
+
+# run_suite reuses the vacuous verdict of a check stopped by a required gate
+# for every later check with an equal requires= tuple (README, "The suite
+# decides each hypothesis once")
+NEVER = verify.Gate("never", lambda s, cap: False)
+
+
+def _yields_a_witness(s, cap):
+    yield {"a": 1}
+
+
+def _suite_with(monkeypatch, *checks):
+    """The verdicts run_suite gives the synthetic checks Syn0.1, Syn0.2, ..
+    registered beside the real ones, on the order-2 monoid."""
+    for i, (fn, requires, exists) in enumerate(checks, 1):
+        check = verify.TheoremCheck(f"Syn0.{i}", "synthetic", fn, requires, exists)
+        monkeypatch.setitem(CHECKS, f"syn0.{i}", check)
+    got = dict(run_suite(build_minimal()))
+    return [got[f"Syn0.{i}"] for i in range(1, len(checks) + 1)]
+
+
+def _fresh(s):
+    return Semigroup(s.rows, s.one, s.zero)
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_CAP, 4])
+def test_run_suite_equals_run_check(pool234, pool5, corpus_entries, cap):
+    # run_check on a fresh instance, so no verdict of the suite's memo is
+    # read; on every input the gates that fail are shared by identity
+    shared = 0
+    inputs = [*pool234, *pool5, *(e.semigroup for e in corpus_entries),
+              shuffled(build_ef(12), 12)]
+    for s in inputs:
+        suite = run_suite(_fresh(s), cap)
+        fresh = _fresh(s)
+        assert suite == [(CHECKS[k].id, run_check(fresh, k, cap)) for k in sorted(CHECKS)]
+        first = {}
+        for (cid, v), check in zip(suite, (CHECKS[k] for k in sorted(CHECKS))):
+            if v.status == "vacuous" and v.note is None and len(
+                    v.hypothesis_trace) == len(check.requires):
+                if check.requires in first:
+                    assert first[check.requires] is v, (cid, s.rows)
+                    shared += 1
+                first.setdefault(check.requires, v)
+    assert shared > 0
+
+
+def test_run_suite_reuses_a_required_gate_failure(monkeypatch):
+    calls = []
+
+    def never(s, cap):
+        calls.append(cap)
+        return False
+
+    def refused(s, cap):
+        raise AssertionError("entered")
+        yield
+
+    gate = verify.Gate("never", never)
+    first, second = _suite_with(monkeypatch, (refused, (gate,), None),
+                                (_yields_a_witness, (gate,), None))
+    assert first is second
+    assert first.hypothesis_trace == (("never", False),) and len(calls) == 1
+
+
+def test_run_suite_runs_a_check_after_an_exists_failure(monkeypatch):
+    # the first check's gates held and its exists= gate found nothing: that
+    # vacuous verdict says nothing of the second check, which must run
+    def refused(s, cap, found):
+        raise AssertionError("entered")
+        yield
+
+    finds_nothing = verify.Gate("finds", lambda s, cap: [])
+    first, second = _suite_with(monkeypatch, (refused, (ALWAYS,), finds_nothing),
+                                (_yields_a_witness, (ALWAYS,), None))
+    assert first.status == "vacuous"
+    assert first.hypothesis_trace == (("always", True), ("finds", False))
+    assert (second.status, second.witness) == ("discrepancy", {"a": 1})
+
+
+def test_run_suite_keys_on_gates_not_names(monkeypatch):
+    same_name = verify.Gate("never", lambda s, cap: True)
+    assert same_name.name == NEVER.name and same_name != NEVER
+    first, second = _suite_with(monkeypatch, (_yields_a_witness, (NEVER,), None),
+                                (_yields_a_witness, (same_name,), None))
+    assert first.status == "vacuous"
+    assert (second.status, second.hypothesis_trace) == ("discrepancy", (("never", True),))
+
+
+def test_run_suite_never_reuses_a_cap_verdict(monkeypatch):
+    calls = []
+
+    def capped(s, cap):
+        calls.append(cap)
+        raise CapExceeded("synthetic")
+
+    gate = verify.Gate("capped", capped)
+    verdicts = _suite_with(monkeypatch, (_yields_a_witness, (gate,), None),
+                           (_yields_a_witness, (gate,), None))
+    assert [(v.status, v.note) for v in verdicts] == [("vacuous", "cap")] * 2
+    assert len(calls) == 2
+
+    # a body's blown cap leaves a one-entry trace, as long as (ALWAYS,):
+    # the note alone tells it from a failed gate
+    def blows_the_cap(s, cap):
+        raise CapExceeded("synthetic")
+        yield
+
+    first, second = _suite_with(monkeypatch, (blows_the_cap, (ALWAYS,), None),
+                                (_yields_a_witness, (ALWAYS,), None))
+    assert (first.status, first.note) == ("vacuous", "cap")
+    assert len(first.hypothesis_trace) == 1
+    assert second.status == "discrepancy"
 
 
 def test_registry_covers_catalog():
