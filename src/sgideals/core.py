@@ -12,8 +12,6 @@ import operator
 
 Mask = int
 
-_MISSING = object()
-
 
 def memoized(fn):
     """Cache fn(s, *args) on the Semigroup s under (fn, *args), keyword and
@@ -21,12 +19,32 @@ def memoized(fn):
     f(s, x, cap=default) share one entry.  fn takes plain positional
     parameters (no *args, **kwargs or keyword-only ones).  Exceptions are
     not cached.  Every caller gets the same object, so fn must return an
-    immutable value."""
+    immutable value.
+
+    A hit is one dict lookup; a miss computes fn outside the lookup's
+    handler, so an exception fn raises carries no KeyError context.  A
+    function of s alone keeps its one key, (fn,), built once, and takes no
+    further arguments."""
     code = fn.__code__
     names = code.co_varnames[1:code.co_argcount]
     arity = len(names)
     defaults = fn.__defaults__ or ()
     required = arity - len(defaults)
+
+    if arity == 0:
+        only = (fn,)
+
+        @functools.wraps(fn)
+        def wrapper(s):
+            cache = s._cache
+            try:
+                return cache[only]
+            except KeyError:
+                pass
+            got = cache[only] = fn(s)
+            return got
+
+        return wrapper
 
     def bind(args: tuple, kwargs: dict) -> tuple:
         if len(args) > arity:
@@ -49,9 +67,12 @@ def memoized(fn):
         if kwargs or len(args) != arity:
             args = bind(args, kwargs)
         key = (fn, *args)
-        got = s._cache.get(key, _MISSING)
-        if got is _MISSING:
-            got = s._cache[key] = fn(s, *args)
+        cache = s._cache
+        try:
+            return cache[key]
+        except KeyError:
+            pass
+        got = cache[key] = fn(s, *args)
         return got
 
     return wrapper
@@ -140,12 +161,14 @@ class Semigroup:
     Construction checks all four axioms (associativity, two-sided identity,
     absorbing zero, identity != zero) and raises a SemigroupError subclass
     with a witness on the first violation.  Instances are immutable.  The
-    principal right ideals aS are built with the table, as right_principals;
-    all other derived data is computed on first use by @memoized functions
-    and kept on the instance.
+    principal right ideals aS are built with the table, as right_principals,
+    and so are the masks of the whole carrier (full) and of the zero
+    (zero_mask), which every sweep reads; all other derived data is
+    computed on first use by @memoized functions and kept on the instance.
     """
 
-    __slots__ = ("n", "one", "zero", "rows", "right_principals", "_cache")
+    __slots__ = ("n", "one", "zero", "rows", "full", "zero_mask", "right_principals",
+                 "_cache")
 
     def __init__(self, table, one: int, zero: int):
         try:
@@ -186,6 +209,8 @@ class Semigroup:
         self.one = one
         self.zero = zero
         self.rows = rows
+        self.full = (1 << n) - 1
+        self.zero_mask = 1 << zero
         # aS for every a, indexed by a
         self.right_principals = tuple(mask_of(row) for row in rows)
         self._cache: dict = {}
@@ -210,14 +235,6 @@ class Semigroup:
         return out
 
     # -- masks ---------------------------------------------------------------
-
-    @property
-    def full(self) -> Mask:
-        return (1 << self.n) - 1
-
-    @property
-    def zero_mask(self) -> Mask:
-        return 1 << self.zero
 
     @memoized
     def left_divisors(self) -> tuple[Mask, ...]:

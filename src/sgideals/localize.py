@@ -2,6 +2,7 @@
 completely prime right ideal."""
 from __future__ import annotations
 
+import operator
 import warnings
 from collections.abc import Iterator
 from typing import NamedTuple
@@ -88,15 +89,16 @@ class OreSweep:
         self._avoiding = {0: every}
         self._times_s = princ  # yS for each y, the right-ideal test's one input
         # sat(aS, T) = {y : y*t in aS for some t in T}, so y is outside it
-        # exactly for the T avoiding {t : y*t in aS}; one list of those
-        # tables per distinct aS, kept with the least a
+        # exactly for the T avoiding {t : y*t in aS}, the preimage columns
+        # of the v in aS ORed whole; one list of those tables per distinct
+        # aS, kept with the least a
+        columns = list(zip(*pre))
         by_ideal: dict[Mask, tuple[int, list[Mask]]] = {}
         for a, a_s in enumerate(princ):
             if a_s not in by_ideal:
                 pulled = [0] * n
                 for v in mask_elems(a_s):
-                    for y in range(n):
-                        pulled[y] |= pre[y][v]
+                    pulled = list(map(operator.or_, pulled, columns[v]))
                 by_ideal[a_s] = (a, [self._avoids(m) for m in pulled])
         self._sat = [by_ideal[a_s][1] for a_s in princ]
         self._distinct = list(by_ideal.values())
@@ -141,11 +143,12 @@ class OreSweep:
         It fails for T when some y inside it has some v in yS outside it.
         """
         fails, first = [], 0
+        members = [mask_elems(y_s) for y_s in self._times_s]
         for a, outside in self._distinct:
             fail = 0
-            for out, y_s in zip(outside, self._times_s):
+            for out, y_s in zip(outside, members):
                 leaves = 0
-                for v in mask_elems(y_s):
+                for v in y_s:
                     leaves |= outside[v]
                 fail |= leaves & ~out
             fails.append((a, fail))

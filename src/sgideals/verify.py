@@ -44,6 +44,7 @@ from .ideals import (
     intersect_powers,
     is_a_nilpotent,
     is_ideal,
+    is_nil_set,
     is_nilpotent_ideal,
     power_sequence,
     right_annihilator,
@@ -133,19 +134,23 @@ def run_check(s: Semigroup, check_id: str, cap: int = DEFAULT_CAP) -> Verdict:
     if check is None:
         raise UnknownCheck(f"no check named {check_id!r}")
     try:
-        gates = tuple([(gate.name, bool(gate.test(s, cap))) for gate in check.requires])
-        found = ()
-        if check.exists and all([ok for _, ok in gates]):
+        trace, held, found = [], True, ()
+        for gate in check.requires:
+            ok = bool(gate.test(s, cap))
+            trace.append((gate.name, ok))
+            held = held and ok
+        if held and check.exists:
             found = (check.exists.test(s, cap),)
-            gates += ((check.exists.name, bool(found[0])),)
-        if not all([ok for _, ok in gates]):
-            return vacuous(gates)
+            held = bool(found[0])
+            trace.append((check.exists.name, held))
+        if not held:
+            return vacuous(trace)
         body = check.fn(s, cap, *found)
         try:
             witness = next(body)
         except StopIteration as end:
-            return holds(end.value, gates)
-        return discrepancy(witness, gates)
+            return holds(end.value, trace)
+        return discrepancy(witness, trace)
     except CapExceeded:
         return vacuous((("cap_not_exceeded", False),), note="cap")
 
@@ -160,7 +165,8 @@ def run_suite(s: Semigroup, cap: int = DEFAULT_CAP) -> list[tuple[str, Verdict]]
     reused."""
     stopped: dict[tuple[Gate, ...], Verdict] = {}
     out = []
-    for key, check in sorted(CHECKS.items()):
+    for key in sorted(CHECKS):
+        check = CHECKS[key]
         verdict = stopped.get(check.requires)
         if verdict is None:
             verdict = run_check(s, key, cap)
@@ -229,13 +235,16 @@ CANCELLATIVE = Gate("cancellative", lambda s, cap: s.is_cancellative())
 HAS_COMPARABILITY_IDEAL = Gate(
     "has_comparability_ideal", lambda s, cap: bool(comparability_ideals(s, cap))
 )
+# the comparizer radical is a right ideal, hence closed under products, and
+# such a set is nilpotent exactly when it is nil (README, "What a check
+# costs"): two memoized masks and one subset test, no power sequence
 COMPARIZER_RADICAL_NILPOTENT = Gate(
     "comparizer_radical_nilpotent",
-    lambda s, cap: is_nilpotent_ideal(s, comparizer_radical(s)),
+    lambda s, cap: is_nil_set(s, comparizer_radical(s)),
 )
 COMPARIZER_RADICAL_NONNILPOTENT = Gate(
     "comparizer_radical_nonnilpotent",
-    lambda s, cap: not is_nilpotent_ideal(s, comparizer_radical(s)),
+    lambda s, cap: not is_nil_set(s, comparizer_radical(s)),
 )
 # Lem3.1 reads all 2^n subsets of the carrier at once, each predicate a
 # truth table of 2^n bits (localize.OreSweep), so time and memory double per
@@ -344,8 +353,11 @@ def _two_sided_comparizers(s: Semigroup, cap: int) -> list[Mask]:
 
 @_register("Thm2.4.i", "an idempotent right comparizer ideal is a right waist")
 def _thm24i(s: Semigroup, cap: int) -> Witnesses:
+    # a nonempty proper comparizer ideal is a right ideal, so it is a right
+    # waist exactly when it is a member of the family
+    waists = set(right_waists(s, cap))
     for m in _nonempty_proper(s, comparizer_ideals(s, cap)):
-        if s.product(m, m) == m and not is_waist(s, m):
+        if s.product(m, m) == m and m not in waists:
             yield {"ideal": _w(m)}
 
 
@@ -418,20 +430,25 @@ def _lem25i(s: Semigroup, cap: int) -> Witnesses:
 @_register("Lem2.5.ii", "for a right waist I, the ideal I meet right-annihilator(I) "
                         "is a right comparizer")
 def _lem25ii(s: Semigroup, cap: int) -> Witnesses:
+    # the right annihilator of a right ideal is a right ideal, and so is a
+    # meet of right ideals: membership in the family decides
+    comps = set(comparizer_ideals(s, cap))
     for w in right_waists(s, cap):
         c = w & right_annihilator(s, w)
-        if not is_comparizer(s, c):
+        if c not in comps:
             yield {"waist": _w(w), "ideal": _w(c)}
 
 
 @_register("Lem2.5.iii", "for a nilpotent right waist with I^n == 0, the power "
                          "I^(n-1) is a right comparizer")
 def _lem25iii(s: Semigroup, cap: int) -> Witnesses:
+    # every power of a right ideal is a right ideal: membership decides
     zero = s.zero_mask
+    comps = set(comparizer_ideals(s, cap))
     for w in right_waists(s, cap):
         seq = power_sequence(s, w)
         k = next((k for k in range(1, len(seq)) if is_subset(seq[k], zero)), None)
-        if k is not None and not is_comparizer(s, seq[k - 1]):
+        if k is not None and seq[k - 1] not in comps:
             yield {"waist": _w(w), "power": k}
 
 
@@ -570,17 +587,22 @@ def _thm210(s: Semigroup, cap: int) -> Witnesses:
 @_register("Lem2.12.i", "the associated prime of a nonempty proper right ideal is "
                         "a completely prime right ideal")
 def _lem212i(s: Semigroup, cap: int) -> Witnesses:
+    # the family holds every nonempty proper right ideal that is completely
+    # prime, so membership is the conclusion
+    cp_right = set(prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT, cap))
     for a_mask, p in associated_primes(s, cap):
-        if not (is_ideal(s, p, IdealKind.RIGHT) and p != s.full
-                and is_completely_prime(s, p)):
+        if p not in cp_right:
             yield {"ideal": _w(a_mask), "associated": _w(p)}
 
 
 @_register("Lem2.12.ii", "for a prime right ideal A, every right waist contains "
                          "the associated prime of A or lies inside A")
 def _lem212ii(s: Semigroup, cap: int) -> Witnesses:
+    # a prime right ideal is nonempty and proper, so its associated prime is
+    # already in the family's table
+    assoc = dict(associated_primes(s, cap))
     for a_mask in prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap):
-        p = associated_prime(s, a_mask)
+        p = assoc[a_mask]
         for w in right_waists(s, cap):
             if not is_subset(w, a_mask) and not is_subset(p, w):
                 yield {"ideal": _w(a_mask), "waist": _w(w)}

@@ -10,7 +10,9 @@ in process, and each class goes through
   over the a outside T; when T lies strictly inside I, I must be cS for
   every c in I outside T;
 - the comparability oracle: the report and the saturations of every
-  completely prime right ideal against the pair loops of oracles.py.
+  completely prime right ideal against the pair loops of oracles.py;
+- the two nilpotency forms (README "What a check costs"): on every right
+  ideal, some power inside {0} exactly when every member is nilpotent.
 
 It prints the tally as JSON and exits 1 unless the tally equals the one in
 order7.json beside this file.  Run from the repository root:
@@ -29,8 +31,8 @@ from pathlib import Path
 
 from oracles import p_comparability_bruteforce
 from sgideals.classify import PrimenessKind, associated_primes, prime_family
-from sgideals.core import mask_elems
-from sgideals.ideals import IdealKind
+from sgideals.core import is_subset, mask_elems
+from sgideals.ideals import IdealKind, enumerate_ideals, is_nilpotent_ideal
 from sgideals.localize import is_right_p_comparable, saturation_by_element
 from sgideals.verify import run_suite
 
@@ -42,7 +44,7 @@ class Tally:
         self.digest = hashlib.sha256()
         self.statuses: dict[str, Counter] = {}
         self.counts = Counter(strict_covers=0, cover_failures=0, reports=0, failing=0,
-                              mismatches=0)
+                              mismatches=0, nilpotency_checked=0, nilpotency_mismatches=0)
 
     def __call__(self, s) -> None:
         results = run_suite(s)
@@ -52,6 +54,7 @@ class Tally:
             self.statuses.setdefault(cid, Counter())[v.status] += 1
         self.principal_covers(s)
         self.comparability(s)
+        self.nilpotency(s)
 
     def principal_covers(self, s) -> None:
         for t, p in associated_primes(s):
@@ -71,6 +74,12 @@ class Tally:
             self.counts["reports"] += 1
             self.counts["failing"] += not got.holds
             self.counts["mismatches"] += got != want or saturation_by_element(s, p) != sat
+
+    def nilpotency(self, s) -> None:
+        nil = s.nilpotent_elements()
+        for m in enumerate_ideals(s, IdealKind.RIGHT):
+            self.counts["nilpotency_checked"] += 1
+            self.counts["nilpotency_mismatches"] += is_nilpotent_ideal(s, m) != is_subset(m, nil)
 
     def result(self, classes: int) -> dict:
         total = sum(self.statuses.values(), Counter())

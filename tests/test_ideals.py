@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgideals import ideals, verify
-from sgideals.core import Semigroup, mask_elems, mask_of
+from sgideals.classify import comparizer_radical
+from sgideals.core import Semigroup, is_subset, mask_elems, mask_of
 from sgideals.ideals import (
     DEFAULT_CAP,
     CapExceeded,
@@ -250,6 +251,42 @@ def test_nil_predicates(ef4):
     assert is_nil_set(s, P_EF)
     assert not is_nil_set(s, s.full)
     assert is_nilpotent_ideal(s, 0)  # empty set convention
+
+
+# a set closed under products is nilpotent exactly when it is nil: were a
+# product x1..xk of k = |X| members nonzero in every prefix, two prefixes
+# would be equal, p = p*y, so p = p*y^j for every j with y a nilpotent
+# member, and p = 0.  Every ideal is closed, and so is the comparizer
+# radical, a right ideal, whose gates read the nil form (README, "What a
+# check costs")
+@pytest.mark.parametrize("order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_closed_nil_sets_are_nilpotent(pools, corpus_entries, order):
+    monoids = list(pools[order])
+    if order == 2:
+        monoids += [e.semigroup for e in corpus_entries]
+    for s in monoids:
+        nil = s.nilpotent_elements()
+        for kind in IdealKind:
+            for m in enumerate_ideals(s, kind):
+                assert is_nilpotent_ideal(s, m) == is_subset(m, nil)
+        old = is_nilpotent_ideal(s, comparizer_radical(s))
+        assert verify.COMPARIZER_RADICAL_NILPOTENT.test(s, DEFAULT_CAP) == old
+        assert verify.COMPARIZER_RADICAL_NONNILPOTENT.test(s, DEFAULT_CAP) == (not old)
+
+
+def test_nil_needs_closure_to_be_nilpotent(pools):
+    # B2^1, the order-6 class 712 (tests/test_verify.py): {0, 2, 5} holds the
+    # nilpotent matrix units e12 and e21, but their products e11 and e22 are
+    # idempotent, so its powers cycle through {0, 3, 4} and never reach {0};
+    # no other class of order 4-6 has a nil set that is not nilpotent
+    b21 = pools[6][712]
+    x = mask_of([0, 2, 5])
+    assert is_nil_set(b21, x) and not is_ideal(b21, x, IdealKind.RIGHT)
+    assert power_sequence(b21, x) == [x, mask_of([0, 3, 4]), x]
+    assert not is_nilpotent_ideal(b21, x)
+    found = [(n, i, mask_elems(x)) for n in (4, 5, 6) for i, s in enumerate(pools[n])
+             for x in range(1 << n) if is_nil_set(s, x) and not is_nilpotent_ideal(s, x)]
+    assert found == [(6, 712, [2, 5]), (6, 712, [0, 2, 5])]
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from sgideals import verify
+from sgideals import classify, verify
 from sgideals.core import Semigroup, is_subset, mask_elems, mask_of
 from sgideals.classify import PrimenessKind, comparizer_radical, exceptional_primes
 from sgideals.ideals import (DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals,
@@ -728,6 +728,49 @@ def test_lem46_flags_incomparable_semiprimes(monkeypatch, cid):
     if cid != "Lem4.6.iii":
         # both sweep the family in its order, so they name the same pair
         assert v.witness["pair"] == [[0, 2], [0, 3]]
+
+
+# Thm2.4.i, Lem2.5.ii, Lem2.5.iii, Lem2.12.i and Lem2.12.ii read membership
+# of a family that classify builds from a predicate: right_waists from
+# is_waist, comparizer_ideals from is_comparizer, the completely prime right
+# ideals from _PRIME_FNS, associated_primes from associated_prime.  Each
+# control flips that predicate on one member, on a fresh instance: x^4 S =
+# {0, 5} of chain_x(4), or {0, 2} of min_chain(4), where every ideal is
+# idempotent, completely prime and a right waist, and is its own
+# associated prime
+def _flip_predicate(monkeypatch, predicate, member):
+    if predicate == "associated_prime":
+        real = classify.associated_prime
+        monkeypatch.setattr(classify, predicate, lambda s, a_mask: (
+            real(s, a_mask) ^ (1 << s.one) if a_mask == member else real(s, a_mask)))
+    elif predicate == "completely_prime":
+        kind = PrimenessKind.COMPLETELY_PRIME
+        real = classify._PRIME_FNS[kind]
+        monkeypatch.setitem(classify._PRIME_FNS, kind, lambda s, x: real(s, x) != (x == member))
+    else:
+        real = getattr(classify, predicate)
+        monkeypatch.setattr(classify, predicate,
+                            lambda s, m, *within: real(s, m, *within) != (m == member))
+
+
+@pytest.mark.parametrize("cid, build, predicate, member, witness", [
+    pytest.param("Thm2.4.i", build_min_chain, "is_waist", [0, 2], {"ideal": [0, 2]},
+                 id="Thm2.4.i"),
+    pytest.param("Lem2.5.ii", build_chain_x, "is_comparizer", [0, 5],
+                 {"waist": [0, 5], "ideal": [0, 5]}, id="Lem2.5.ii"),
+    pytest.param("Lem2.5.iii", build_chain_x, "is_comparizer", [0, 5],
+                 {"waist": [0, 5], "power": 1}, id="Lem2.5.iii"),
+    pytest.param("Lem2.12.i", build_min_chain, "completely_prime", [0, 2],
+                 {"ideal": [0, 2], "associated": [0, 2]}, id="Lem2.12.i"),
+    pytest.param("Lem2.12.ii", build_min_chain, "associated_prime", [0, 2],
+                 {"ideal": [0, 2], "waist": [0, 2, 3]}, id="Lem2.12.ii"),
+])
+def test_family_bodies_flag_a_flipped_member(monkeypatch, cid, build, predicate, member, witness):
+    s = build(4)
+    assert run_check(s, cid).status == "holds"
+    _flip_predicate(monkeypatch, predicate, mask_of(member))
+    v = run_check(_fresh(s), cid)
+    assert v.status == "discrepancy" and v.witness == witness
 
 
 # -- controls for guards that state the theorem: on every finite input they
