@@ -17,8 +17,8 @@ _EXPORTS = {
     ),
     "ideals": (
         "CapExceeded", "IdealKind", "NotAnIdeal", "NotProper", "enumerate_ideals",
-        "ideal_closure", "intersect_powers", "is_a_nilpotent", "is_ideal", "is_nil_set",
-        "is_nilpotent_ideal", "principals", "right_annihilator",
+        "ideal_closure", "intersect_powers", "is_ideal", "is_nil_set", "principals",
+        "right_annihilator",
     ),
     "classify": (
         "PrimenessKind", "RadicalReport", "associated_prime", "comparizer_ideals",

@@ -13,7 +13,7 @@ from .ideals import (
     enumerate_ideals,
     is_ideal,
     is_nil_set,
-    is_nilpotent_ideal,
+    principals,
 )
 
 
@@ -257,7 +257,8 @@ class RadicalReport(NamedTuple):
 
 @memoized
 def radicals(s: Semigroup, cap: int = DEFAULT_CAP) -> RadicalReport:
-    """Compute all radicals by enumerate-and-filter over two-sided ideals.
+    """Compute the prime radicals by enumerate-and-filter over the prime
+    families, and the nil radical in one pass over the carrier.
 
     Every family intersected here is nonempty: the nonunits form a proper
     completely prime two-sided ideal, hence also a prime one and a prime
@@ -273,20 +274,20 @@ def radicals(s: Semigroup, cap: int = DEFAULT_CAP) -> RadicalReport:
     for m in prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED, cap):
         nrad &= m
 
+    # SaS is the least two-sided ideal holding a, so a lies in a nil one
+    # exactly when SaS is nil; a nil ideal is closed, hence nilpotent, so
+    # the nil radical is the nilpotent union too (README, "Finite shadow")
     nil_union = 0
-    nilpotent_union = 0
-    for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap):
-        if is_nil_set(s, m):
-            nil_union |= m
-        if is_nilpotent_ideal(s, m):
-            nilpotent_union |= m
+    for a, sas in enumerate(principals(s, IdealKind.TWO_SIDED)):
+        if is_nil_set(s, sas):
+            nil_union |= 1 << a
 
     return RadicalReport(
         prime_radical=beta,
         prime_right_radical=beta_r,
         completely_prime_radical=nrad,
         nil_radical=nil_union,
-        nilpotent_union=nilpotent_union,
+        nilpotent_union=nil_union,
         nilpotent_elements=s.nilpotent_elements(),
         comparizer=comparizer_radical(s),
         nonunits=s.nonunits_mask(),

@@ -153,15 +153,15 @@ def cmd_analyze(args) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
+    worst = [r for r in report.get("verdicts", ()) if r["status"] == "discrepancy"]
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         _print_analysis(report)
         if args.verdicts:
-            worst = [r for r in report["verdicts"] if r["status"] == "discrepancy"]
             print(f"verdicts: {len(report['verdicts'])} checks, "
                   f"{len(worst)} discrepancies")
-    return 0
+    return 1 if worst else 0
 
 
 def verdict_report(name: str, s: Semigroup, cap: int, only: str | None) -> dict:

@@ -139,18 +139,7 @@ def enumerate_ideals(s: Semigroup, kind: IdealKind, cap: int = DEFAULT_CAP) -> t
 
 
 def is_nil_set(s: Semigroup, x: Mask) -> bool:
-    """Every member is a nilpotent element."""
+    """Every member is a nilpotent element.  On a set closed under products,
+    every ideal among them, this is nilpotency: some power lies in {0}
+    (README, "What a check costs")."""
     return is_subset(x, s.nilpotent_elements())
-
-
-def is_nilpotent_ideal(s: Semigroup, x: Mask) -> bool:
-    """Some power of X lies inside {0} (the empty set counts as nilpotent)."""
-    return is_a_nilpotent(s, x, s.zero_mask)
-
-
-def is_a_nilpotent(s: Semigroup, x: Mask, a_mask: Mask) -> bool:
-    """X^k inside A for some k (exact over the whole power cycle)."""
-    for m in power_sequence(s, x):
-        if is_subset(m, a_mask):
-            return True
-    return False

@@ -1,6 +1,7 @@
 import pytest
 
-from sgideals.corpus import all_monoids_with_zero, corpus
+from sgideals.corpus import (all_monoids_with_zero, build_chain_x, build_delta, build_ef,
+                             build_min_chain, corpus)
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +38,14 @@ def pools(pool234, pool5, pool6):
 @pytest.fixture(scope="session")
 def corpus_entries():
     return list(corpus().values())
+
+
+@pytest.fixture(scope="session")
+def large_families():
+    """The benchmark's large families as (name, monoid) pairs."""
+    return [(f"{build.__name__}({k})", build(k))
+            for build, k in ((build_ef, 30), (build_min_chain, 40), (build_chain_x, 30),
+                             (build_delta, 10), (build_min_chain, 10))]
 
 
 @pytest.fixture(scope="session")

@@ -105,6 +105,31 @@ def set_product_scan(s: Semigroup, xs, ys) -> int:
     return mask_scan(s.mul(a, b) for a in xs for b in ys)
 
 
+def nilpotent_scan(s: Semigroup, x: int) -> bool:
+    """Some power X^k lies inside {0}: X, X^2, .. by set products, until a
+    power repeats.  The empty set counts as nilpotent."""
+    xs = elems_scan(x)
+    seen, power = set(), x
+    while power not in seen:
+        if power & ~(1 << s.zero) == 0:
+            return True
+        seen.add(power)
+        power = set_product_scan(s, elems_scan(power), xs)
+    return False
+
+
+def nil_unions_scan(s: Semigroup, family) -> tuple[int, int]:
+    """The unions of the nil and of the nilpotent members of family, each
+    decided by set-product powers: of every element, and of the member."""
+    nil = nilpotent = 0
+    for m in family:
+        if all(nilpotent_scan(s, 1 << a) for a in elems_scan(m)):
+            nil |= m
+        if nilpotent_scan(s, m):
+            nilpotent |= m
+    return nil, nilpotent
+
+
 def preimages_scan(s: Semigroup) -> tuple:
     """The c with a*c == v for every a and v, one pass over row a per v."""
     return tuple(

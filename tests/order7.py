@@ -11,8 +11,12 @@ in process, and each class goes through
   every c in I outside T;
 - the comparability oracle: the report and the saturations of every
   completely prime right ideal against the pair loops of oracles.py;
-- the two nilpotency forms (README "What a check costs"): on every right
-  ideal, some power inside {0} exactly when every member is nilpotent.
+- the nil test (README "What a check costs"): on every right ideal, some
+  power inside {0}, by set products, exactly when every member is
+  nilpotent;
+- the nil radical and the nilpotent union of radicals against the unions of
+  the nil and of the nilpotent two-sided ideals, each decided by set-product
+  powers.
 
 It prints the tally as JSON and exits 1 unless the tally equals the one in
 order7.json beside this file.  Run from the repository root:
@@ -29,10 +33,10 @@ from collections import Counter
 from importlib import import_module
 from pathlib import Path
 
-from oracles import p_comparability_bruteforce
-from sgideals.classify import PrimenessKind, associated_primes, prime_family
+from oracles import nil_unions_scan, nilpotent_scan, p_comparability_bruteforce
+from sgideals.classify import PrimenessKind, associated_primes, prime_family, radicals
 from sgideals.core import is_subset, mask_elems
-from sgideals.ideals import IdealKind, enumerate_ideals, is_nilpotent_ideal
+from sgideals.ideals import IdealKind, enumerate_ideals
 from sgideals.localize import is_right_p_comparable, saturation_by_element
 from sgideals.verify import run_suite
 
@@ -44,7 +48,8 @@ class Tally:
         self.digest = hashlib.sha256()
         self.statuses: dict[str, Counter] = {}
         self.counts = Counter(strict_covers=0, cover_failures=0, reports=0, failing=0,
-                              mismatches=0, nilpotency_checked=0, nilpotency_mismatches=0)
+                              mismatches=0, nilpotency_checked=0, nilpotency_mismatches=0,
+                              nil_radical_checked=0, nil_radical_mismatches=0)
 
     def __call__(self, s) -> None:
         results = run_suite(s)
@@ -55,6 +60,7 @@ class Tally:
         self.principal_covers(s)
         self.comparability(s)
         self.nilpotency(s)
+        self.nil_radical(s)
 
     def principal_covers(self, s) -> None:
         for t, p in associated_primes(s):
@@ -79,7 +85,13 @@ class Tally:
         nil = s.nilpotent_elements()
         for m in enumerate_ideals(s, IdealKind.RIGHT):
             self.counts["nilpotency_checked"] += 1
-            self.counts["nilpotency_mismatches"] += is_nilpotent_ideal(s, m) != is_subset(m, nil)
+            self.counts["nilpotency_mismatches"] += nilpotent_scan(s, m) != is_subset(m, nil)
+
+    def nil_radical(self, s) -> None:
+        rad = radicals(s)
+        self.counts["nil_radical_checked"] += 1
+        self.counts["nil_radical_mismatches"] += (rad.nil_radical, rad.nilpotent_union) != (
+            nil_unions_scan(s, enumerate_ideals(s, IdealKind.TWO_SIDED)))
 
     def result(self, classes: int) -> dict:
         total = sum(self.statuses.values(), Counter())

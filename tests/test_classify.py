@@ -39,6 +39,7 @@ from oracles import (
     comparizer_union_bruteforce,
     completely_prime_scan,
     ideals_bruteforce,
+    nil_unions_scan,
     prime_scan,
     restricted_comparizer_bruteforce,
     right_principal_scan,
@@ -326,6 +327,21 @@ def test_radical_inclusions(pool234):
         assert rad.nilpotent_union & ~rad.nil_radical == 0
         assert rad.nil_radical & ~rad.nilpotent_elements == 0
         assert rad.nilpotent_elements & ~s.nonunits_mask() == 0
+
+
+@pytest.mark.parametrize(
+    "order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+)
+def test_nil_radical_matches_scan(pools, corpus_entries, large_families, order):
+    # the unions of the nil and of the nilpotent two-sided ideals
+    monoids = list(pools[order])
+    if order == 2:
+        monoids += [e.semigroup for e in corpus_entries]
+        monoids += [s for _, s in large_families]
+    for s in monoids:
+        rad = radicals(s)
+        assert (rad.nil_radical, rad.nilpotent_union) == nil_unions_scan(
+            s, enumerate_ideals(s, IdealKind.TWO_SIDED)), s.rows
 
 
 def test_beta_matches_bruteforce(pool234, corpus_entries):

@@ -279,7 +279,7 @@ def test_verdict_report_schema(capsys):
     assert {r["status"] for r in rep["results"]} <= {"holds", "vacuous"}
 
 
-def test_verify_exit_one_on_discrepancy(capsys, monkeypatch):
+def _register_failing_check(monkeypatch):
     # a synthetic always-failing check exercises the exit-code contract
     from sgideals import verify as verify_mod
 
@@ -289,8 +289,22 @@ def test_verify_exit_one_on_discrepancy(capsys, monkeypatch):
         fn=lambda s, cap: iter([{"reason": "synthetic"}]),
     )
     monkeypatch.setitem(verify_mod.CHECKS, "fake0.0", fake)
+
+
+def test_verify_exit_one_on_discrepancy(capsys, monkeypatch):
+    _register_failing_check(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--check", "Fake0.0", "min2")
     assert code == 1 and "discrepancy" in out
+
+
+def test_analyze_verdicts_exit_one_on_discrepancy(capsys, monkeypatch):
+    _register_failing_check(monkeypatch)
+    code, out, _ = run_cli(capsys, "analyze", "min2", "--json", "--verdicts")
+    assert code == 1
+    assert [r["id"] for r in json.loads(out)["verdicts"] if r["status"] == "discrepancy"] == [
+        "Fake0.0"]
+    code, out, _ = run_cli(capsys, "analyze", "min2", "--verdicts")
+    assert code == 1 and "verdicts: 55 checks, 1 discrepancies" in out
 
 
 def test_analysis_report_python_dict_roundtrips():
@@ -382,8 +396,7 @@ EXPORTS = {
             "Semigroup SemigroupError decode_canonical format_cayley mask_contains "
             "mask_elems mask_of parse_cayley",
     "ideals": "CapExceeded IdealKind NotAnIdeal NotProper enumerate_ideals ideal_closure "
-              "intersect_powers is_a_nilpotent is_ideal is_nil_set is_nilpotent_ideal "
-              "principals right_annihilator",
+              "intersect_powers is_ideal is_nil_set principals right_annihilator",
     "classify": "PrimenessKind RadicalReport associated_prime comparizer_ideals "
                 "comparizer_radical comparizer_support exceptional_primes is_comparizer "
                 "is_completely_prime is_completely_semiprime is_prime is_prime_variant "

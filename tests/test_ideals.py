@@ -13,10 +13,8 @@ from sgideals.ideals import (
     enumerate_ideals,
     ideal_closure,
     intersect_powers,
-    is_a_nilpotent,
     is_ideal,
     is_nil_set,
-    is_nilpotent_ideal,
     power_sequence,
     principals,
     right_annihilator,
@@ -33,6 +31,7 @@ from oracles import (
     ideals_bruteforce,
     is_left_ideal_scan,
     is_right_ideal_scan,
+    nilpotent_scan,
     right_annihilator_scan,
     set_product_scan,
 )
@@ -148,8 +147,8 @@ def _power_sequence_arguments(monkeypatch, s: Semigroup) -> set[int]:
 def test_product_matches_scan(pool234, pool5, corpus_entries, monkeypatch):
     """Every pair of masks at orders 2-3.  From order 4 on, every A against
     every right ideal B, every singleton B and every non-ideal B whose
-    powers run_suite takes; order 5 adds only the last kind, the first
-    order at which run_suite takes powers of a non-ideal."""
+    powers run_suite takes; at orders 4-5 and on the corpus run_suite takes
+    powers of right ideals only, so order 5 asserts that alone."""
     non_ideals = 0
     full_pools = [*pool234, *(e.semigroup for e in corpus_entries)]
     for s in [*full_pools, *pool5]:
@@ -167,7 +166,7 @@ def test_product_matches_scan(pool234, pool5, corpus_entries, monkeypatch):
             ys = mask_elems(b)
             for a in range(1 << s.n):
                 assert s.product(a, b) == set_product_scan(s, mask_elems(a), ys)
-    assert non_ideals
+    assert non_ideals == 0
 
 
 def test_enumerate_ideals_frozen():
@@ -245,12 +244,9 @@ def test_ideal_search_is_free_in_its_class_order(pools, monkeypatch):
 def test_nil_predicates(ef4):
     s = ef4.semigroup
     tail = mask_of([0, 6, 7, 8])
-    assert is_nilpotent_ideal(s, tail)
-    assert is_nilpotent_ideal(s, 1 << s.zero)
-    assert is_a_nilpotent(s, P_EF, mask_of([0, 7, 8]))
-    assert is_nil_set(s, P_EF)
-    assert not is_nil_set(s, s.full)
-    assert is_nilpotent_ideal(s, 0)  # empty set convention
+    for x in (tail, 1 << s.zero, P_EF, 0):  # 0: the empty set counts as nilpotent
+        assert nilpotent_scan(s, x) and is_nil_set(s, x)
+    assert not nilpotent_scan(s, s.full) and not is_nil_set(s, s.full)
 
 
 # a set closed under products is nilpotent exactly when it is nil: were a
@@ -258,7 +254,7 @@ def test_nil_predicates(ef4):
 # would be equal, p = p*y, so p = p*y^j for every j with y a nilpotent
 # member, and p = 0.  Every ideal is closed, and so is the comparizer
 # radical, a right ideal, whose gates read the nil form (README, "What a
-# check costs")
+# check costs"); nilpotent_scan takes the powers as set products
 @pytest.mark.parametrize("order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_closed_nil_sets_are_nilpotent(pools, corpus_entries, order):
     monoids = list(pools[order])
@@ -268,10 +264,10 @@ def test_closed_nil_sets_are_nilpotent(pools, corpus_entries, order):
         nil = s.nilpotent_elements()
         for kind in IdealKind:
             for m in enumerate_ideals(s, kind):
-                assert is_nilpotent_ideal(s, m) == is_subset(m, nil)
-        old = is_nilpotent_ideal(s, comparizer_radical(s))
-        assert verify.COMPARIZER_RADICAL_NILPOTENT.test(s, DEFAULT_CAP) == old
-        assert verify.COMPARIZER_RADICAL_NONNILPOTENT.test(s, DEFAULT_CAP) == (not old)
+                assert nilpotent_scan(s, m) == is_subset(m, nil)
+        scan = nilpotent_scan(s, comparizer_radical(s))
+        assert verify.COMPARIZER_RADICAL_NILPOTENT.test(s, DEFAULT_CAP) == scan
+        assert verify.COMPARIZER_RADICAL_NONNILPOTENT.test(s, DEFAULT_CAP) == (not scan)
 
 
 def test_nil_needs_closure_to_be_nilpotent(pools):
@@ -283,9 +279,9 @@ def test_nil_needs_closure_to_be_nilpotent(pools):
     x = mask_of([0, 2, 5])
     assert is_nil_set(b21, x) and not is_ideal(b21, x, IdealKind.RIGHT)
     assert power_sequence(b21, x) == [x, mask_of([0, 3, 4]), x]
-    assert not is_nilpotent_ideal(b21, x)
+    assert not nilpotent_scan(b21, x)
     found = [(n, i, mask_elems(x)) for n in (4, 5, 6) for i, s in enumerate(pools[n])
-             for x in range(1 << n) if is_nil_set(s, x) and not is_nilpotent_ideal(s, x)]
+             for x in range(1 << n) if is_nil_set(s, x) and not nilpotent_scan(s, x)]
     assert found == [(6, 712, [2, 5]), (6, 712, [0, 2, 5])]
 
 

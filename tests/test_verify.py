@@ -9,10 +9,11 @@ import pytest
 from sgideals import classify, verify
 from sgideals.core import Semigroup, is_subset, mask_elems, mask_of
 from sgideals.classify import PrimenessKind, comparizer_radical, exceptional_primes
-from sgideals.ideals import (DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals,
-                             is_nilpotent_ideal)
+from sgideals.ideals import DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals
 from sgideals.localize import is_right_p_comparable
-from sgideals.segments import PrimeSegment, completely_prime_spectrum, prime_segments
+from sgideals.segments import (ARCHIMEDEAN, PrimeSegment, classify_segment,
+                               completely_prime_spectrum, is_locally_invariant,
+                               prime_segments)
 from sgideals.corpus import (build_chain_x, build_delta, build_ef, build_min_chain,
                              build_minimal, corpus)
 from sgideals.verify import (
@@ -27,11 +28,15 @@ from sgideals.verify import (
 )
 
 from oracles import (
+    elems_scan,
     free_truncated,
     ideals_bruteforce,
     is_cover_scan,
     lem21ii_pairs_bruteforce,
+    mask_scan,
+    nilpotent_scan,
     right_translates_scan,
+    set_product_scan,
     shuffled,
     translates_scan,
 )
@@ -299,7 +304,7 @@ def test_gates_have_pass_and_fail_instances():
     ef = corpus()["ef4"].semigroup
     assert run_check(ef, "Lem3.4").status == "holds"
     # nilpotent comparizer radical: the gate of Thm2.7.i
-    assert is_nilpotent_ideal(build_delta(2), comparizer_radical(build_delta(2)))
+    assert nilpotent_scan(build_delta(2), comparizer_radical(build_delta(2)))
     assert run_check(build_delta(2), "Thm2.7.i").status == "holds"
     v = run_check(c4, "Thm2.7.i")
     assert v.status == "vacuous"
@@ -373,14 +378,11 @@ def test_suite_invariant_under_relabelling(pool234, corpus_entries):
         assert got == want, s.rows
 
 
-# the inputs of the benchmark's large_families workload
-LARGE_FAMILIES = ((build_ef, 30), (build_min_chain, 40), (build_chain_x, 30),
-                  (build_delta, 10), (build_min_chain, 10))
-
-
 # where each fact first fails off the hypothesis, as (order, pool index): the
-# order-3 class 2 has the idempotent nonunit 2 with 2*1 == 2*2, and the
-# order-6 class 712 is the Brandt monoid of 2x2 matrix units with an identity
+# order-3 class 2 has the idempotent nonunit 2 with 2*1 == 2*2, the order-4
+# class 8 is the first of 231 classes of order 4-6 with a bottom segment that
+# is not archimedean, and the order-6 class 712 is the Brandt monoid of 2x2
+# matrix units with an identity
 FIRST_FAILURE = {
     "nilpotents_are_nonunits": (3, 2),
     "nonunits_nilpotent": (3, 2),
@@ -390,6 +392,7 @@ FIRST_FAILURE = {
     "no_idempotent_right_ideal": (3, 2),
     "radical_nonnilpotent_iff_full": (5, 7),
     "no_exceptional_prime": (6, 712),
+    "bottom_segment_archimedean": (4, 8),
 }
 
 
@@ -400,25 +403,29 @@ def _finite_shadow(s: Semigroup) -> dict[str, bool]:
     c = comparizer_radical(s)
     return {
         "nilpotents_are_nonunits": s.nilpotent_elements() == j,
-        "nonunits_nilpotent": is_nilpotent_ideal(s, j),
+        "nonunits_nilpotent": nilpotent_scan(s, j),
         "spectrum_is_nonunits": completely_prime_spectrum(s) == (j,),
         "one_bottom_segment": prime_segments(s) == (PrimeSegment(0, j, True),),
         "no_exceptional_prime": exceptional_primes(s) == (),
         "comparability_only_nonunits": set(verify.comparability_ideals(s)) <= {j},
-        "radical_nonnilpotent_iff_full": (not is_nilpotent_ideal(s, c)) == (c == s.full),
+        "radical_nonnilpotent_iff_full": (not nilpotent_scan(s, c)) == (c == s.full),
         "no_idempotent_right_ideal": not any(
             s.product(m, m) == m for m in enumerate_ideals(s, IdealKind.RIGHT)
             if m not in (0, s.zero_mask, s.full)),
+        "bottom_segment_archimedean": all(
+            classify_segment(s, seg).branches[ARCHIMEDEAN]
+            for seg in prime_segments(s) if seg.bottom),
     }
 
 
-def test_left_cancellative_monoids_have_unique_completely_prime(pools, corpus_entries):
+def test_left_cancellative_monoids_have_unique_completely_prime(pools, corpus_entries,
+                                                               large_families):
     # every fact holds on every left-cancellative input, and each fails on
     # some other input, so none holds by construction; the first such input
     # is pinned as (order, pool index)
     inputs = [*(((n, i), s) for n, pool in pools.items() for i, s in enumerate(pool)),
               *((e.name, e.semigroup) for e in corpus_entries),
-              *((f"{build.__name__}({k})", build(k)) for build, k in LARGE_FAMILIES)]
+              *large_families]
     left_cancellative, first_failure = 0, {}
     for where, s in inputs:
         facts = _finite_shadow(s)
@@ -431,6 +438,30 @@ def test_left_cancellative_monoids_have_unique_completely_prime(pools, corpus_en
                     first_failure.setdefault(name, where)
     assert left_cancellative == 51
     assert first_failure == FIRST_FAILURE
+
+
+def test_thm28ii_generated_ideals_are_nilpotent(pools, corpus_entries, large_families):
+    # Thm2.8.ii tests only that the nilpotent elements T are closed: then the
+    # ideal of T that t generates, {t} + tT + Tt + TtT, is closed and nil,
+    # hence nilpotent (README, "Finite shadow"); here each is nilpotent by
+    # set-product powers on every input whose T is closed, gates or not
+    inputs = [*(((n, i), s) for n, pool in pools.items() for i, s in enumerate(pool)),
+              *((e.name, e.semigroup) for e in corpus_entries),
+              *large_families]
+    open_, generated = [], 0
+    for where, s in inputs:
+        t = [a for a in range(s.n) if nilpotent_scan(s, 1 << a)]
+        if set_product_scan(s, t, t) & ~mask_scan(t):
+            open_.append(where)
+            continue
+        for x in t:
+            tx = set_product_scan(s, t, [x])
+            gen = (1 << x) | set_product_scan(s, [x], t) | tx | set_product_scan(
+                s, elems_scan(tx), t)
+            assert nilpotent_scan(s, gen), (where, x)
+            generated += 1
+    # B2^1, the order-6 class 712: e12*e21 = e11 is idempotent
+    assert (len(inputs), open_, generated) == (1243, [(6, 712)], 3090)
 
 
 def test_thm48_note_on_degenerate_overlap():
@@ -460,8 +491,6 @@ ORDER7_TABLE = [[int(c) for c in r] for r in ORDER7_ROWS]
 
 
 def test_search_converse_candidates_revalidate(monkeypatch):
-    from sgideals.segments import classify_segment, is_locally_invariant, prime_segments
-
     # positive control: the pinned order-7 counterexample as the only pool
     # member, so the revalidation below runs on a real hit
     # sgideals.corpus, read as an attribute, is the function corpus()
@@ -500,8 +529,6 @@ def test_order7_converse_of_lem410_fails():
     # a left-cancellative monoid of order 7 whose one prime segment is
     # comparable and archimedean but not locally invariant, so the converse
     # that search_converse_candidates looks for fails at order 7
-    from sgideals.segments import classify_segment, is_locally_invariant, prime_segments
-
     s = Semigroup(ORDER7_TABLE, one=1, zero=0)
     assert s.is_left_cancellative()
     assert mask_elems(s.units_mask()) == [1, 6]
@@ -825,7 +852,7 @@ def test_thm24v_reads_only_idempotent_comparizers(monkeypatch):
     # {0, 5} of chain_x(4), declared nonnilpotent, is not completely prime;
     # its square {0} differs from it, so the idempotence clause skips it
     monkeypatch.setattr(verify, "_two_sided_comparizers", lambda s, cap: [mask_of([0, 5])])
-    monkeypatch.setattr(verify, "is_nilpotent_ideal", lambda s, m: False)
+    monkeypatch.setattr(verify, "is_nil_set", lambda s, m: False)
     assert run_check(build_chain_x(4), "Thm2.4.v").status == "holds"
 
 
