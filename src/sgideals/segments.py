@@ -173,23 +173,15 @@ def classify_segment(s: Semigroup, seg: PrimeSegment, cap: int = DEFAULT_CAP) ->
 
 
 def pairing_ideal(s: Semigroup, q_mask: Mask, cap: int = DEFAULT_CAP) -> Mask | None:
-    """Intersection of the two-sided right-waist ideals properly containing Q.
-
-    Returns None when no such ideal exists.  Under the intended hypotheses
-    (Q an exceptional prime inside a comparability ideal) the result is an
-    idempotent ideal minimal over Q; the verification harness asserts that.
+    """The least two-sided waist strictly containing Q, or None if there is
+    none: the waists above Q form a chain, so its least member, their
+    intersection, comes first in family order (README, "Right waists form a
+    chain").  Under the intended hypotheses (Q an exceptional prime inside a
+    comparability ideal) it is idempotent and minimal over Q; the
+    verification harness asserts that.
     """
-    above = [
-        m
-        for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap)
-        if m != q_mask and is_subset(q_mask, m) and is_waist(s, m)
-    ]
-    if not above:
-        return None
-    out = s.full
-    for m in above:
-        out &= m
-    return out
+    return next((m for m in enumerate_ideals(s, IdealKind.TWO_SIDED, cap)
+                 if m != q_mask and is_subset(q_mask, m) and is_waist(s, m)), None)
 
 
 def has_non_nilpotent_over(s: Semigroup, d_mask: Mask, q_mask: Mask):

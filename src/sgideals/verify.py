@@ -377,16 +377,15 @@ def _thm24ii(s: Semigroup, cap: int) -> Witnesses:
                          "ideals inside I form a chain")
 def _thm24iii(s: Semigroup, cap: int) -> Witnesses:
     # a prime right ideal is a nonempty proper right ideal, so it is a right
-    # waist exactly when it is a member of the family
+    # waist exactly when it is a member of the family; once every prime
+    # strictly inside I is a waist, the primes inside I form a chain, since
+    # waists are pairwise comparable (README, "Right waists form a chain")
     primes = prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap)
     waists = set(right_waists(s, cap))
     for i_mask in _nonempty_proper(s, comparizer_ideals(s, cap)):
         for p in primes:
             if not is_subset(i_mask, p) and not (p in waists and is_subset(p, i_mask)):
                 yield {"comparizer": _w(i_mask), "prime": _w(p)}
-        pair = _incomparable_pair([p for p in primes if is_subset(p, i_mask)])
-        if pair:
-            yield {"comparizer": _w(i_mask), "pair": _w(pair)}
 
 
 @_register("Thm2.4.iv", "under left cancellation the power intersection of a "
@@ -535,10 +534,10 @@ def _thm28ii(s: Semigroup, cap: int) -> Witnesses:
                          "a right waist",
            requires=(LEFT_CANCELLATIVE, COMPARIZER_RADICAL_NONNILPOTENT))
 def _thm28iii(s: Semigroup, cap: int) -> Witnesses:
+    # nilpotent_union is nil_radical by construction (README, "Finite shadow")
     rad = radicals(s, cap)
-    same = rad.nilpotent_union == rad.prime_radical == rad.nil_radical
-    good = same and is_prime(s, rad.prime_radical) and is_waist(s, rad.prime_radical)
-    if not good:
+    beta = rad.prime_radical
+    if not (beta == rad.nil_radical and is_prime(s, beta) and is_waist(s, beta)):
         yield {
             "nilpotent_union": _w(rad.nilpotent_union),
             "prime_radical": _w(rad.prime_radical),
@@ -854,14 +853,14 @@ def _comparable_associated(s: Semigroup, cap: int) -> list[tuple[Mask, Mask]]:
            requires=(LEFT_CANCELLATIVE,),
            exists=Gate("has_qualifying_right_ideal", _comparable_associated))
 def _thm313(s: Semigroup, cap: int, pairs: list[tuple[Mask, Mask]]) -> Witnesses:
-    j = s.nonunits_mask()
+    # p0, a proper right ideal, holds no unit (README, "Finite shadow")
     for m, p0 in pairs:
         ip = _translate_intersection(s, m, p0)
         sat = saturation_by_element(s, p0)
         union = 0
         for a in mask_elems(m):
             union |= sat[a]
-        if not (is_subset(p0, j) and ip == m and union == m and is_waist(s, m)):
+        if not (ip == m and union == m and is_waist(s, m)):
             yield {"ideal": _w(m), "associated": _w(p0)}
 
 
@@ -911,17 +910,13 @@ def _pr315(s: Semigroup, cap: int, tails: list[tuple[Mask, int]]) -> Witnesses:
            requires=(LEFT_CANCELLATIVE, HAS_COMPARABILITY_IDEAL),
            exists=Gate("has_exceptional_prime", _exceptional_pairs))
 def _lem44(s: Semigroup, cap: int, pairs: list[tuple[Mask, Mask]]) -> Witnesses:
+    # d is a waist strictly above q by construction (README, "Right waists
+    # form a chain"), so minimality and idempotence are left to test
     for _p, q in pairs:
         d = pairing_ideal(s, q, cap)
         if d is None:
             yield {"q": _w(q), "fails": "no waist ideal above"}
-        elif not (
-            d != q
-            and is_subset(q, d)
-            and is_waist(s, d)
-            and not strictly_between(s, q, d, cap)
-            and s.product(d, d) == d
-        ):
+        elif strictly_between(s, q, d, cap) or s.product(d, d) != d:
             yield {"q": _w(q), "d": _w(d)}
 
 

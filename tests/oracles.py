@@ -149,16 +149,36 @@ def associated_prime_scan(s: Semigroup, m: int) -> int:
     return mask_scan(t for t in range(s.n) if any(m >> s.mul(x, t) & 1 for x in outside))
 
 
-def waist_bruteforce(s: Semigroup, m: int) -> bool:
-    """Comparable with every right ideal, right ideals by power-set filter."""
+def waist_bruteforce(s: Semigroup, m: int, right=None) -> bool:
+    """Comparable with every right ideal, right ideals by power-set filter;
+    right, when given, is ideals_bruteforce(s, "right")."""
     if m == (1 << s.n) - 1:
         return False
     me = set(elems_scan(m))
-    for other in ideals_bruteforce(s, "right"):
+    for other in ideals_bruteforce(s, "right") if right is None else right:
         oe = set(elems_scan(other))
         if not (me <= oe or oe <= me):
             return False
     return True
+
+
+def two_sided_waists_scan(s: Semigroup) -> list[int]:
+    """The two-sided ideals that pass waist_bruteforce, in family order: the
+    right ideals by power-set filter that are left ideals too."""
+    right = ideals_bruteforce(s, "right")
+    return [m for m in right
+            if is_left_ideal_scan(s, set(elems_scan(m))) and waist_bruteforce(s, m, right)]
+
+
+def pairing_ideal_scan(s: Semigroup, q: int, waists=None):
+    """The intersection of the two-sided waists strictly containing q, or
+    None when there is none; waists, when given, is two_sided_waists_scan(s),
+    for a caller that asks about many q of one monoid."""
+    out = None
+    for m in two_sided_waists_scan(s) if waists is None else waists:
+        if m != q and q & ~m == 0:
+            out = m if out is None else out & m
+    return out
 
 
 def comparizer_bruteforce(s: Semigroup, m: int) -> bool:

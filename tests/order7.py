@@ -16,7 +16,11 @@ in process, and each class goes through
   nilpotent;
 - the nil radical and the nilpotent union of radicals against the unions of
   the nil and of the nilpotent two-sided ideals, each decided by set-product
-  powers.
+  powers;
+- the waist chain (README "Right waists form a chain"): no two right waists
+  are incomparable, and pairing_ideal of every two-sided ideal Q equals the
+  intersection of the two-sided waists strictly above Q, both families by
+  power-set filter.
 
 It prints the tally as JSON and exits 1 unless the tally equals the one in
 order7.json beside this file.  Run from the repository root:
@@ -31,13 +35,17 @@ import json
 import sys
 from collections import Counter
 from importlib import import_module
+from itertools import combinations
 from pathlib import Path
 
-from oracles import nil_unions_scan, nilpotent_scan, p_comparability_bruteforce
-from sgideals.classify import PrimenessKind, associated_primes, prime_family, radicals
+from oracles import (nil_unions_scan, nilpotent_scan, p_comparability_bruteforce,
+                     pairing_ideal_scan, two_sided_waists_scan)
+from sgideals.classify import (PrimenessKind, associated_primes, prime_family, radicals,
+                               right_waists)
 from sgideals.core import is_subset, mask_elems
 from sgideals.ideals import IdealKind, enumerate_ideals
 from sgideals.localize import is_right_p_comparable, saturation_by_element
+from sgideals.segments import pairing_ideal
 from sgideals.verify import run_suite
 
 EXPECTED = Path(__file__).with_name("order7.json")
@@ -49,7 +57,9 @@ class Tally:
         self.statuses: dict[str, Counter] = {}
         self.counts = Counter(strict_covers=0, cover_failures=0, reports=0, failing=0,
                               mismatches=0, nilpotency_checked=0, nilpotency_mismatches=0,
-                              nil_radical_checked=0, nil_radical_mismatches=0)
+                              nil_radical_checked=0, nil_radical_mismatches=0,
+                              waist_chain_checked=0, waist_chain_failures=0,
+                              pairing_ideal_checked=0, pairing_ideal_mismatches=0)
 
     def __call__(self, s) -> None:
         results = run_suite(s)
@@ -61,6 +71,7 @@ class Tally:
         self.comparability(s)
         self.nilpotency(s)
         self.nil_radical(s)
+        self.waist_chain(s)
 
     def principal_covers(self, s) -> None:
         for t, p in associated_primes(s):
@@ -92,6 +103,17 @@ class Tally:
         self.counts["nil_radical_checked"] += 1
         self.counts["nil_radical_mismatches"] += (rad.nil_radical, rad.nilpotent_union) != (
             nil_unions_scan(s, enumerate_ideals(s, IdealKind.TWO_SIDED)))
+
+    def waist_chain(self, s) -> None:
+        ws = right_waists(s)
+        self.counts["waist_chain_checked"] += 1
+        self.counts["waist_chain_failures"] += any(
+            a & ~b and b & ~a for a, b in combinations(ws, 2))
+        waists = two_sided_waists_scan(s)
+        for q in enumerate_ideals(s, IdealKind.TWO_SIDED):
+            self.counts["pairing_ideal_checked"] += 1
+            self.counts["pairing_ideal_mismatches"] += (
+                pairing_ideal(s, q) != pairing_ideal_scan(s, q, waists))
 
     def result(self, classes: int) -> dict:
         total = sum(self.statuses.values(), Counter())

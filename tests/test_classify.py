@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,6 +49,7 @@ from oracles import (
     set_product_scan,
     shuffled,
     translates_scan,
+    units_scan,
     waist_bruteforce,
 )
 
@@ -329,16 +332,22 @@ def test_radical_inclusions(pool234):
         assert rad.nilpotent_elements & ~s.nonunits_mask() == 0
 
 
+def _pools_then_corpus_and_large(pools, corpus_entries, large_families, order):
+    """The pool of one order; at order 2 also the corpus and the large
+    families, so each of those is read once."""
+    monoids = list(pools[order])
+    if order == 2:
+        monoids += [e.semigroup for e in corpus_entries]
+        monoids += [s for _, s in large_families]
+    return monoids
+
+
 @pytest.mark.parametrize(
     "order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
 )
 def test_nil_radical_matches_scan(pools, corpus_entries, large_families, order):
     # the unions of the nil and of the nilpotent two-sided ideals
-    monoids = list(pools[order])
-    if order == 2:
-        monoids += [e.semigroup for e in corpus_entries]
-        monoids += [s for _, s in large_families]
-    for s in monoids:
+    for s in _pools_then_corpus_and_large(pools, corpus_entries, large_families, order):
         rad = radicals(s)
         assert (rad.nil_radical, rad.nilpotent_union) == nil_unions_scan(
             s, enumerate_ideals(s, IdealKind.TWO_SIDED)), s.rows
@@ -398,6 +407,30 @@ def test_right_waists_are_the_nonempty_waist_ideals(pool234, pool5, corpus_entri
         assert 0 not in ws
         rights = enumerate_ideals(s, IdealKind.RIGHT)
         assert list(ws) == [m for m in rights if m and is_waist(s, m)]
+
+
+@pytest.mark.parametrize(
+    "order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+)
+def test_right_waists_form_a_chain(pools, corpus_entries, large_families, order):
+    # each waist is a right ideal and is comparable with every right ideal,
+    # so any two are comparable (README, "Right waists form a chain")
+    for s in _pools_then_corpus_and_large(pools, corpus_entries, large_families, order):
+        ws = right_waists(s)
+        assert not [(a, b) for a, b in combinations(ws, 2) if a & ~b and b & ~a], s.rows
+
+
+@pytest.mark.parametrize(
+    "order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+)
+def test_completely_prime_right_ideals_hold_no_unit(pools, corpus_entries, large_families,
+                                                    order):
+    # a proper right ideal holding a unit u holds u*u^-1 = 1 (README, "Finite
+    # shadow"); the units here are those of the scan
+    for s in _pools_then_corpus_and_large(pools, corpus_entries, large_families, order):
+        units = units_scan(s)
+        cp_right = prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.RIGHT)
+        assert not [p for p in cp_right if p & units], s.rows
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,11 @@ from sgideals.corpus import (
     build_minimal,
 )
 
-from oracles import tail_intersection_scan
+from oracles import (
+    ideals_bruteforce,
+    pairing_ideal_scan,
+    tail_intersection_scan,
+)
 
 P_EF = mask_of([0, 5, 6, 7, 8])
 
@@ -132,6 +136,18 @@ def test_pairing_ideal_gates(ef4):
     assert d is None or is_ideal(s, d, IdealKind.TWO_SIDED)
     m2 = build_minimal()
     assert pairing_ideal(m2, mask_of([0])) is None  # no waist strictly above
+
+
+def test_pairing_ideal_is_the_intersection_of_the_waists_above(pools, corpus_entries):
+    # the first two-sided waist strictly above q in family order is the
+    # intersection of them all, since they form a chain (README, "Right
+    # waists form a chain"): for every mask q up to order 4, and for every
+    # two-sided ideal q at order 5 and on the corpus
+    for s in [*(s for n in (2, 3, 4, 5) for s in pools[n]),
+              *(e.semigroup for e in corpus_entries)]:
+        qs = range(1 << s.n) if s.n <= 4 else ideals_bruteforce(s, "two-sided")
+        for q in qs:
+            assert pairing_ideal(s, q) == pairing_ideal_scan(s, q), (s.rows, q)
 
 
 def test_has_non_nilpotent_over(ef4):

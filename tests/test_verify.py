@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from sgideals import classify, verify
+from sgideals import classify, segments, verify
 from sgideals.core import Semigroup, is_subset, mask_elems, mask_of
 from sgideals.classify import PrimenessKind, comparizer_radical, exceptional_primes
 from sgideals.ideals import DEFAULT_CAP, CapExceeded, IdealKind, enumerate_ideals
@@ -14,8 +14,8 @@ from sgideals.localize import is_right_p_comparable
 from sgideals.segments import (ARCHIMEDEAN, PrimeSegment, classify_segment,
                                completely_prime_spectrum, is_locally_invariant,
                                prime_segments)
-from sgideals.corpus import (build_chain_x, build_delta, build_ef, build_min_chain,
-                             build_minimal, corpus)
+from sgideals.corpus import (all_monoids_with_zero, build_chain_x, build_delta, build_ef,
+                             build_min_chain, build_minimal, corpus)
 from sgideals.verify import (
     CHECKS,
     UnknownCheck,
@@ -798,6 +798,84 @@ def test_family_bodies_flag_a_flipped_member(monkeypatch, cid, build, predicate,
     _flip_predicate(monkeypatch, predicate, mask_of(member))
     v = run_check(_fresh(s), cid)
     assert v.status == "discrepancy" and v.witness == witness
+
+
+# Thm2.4.iii, Thm3.13, Thm2.8.iii and Lem4.4 keep only the clauses that their
+# inputs do not already guarantee; each control shows that what is left can
+# still fail
+
+
+def test_thm24iii_flags_a_prime_that_is_no_waist(monkeypatch):
+    # the comparizer ideal {0, 2} of this order-3 class holds the prime right
+    # ideal {0} strictly inside it; without {0} among the right waists, that
+    # prime is no waist
+    s = all_monoids_with_zero(3)[2]
+    assert s.rows == ((0, 0, 0), (0, 1, 2), (0, 2, 2))
+    assert run_check(s, "Thm2.4.iii").status == "holds"
+    real = verify.right_waists
+    monkeypatch.setattr(verify, "right_waists", lambda s, cap=DEFAULT_CAP: tuple(
+        m for m in real(s, cap) if m != s.zero_mask))
+    v = run_check(_fresh(s), "Thm2.4.iii")
+    assert v.status == "discrepancy" and v.witness == {"comparizer": [0, 2], "prime": [0]}
+
+
+def test_thm313_flags_a_flipped_waist(monkeypatch):
+    # x^4 S = {0, 5} of chain_x(4) is a nonzero right ideal whose associated
+    # prime is J; declared no waist, it fails the last clause
+    assert run_check(build_chain_x(4), "Thm3.13").status == "holds"
+    real = verify.is_waist
+    monkeypatch.setattr(verify, "is_waist", lambda s, m: real(s, m) != (m == mask_of([0, 5])))
+    v = run_check(build_chain_x(4), "Thm3.13")
+    assert v.status == "discrepancy" and v.witness == {"ideal": [0, 5],
+                                                       "associated": [0, 2, 3, 4, 5]}
+
+
+def test_thm28iii_flags_a_prime_radical_apart_from_the_nil_radical(monkeypatch):
+    # the nil radical and the nilpotent union are one mask, J on chain_x(4),
+    # so what can fail is its comparison with the prime radical; with that
+    # mask read as {0}, the prime radical J is still prime and a waist, and
+    # the comparison alone sets the status
+    assert run_check(build_chain_x(4), "Thm2.8.iii").status == "holds"
+    real = verify.radicals
+    monkeypatch.setattr(verify, "radicals", lambda s, cap=DEFAULT_CAP: real(s, cap)._replace(
+        nil_radical=s.zero_mask, nilpotent_union=s.zero_mask))
+    v = run_check(build_chain_x(4), "Thm2.8.iii")
+    assert v.status == "discrepancy" and v.witness == {
+        "nilpotent_union": [0], "prime_radical": [0, 2, 3, 4, 5], "nil_radical": [0]}
+
+
+@pytest.mark.parametrize("no_waist, witness", [
+    pytest.param(False, {"q": [0], "d": [0, 5]}, id="not-idempotent"),
+    pytest.param(True, {"q": [0], "fails": "no waist ideal above"}, id="no-waist-above"),
+])
+def test_lem44_flags_a_bad_pairing_ideal(monkeypatch, no_waist, witness):
+    # no finite left-cancellative input has an exceptional prime (README
+    # "Finite shadow", fact (b)), so the check is vacuous by its exists gate;
+    # declared exceptional, {0} lies strictly inside chain_x(4)'s
+    # comparability ideal J, and the least waist above it, x^4 S = {0, 5},
+    # squares to {0}; with no mask a waist, nothing lies above
+    assert run_check(build_chain_x(4), "Lem4.4").status == "vacuous"
+    monkeypatch.setattr(verify, "exceptional_primes", lambda s, cap=DEFAULT_CAP: (s.zero_mask,))
+    if no_waist:
+        monkeypatch.setattr(segments, "is_waist", lambda s, m: False)
+    v = run_check(build_chain_x(4), "Lem4.4")
+    assert v.status == "discrepancy" and v.witness == witness
+
+
+def test_lem44_flags_an_ideal_between(monkeypatch):
+    # every waist of a finite left-cancellative monoid lies in J, which is
+    # nilpotent, so there no pairing ideal is idempotent; with the gates
+    # dropped, min_chain(4), whose ideals are all idempotent, isolates the
+    # minimality clause: {0}, declared exceptional, pairs with {0, 2} and the
+    # check holds; with {0, 2} no waist, {0, 2} lies strictly between {0} and
+    # the pairing ideal {0, 2, 3}
+    monkeypatch.setitem(CHECKS, "lem4.4", CHECKS["lem4.4"]._replace(requires=()))
+    monkeypatch.setattr(verify, "exceptional_primes", lambda s, cap=DEFAULT_CAP: (s.zero_mask,))
+    assert run_check(build_min_chain(4), "Lem4.4").status == "holds"
+    real = segments.is_waist
+    monkeypatch.setattr(segments, "is_waist", lambda s, m: real(s, m) and m != mask_of([0, 2]))
+    v = run_check(build_min_chain(4), "Lem4.4")
+    assert v.status == "discrepancy" and v.witness == {"q": [0], "d": [0, 2, 3]}
 
 
 # -- controls for guards that state the theorem: on every finite input they
