@@ -16,66 +16,36 @@ Mask = int
 def memoized(fn):
     """Cache fn(s, *args) on the Semigroup s under (fn, *args), keyword and
     defaulted arguments bound, so f(s, x), f(s, x, default) and
-    f(s, x, cap=default) share one entry.  fn takes plain positional
-    parameters (no *args, **kwargs or keyword-only ones).  Exceptions are
-    not cached.  Every caller gets the same object, so fn must return an
-    immutable value.
+    f(s, x, cap=default) share one entry.  Exceptions are not cached.  Every
+    caller gets the same object, so fn must return an immutable value.
 
-    A hit is one dict lookup; a miss computes fn outside the lookup's
-    handler, so an exception fn raises carries no KeyError context.  A
-    function of s alone keeps its one key, (fn,), built once, and takes no
-    further arguments."""
+    The wrapper is generated, as collections.namedtuple generates __new__,
+    with fn's own name, parameter names and defaults: Python binds the
+    arguments, and a bad call raises TypeError before the memo is read.  A
+    hit builds one key tuple and does one dict lookup; a function of s alone
+    has the one key (fn,), built here.  A miss computes fn outside the
+    lookup's handler, so an exception fn raises carries no KeyError context.
+    fn takes plain positional parameters, none named _fn or _key; anything
+    else (*args, **kwargs, keyword-only ones) raises TypeError here."""
     code = fn.__code__
-    names = code.co_varnames[1:code.co_argcount]
-    arity = len(names)
-    defaults = fn.__defaults__ or ()
-    required = arity - len(defaults)
-
-    if arity == 0:
-        only = (fn,)
-
-        @functools.wraps(fn)
-        def wrapper(s):
-            cache = s._cache
-            try:
-                return cache[only]
-            except KeyError:
-                pass
-            got = cache[only] = fn(s)
-            return got
-
-        return wrapper
-
-    def bind(args: tuple, kwargs: dict) -> tuple:
-        if len(args) > arity:
-            raise TypeError(f"{fn.__name__}() takes {arity + 1} positional arguments")
-        out = list(args)
-        for i in range(len(args), arity):
-            if names[i] in kwargs:
-                out.append(kwargs.pop(names[i]))
-            elif i >= required:
-                out.append(defaults[i - required])
-            else:
-                raise TypeError(f"{fn.__name__}() missing argument {names[i]!r}")
-        if kwargs:
-            raise TypeError(f"{fn.__name__}() got unexpected or repeated "
-                            f"arguments {sorted(kwargs)}")
-        return tuple(out)
-
-    @functools.wraps(fn)
-    def wrapper(s, *args, **kwargs):
-        if kwargs or len(args) != arity:
-            args = bind(args, kwargs)
-        key = (fn, *args)
-        cache = s._cache
-        try:
-            return cache[key]
-        except KeyError:
-            pass
-        got = cache[key] = fn(s, *args)
-        return got
-
-    return wrapper
+    s, *rest = names = code.co_varnames[:code.co_argcount]
+    # 0x0C is CO_VARARGS | CO_VARKEYWORDS
+    if code.co_flags & 0x0C or code.co_kwonlyargcount or {"_fn", "_key"} & {fn.__name__, *names}:
+        raise TypeError(f"@memoized {fn.__qualname__}() must take plain positional parameters")
+    params = ", ".join(names)
+    key = f"(_fn, {', '.join(rest)})" if rest else "_key"
+    namespace = {}
+    exec(f"def make(_fn, _key):\n"
+         f"    def {fn.__name__}({params}):\n"
+         f"        try:\n"
+         f"            return {s}._cache[{key}]\n"
+         f"        except KeyError:\n"
+         f"            pass\n"
+         f"        return {s}._cache.setdefault({key}, _fn({params}))\n"
+         f"    return {fn.__name__}\n", namespace)
+    wrapper = namespace["make"](fn, (fn,))
+    wrapper.__defaults__ = fn.__defaults__
+    return functools.wraps(fn)(wrapper)
 
 
 class SemigroupError(ValueError):

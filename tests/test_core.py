@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -521,6 +523,59 @@ def test_memo_binds_defaulted_arguments(ef4):
     assert fams == [(prime_family.__wrapped__, *kinds, DEFAULT_CAP)]
 
 
+def _memoized_functions() -> list:
+    """Every memoized function of the package, found by its __wrapped__."""
+    spaces = [vars(importlib.import_module(f"sgideals.{m.name}"))
+              for m in pkgutil.iter_modules(sgideals.__path__)] + [vars(Semigroup)]
+    found = {f for space in spaces for f in space.values() if hasattr(f, "__wrapped__")}
+    return sorted(found, key=lambda f: f.__qualname__)
+
+
+def test_memo_wrappers_take_their_functions_parameters():
+    wrappers = _memoized_functions()
+    assert len(wrappers) == 22
+    for w in wrappers:
+        code, own = w.__code__, w.__wrapped__.__code__
+        assert code.co_name == own.co_name
+        assert code.co_varnames[:code.co_argcount] == own.co_varnames[:own.co_argcount]
+        assert w.__defaults__ == w.__wrapped__.__defaults__
+        assert not code.co_flags & 0x0C  # CO_VARARGS | CO_VARKEYWORDS
+        assert not code.co_kwonlyargcount
+
+
+def test_memo_call_forms_share_one_key(ef4):
+    # every key a suite run, a report and the remaining memoized methods
+    # leave on ef4, replayed on a fresh instance positionally, by keyword
+    # and with its defaults left out
+    s = _fresh(ef4.semigroup)
+    run_suite(s)
+    analysis_report(ef4.name, s, ef4, DEFAULT_CAP)
+    s.canonical_form(), s.preimages(), s.left_divisors()
+    by_fn = {w.__wrapped__: w for w in _memoized_functions()}
+    assert {key[0] for key in s._cache} == set(by_fn)
+    defaulted = 0
+    for fn, *args in list(s._cache):
+        w, code = by_fn[fn], fn.__code__
+        t = _fresh(s)
+        got = w(t, *args)
+        entries = len(t._cache)
+        names = code.co_varnames[:code.co_argcount]
+        assert w(**dict(zip(names, (t, *args)))) is got
+        defaults = fn.__defaults__ or ()
+        if defaults and tuple(args[len(args) - len(defaults):]) == defaults:
+            assert w(t, *args[:len(args) - len(defaults)]) is got
+            defaulted += 1
+        assert len(t._cache) == entries and t._cache[(fn, *args)] is got
+    assert defaulted
+
+
+def test_memo_miss_raises_without_key_error_context(ef4):
+    s = _fresh(ef4.semigroup)
+    with pytest.raises(CapExceeded) as info:
+        prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap=2)
+    assert info.value.__context__ is None
+
+
 @pytest.mark.parametrize("args, kwargs", [
     ((), {}),                       # x is missing
     ((), {"cap": 5}),               # x is still missing
@@ -534,9 +589,31 @@ def test_memo_rejects_bad_arguments(ef4, args, kwargs):
         return (x, cap)
 
     s = _fresh(ef4.semigroup)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"\bfamily\(\)"):
         family(s, *args, **kwargs)
     assert not s._cache
+
+
+def _star_args(s, *masks):
+    return masks
+
+
+def _star_kwargs(s, **options):
+    return options
+
+
+def _keyword_only(s, x, *, cap=DEFAULT_CAP):
+    return (x, cap)
+
+
+def _reserved(s, _key):
+    return _key
+
+
+@pytest.mark.parametrize("fn", [_star_args, _star_kwargs, _keyword_only, _reserved])
+def test_memo_refuses_parameters_at_decoration(fn):
+    with pytest.raises(TypeError, match="plain positional parameters"):
+        memoized(fn)
 
 
 def test_core_does_not_import_inspect():

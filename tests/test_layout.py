@@ -9,6 +9,9 @@
 - In `verify.py` only `run_check` builds a Verdict: a check body yields its
   witnesses and may return a note, so `holds`, `discrepancy` and `vacuous`
   are called nowhere else.
+- `exec` occurs once in the package, in `core.memoized`, which generates
+  each memo wrapper with its function's own parameters; code generation
+  does not spread.
 """
 import ast
 from pathlib import Path
@@ -79,3 +82,21 @@ def test_only_run_check_builds_verdicts():
         and node.func.id in {"holds", "discrepancy", "vacuous"} and id(node) not in inside
     ]
     assert inside and calls == []
+
+
+def test_exec_only_in_memoized():
+    where = []
+    for path in MODULES:
+        tree = _tree(path)
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first: the outermost function wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), fn.name)
+        where += [
+            f"{path.name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "exec"
+            or isinstance(node, ast.Attribute) and node.attr == "exec"
+        ]
+    assert where == ["core.py:memoized"]

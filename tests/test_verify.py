@@ -844,6 +844,57 @@ def test_thm28iii_flags_a_prime_radical_apart_from_the_nil_radical(monkeypatch):
         "nilpotent_union": [0], "prime_radical": [0, 2, 3, 4, 5], "nil_radical": [0]}
 
 
+# Lem2.6.i, Lem2.6.ii, Thm2.7.i and Co2.9 compare one memoized mask with
+# another; each control moves one side of the comparison
+
+
+def test_lem26i_flags_an_elementwise_radical_apart_from_the_union(monkeypatch, ef4):
+    # the comparizer right ideals of ef4 cover {0, 4, .., 8}; the elementwise
+    # formula read without the element 4 misses one of them
+    assert run_check(ef4.semigroup, "Lem2.6.i").status == "holds"
+    real = verify.comparizer_radical
+    monkeypatch.setattr(verify, "comparizer_radical", lambda s: real(s) & ~(1 << 4))
+    v = run_check(_fresh(ef4.semigroup), "Lem2.6.i")
+    assert v.status == "discrepancy" and v.witness == {"elementwise": [0, 5, 6, 7, 8],
+                                                       "union": [0, 4, 5, 6, 7, 8]}
+
+
+def test_lem26ii_flags_a_negated_right_chain(monkeypatch):
+    # chain_x(4) is a right chain and its comparizer radical is the carrier;
+    # declared no right chain, the two sides of the equivalence part
+    assert run_check(build_chain_x(4), "Lem2.6.ii").status == "holds"
+    real = verify.is_right_chain
+    monkeypatch.setattr(verify, "is_right_chain", lambda s: not real(s))
+    v = run_check(build_chain_x(4), "Lem2.6.ii")
+    assert v.status == "discrepancy" and v.witness == {"comparizer_radical": [0, 1, 2, 3, 4, 5]}
+
+
+def test_thm27i_flags_a_moved_completely_prime_radical(monkeypatch):
+    # the order-4 class 0 has the nilpotent comparizer radical {0, 2, 3},
+    # equal to its completely prime radical; with that radical read as {0},
+    # the comparizer radical no longer lies inside it
+    s = all_monoids_with_zero(4)[0]
+    assert s.rows == ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 0), (0, 3, 0, 0))
+    assert run_check(s, "Thm2.7.i").status == "holds"
+    real = verify.radicals
+    monkeypatch.setattr(verify, "radicals", lambda s, cap=DEFAULT_CAP: real(s, cap)._replace(
+        completely_prime_radical=s.zero_mask))
+    v = run_check(_fresh(s), "Thm2.7.i")
+    assert v.status == "discrepancy" and v.witness == {"comparizer_radical": [0, 2, 3]}
+
+
+def test_co29_flags_a_moved_prime_radical(monkeypatch):
+    # the two-sided ideals of chain_x(4) form a chain through J, its prime
+    # and completely prime radical; with the prime radical read as {0}, the
+    # ideal {0, 5} lies above it and below J
+    assert run_check(build_chain_x(4), "Co2.9").status == "holds"
+    real = verify.radicals
+    monkeypatch.setattr(verify, "radicals", lambda s, cap=DEFAULT_CAP: real(s, cap)._replace(
+        prime_radical=s.zero_mask))
+    v = run_check(build_chain_x(4), "Co2.9")
+    assert v.status == "discrepancy" and v.witness == {"ideal": [0, 5]}
+
+
 @pytest.mark.parametrize("no_waist, witness", [
     pytest.param(False, {"q": [0], "d": [0, 5]}, id="not-idempotent"),
     pytest.param(True, {"q": [0], "fails": "no waist ideal above"}, id="no-waist-above"),
