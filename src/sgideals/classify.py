@@ -239,6 +239,10 @@ class RadicalReport(NamedTuple):
     nilpotent_elements       the set of nilpotent elements
     comparizer               the largest right comparizer ideal
     nonunits                 complement of the group of units
+
+    On a finite monoid with zero the prime radical, the prime right radical,
+    the nil radical and the nilpotent union are one set (README, "Finite
+    shadow").
     """
 
     prime_radical: Mask
@@ -257,33 +261,33 @@ class RadicalReport(NamedTuple):
 
 @memoized
 def radicals(s: Semigroup, cap: int = DEFAULT_CAP) -> RadicalReport:
-    """Compute the prime radicals by enumerate-and-filter over the prime
-    families, and the nil radical in one pass over the carrier.
+    """Compute the completely prime radical and the prime right radical by
+    enumerate-and-filter over their families, and the nil radical in one
+    pass over the carrier; the prime radical and the nilpotent union are
+    the nil radical's mask.
 
-    Every family intersected here is nonempty: the nonunits form a proper
-    completely prime two-sided ideal, hence also a prime one and a prime
-    right ideal.
+    Both families intersected here are nonempty: the nonunits form a proper
+    completely prime two-sided ideal, hence also a prime right ideal.
     """
-    beta = s.full
-    for m in prime_family(s, PrimenessKind.PRIME, IdealKind.TWO_SIDED, cap):
-        beta &= m
-    beta_r = s.full
-    for m in prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap):
-        beta_r &= m
+    # the two-sided family first, so that a cap both enumerations exceed
+    # is reported for the two-sided one
     nrad = s.full
     for m in prime_family(s, PrimenessKind.COMPLETELY_PRIME, IdealKind.TWO_SIDED, cap):
         nrad &= m
+    beta_r = s.full
+    for m in prime_family(s, PrimenessKind.PRIME, IdealKind.RIGHT, cap):
+        beta_r &= m
 
     # SaS is the least two-sided ideal holding a, so a lies in a nil one
-    # exactly when SaS is nil; a nil ideal is closed, hence nilpotent, so
-    # the nil radical is the nilpotent union too (README, "Finite shadow")
+    # exactly when SaS is nil; a nil ideal is closed, hence nilpotent, and
+    # the prime ideals meet in the nil radical (README, "Finite shadow")
     nil_union = 0
     for a, sas in enumerate(principals(s, IdealKind.TWO_SIDED)):
         if is_nil_set(s, sas):
             nil_union |= 1 << a
 
     return RadicalReport(
-        prime_radical=beta,
+        prime_radical=nil_union,
         prime_right_radical=beta_r,
         completely_prime_radical=nrad,
         nil_radical=nil_union,

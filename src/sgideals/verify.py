@@ -534,15 +534,9 @@ def _thm28ii(s: Semigroup, cap: int) -> Witnesses:
                          "a right waist",
            requires=(LEFT_CANCELLATIVE, COMPARIZER_RADICAL_NONNILPOTENT))
 def _thm28iii(s: Semigroup, cap: int) -> Witnesses:
-    # nilpotent_union is nil_radical by construction (README, "Finite shadow")
-    rad = radicals(s, cap)
-    beta = rad.prime_radical
-    if not (beta == rad.nil_radical and is_prime(s, beta) and is_waist(s, beta)):
-        yield {
-            "nilpotent_union": _w(rad.nilpotent_union),
-            "prime_radical": _w(rad.prime_radical),
-            "nil_radical": _w(rad.nil_radical),
-        }
+    # the three radicals are one mask at every finite order (README, "Finite
+    # shadow"), so what is left is Thm2.7.iii's clause
+    yield from _thm27iii(s, cap)
 
 
 @_register("Co2.9", "under the same gates every two-sided ideal sits below the "

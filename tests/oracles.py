@@ -271,13 +271,18 @@ def semiprime_scan(s: Semigroup, m: int) -> bool:
     return True
 
 
-def beta_bruteforce(s: Semigroup) -> int:
-    """Intersection of all prime two-sided ideals by power-set filtering."""
+def prime_meet_scan(s: Semigroup, family) -> int:
+    """The intersection of the members of family that pass prime_scan."""
     out = (1 << s.n) - 1
-    for m in ideals_bruteforce(s, "two-sided"):
+    for m in family:
         if prime_scan(s, m):
             out &= m
     return out
+
+
+def beta_bruteforce(s: Semigroup) -> int:
+    """Intersection of all prime two-sided ideals by power-set filtering."""
+    return prime_meet_scan(s, ideals_bruteforce(s, "two-sided"))
 
 
 def saturate_scan(s: Semigroup, x_members, t_members) -> int:

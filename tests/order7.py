@@ -17,6 +17,11 @@ in process, and each class goes through
 - the nil radical and the nilpotent union of radicals against the unions of
   the nil and of the nilpotent two-sided ideals, each decided by set-product
   powers;
+- the prime radicals (README "The prime radicals are the nil radical"): the
+  intersection of prime_family(PRIME, TWO_SIDED) and prime_right_radical
+  each equal the nil radical N; the nilpotent elements T form a two-sided
+  ideal exactly when T == N, and a nil comparizer radical lies in N, each
+  by the scans of oracles.py;
 - the waist chain (README "Right waists form a chain"): no two right waists
   are incomparable, and pairing_ideal of every two-sided ideal Q equals the
   intersection of the two-sided waists strictly above Q, both families by
@@ -28,7 +33,7 @@ order7.json beside this file.  Run from the repository root:
     PYTHONPATH=src:tests python tests/order7.py
 
 It is not a test module (pytest collects test_*.py only): the pass takes
-about 40 s on a 2-vCPU host.
+about 50 s on a 2-vCPU host.
 """
 import hashlib
 import json
@@ -38,8 +43,9 @@ from importlib import import_module
 from itertools import combinations
 from pathlib import Path
 
-from oracles import (nil_unions_scan, nilpotent_scan, p_comparability_bruteforce,
-                     pairing_ideal_scan, two_sided_waists_scan)
+from oracles import (elems_scan, is_left_ideal_scan, is_right_ideal_scan, nil_unions_scan,
+                     nilpotent_scan, p_comparability_bruteforce, pairing_ideal_scan,
+                     two_sided_waists_scan)
 from sgideals.classify import (PrimenessKind, associated_primes, prime_family, radicals,
                                right_waists)
 from sgideals.core import is_subset, mask_elems
@@ -59,7 +65,10 @@ class Tally:
                               mismatches=0, nilpotency_checked=0, nilpotency_mismatches=0,
                               nil_radical_checked=0, nil_radical_mismatches=0,
                               waist_chain_checked=0, waist_chain_failures=0,
-                              pairing_ideal_checked=0, pairing_ideal_mismatches=0)
+                              pairing_ideal_checked=0, pairing_ideal_mismatches=0,
+                              prime_radical_checked=0, prime_radical_mismatches=0,
+                              nilpotents_ideal=0, nilpotents_ideal_mismatches=0,
+                              nil_comparizer=0, nil_comparizer_failures=0)
 
     def __call__(self, s) -> None:
         results = run_suite(s)
@@ -71,6 +80,7 @@ class Tally:
         self.comparability(s)
         self.nilpotency(s)
         self.nil_radical(s)
+        self.prime_radicals(s)
         self.waist_chain(s)
 
     def principal_covers(self, s) -> None:
@@ -103,6 +113,24 @@ class Tally:
         self.counts["nil_radical_checked"] += 1
         self.counts["nil_radical_mismatches"] += (rad.nil_radical, rad.nilpotent_union) != (
             nil_unions_scan(s, enumerate_ideals(s, IdealKind.TWO_SIDED)))
+
+    def prime_radicals(self, s) -> None:
+        rad = radicals(s)
+        beta = s.full
+        for m in prime_family(s, PrimenessKind.PRIME, IdealKind.TWO_SIDED):
+            beta &= m
+        self.counts["prime_radical_checked"] += 1
+        self.counts["prime_radical_mismatches"] += not (
+            beta == rad.prime_right_radical == rad.nil_radical)
+        t = s.nilpotent_elements()
+        members = set(elems_scan(t))
+        t_ideal = is_right_ideal_scan(s, members) and is_left_ideal_scan(s, members)
+        self.counts["nilpotents_ideal"] += t_ideal
+        self.counts["nilpotents_ideal_mismatches"] += t_ideal != (t == rad.nil_radical)
+        if nilpotent_scan(s, rad.comparizer):
+            self.counts["nil_comparizer"] += 1
+            self.counts["nil_comparizer_failures"] += not is_subset(rad.comparizer,
+                                                                    rad.nil_radical)
 
     def waist_chain(self, s) -> None:
         ws = right_waists(s)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgideals.core import is_subset, mask_elems, mask_of
-from sgideals.ideals import IdealKind, NotAnIdeal, NotProper, enumerate_ideals
+from sgideals.ideals import DEFAULT_CAP, IdealKind, NotAnIdeal, NotProper, enumerate_ideals
 from sgideals.classify import (
     PrimenessKind,
     associated_prime,
@@ -36,12 +36,17 @@ from sgideals.segments import completely_prime_spectrum
 
 from oracles import (
     associated_prime_scan,
-    beta_bruteforce,
     comparizer_bruteforce,
     comparizer_union_bruteforce,
     completely_prime_scan,
+    elems_scan,
     ideals_bruteforce,
+    is_left_ideal_scan,
+    is_right_ideal_scan,
+    mask_scan,
     nil_unions_scan,
+    nilpotent_scan,
+    prime_meet_scan,
     prime_scan,
     restricted_comparizer_bruteforce,
     right_principal_scan,
@@ -353,9 +358,58 @@ def test_nil_radical_matches_scan(pools, corpus_entries, large_families, order):
             s, enumerate_ideals(s, IdealKind.TWO_SIDED)), s.rows
 
 
-def test_beta_matches_bruteforce(pool234, corpus_entries):
-    for s in pool234 + [e.semigroup for e in corpus_entries]:
-        assert radicals(s).prime_radical == beta_bruteforce(s)
+def _assert_prime_radicals_match_scan(s, two_sided, right):
+    rad = radicals(s)
+    assert rad.prime_radical == prime_meet_scan(s, two_sided), s.rows
+    assert rad.prime_right_radical == prime_meet_scan(s, right), s.rows
+
+
+def test_beta_matches_bruteforce(pool234, pool5, corpus_entries, large_families):
+    # the prime radical and the prime right radical, each the intersection
+    # of the members of its family that pass prime_scan; the power-set
+    # filter reads all 2^n subsets, so the large families filter
+    # enumerate_ideals instead
+    for s in [*pool234, *pool5, *(e.semigroup for e in corpus_entries)]:
+        _assert_prime_radicals_match_scan(
+            s, ideals_bruteforce(s, "two-sided"), ideals_bruteforce(s, "right"))
+    for _, s in large_families:
+        _assert_prime_radicals_match_scan(
+            s, enumerate_ideals(s, IdealKind.TWO_SIDED), enumerate_ideals(s, IdealKind.RIGHT))
+
+
+@pytest.mark.slow
+def test_beta_matches_bruteforce_pool6(pool6):
+    for s in pool6:
+        _assert_prime_radicals_match_scan(
+            s, ideals_bruteforce(s, "two-sided"), ideals_bruteforce(s, "right"))
+
+
+@pytest.mark.parametrize(
+    "order", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+)
+def test_nil_radical_settles_thm210_and_thm27i(pools, corpus_entries, large_families, order):
+    # the nilpotent elements T form a two-sided ideal exactly when T is the
+    # nil radical N, and a nil comparizer radical lies in N (README, "The
+    # prime radicals are the nil radical"); nilpotency by set-product
+    # powers, the ideal test by the element scans
+    for s in _pools_then_corpus_and_large(pools, corpus_entries, large_families, order):
+        rad = radicals(s)
+        t = mask_scan(a for a in range(s.n) if nilpotent_scan(s, 1 << a))
+        members = set(elems_scan(t))
+        t_ideal = is_right_ideal_scan(s, members) and is_left_ideal_scan(s, members)
+        assert t_ideal == (t == rad.nil_radical), s.rows
+        if nilpotent_scan(s, rad.comparizer):
+            assert is_subset(rad.comparizer, rad.nil_radical), s.rows
+
+
+def test_radicals_build_no_prime_two_sided_family():
+    # the prime radical is the nil radical's mask; the prime right radical
+    # still intersects its family
+    s = build_chain_x(4)
+    radicals(s)
+    fams = {k[1:] for k in s._cache if k[0] is prime_family.__wrapped__}
+    assert (PrimenessKind.PRIME, IdealKind.TWO_SIDED, DEFAULT_CAP) not in fams
+    assert (PrimenessKind.PRIME, IdealKind.RIGHT, DEFAULT_CAP) in fams
 
 
 # -- associated prime ----------------------------------------------------------------

@@ -665,9 +665,9 @@ def test_suite_on_free_truncated():
     assert not [cid for cid, v in results if v.status == "discrepancy"]
 
 
-# Thm2.7.iii, and Thm3.6.ii after its chain clause, read is_prime on the
-# prime radical alone, {0, x, .., x^4} on chain_x(4)
-@pytest.mark.parametrize("cid", ["Thm2.7.iii", "Thm3.6.ii"])
+# Thm2.7.iii, Thm2.8.iii, and Thm3.6.ii after its chain clause, read
+# is_prime on the prime radical alone, {0, x, .., x^4} on chain_x(4)
+@pytest.mark.parametrize("cid", ["Thm2.7.iii", "Thm2.8.iii", "Thm3.6.ii"])
 def test_prime_radical_checks_flag_a_refused_prime(monkeypatch, cid):
     assert run_check(build_chain_x(4), cid).status == "holds"
     monkeypatch.setattr(verify, "is_prime", lambda s, x: False)
@@ -800,9 +800,8 @@ def test_family_bodies_flag_a_flipped_member(monkeypatch, cid, build, predicate,
     assert v.status == "discrepancy" and v.witness == witness
 
 
-# Thm2.4.iii, Thm3.13, Thm2.8.iii and Lem4.4 keep only the clauses that their
-# inputs do not already guarantee; each control shows that what is left can
-# still fail
+# Thm2.4.iii, Thm3.13 and Lem4.4 keep only the clauses that their inputs do
+# not already guarantee; each control shows that what is left can still fail
 
 
 def test_thm24iii_flags_a_prime_that_is_no_waist(monkeypatch):
@@ -828,20 +827,6 @@ def test_thm313_flags_a_flipped_waist(monkeypatch):
     v = run_check(build_chain_x(4), "Thm3.13")
     assert v.status == "discrepancy" and v.witness == {"ideal": [0, 5],
                                                        "associated": [0, 2, 3, 4, 5]}
-
-
-def test_thm28iii_flags_a_prime_radical_apart_from_the_nil_radical(monkeypatch):
-    # the nil radical and the nilpotent union are one mask, J on chain_x(4),
-    # so what can fail is its comparison with the prime radical; with that
-    # mask read as {0}, the prime radical J is still prime and a waist, and
-    # the comparison alone sets the status
-    assert run_check(build_chain_x(4), "Thm2.8.iii").status == "holds"
-    real = verify.radicals
-    monkeypatch.setattr(verify, "radicals", lambda s, cap=DEFAULT_CAP: real(s, cap)._replace(
-        nil_radical=s.zero_mask, nilpotent_union=s.zero_mask))
-    v = run_check(build_chain_x(4), "Thm2.8.iii")
-    assert v.status == "discrepancy" and v.witness == {
-        "nilpotent_union": [0], "prime_radical": [0, 2, 3, 4, 5], "nil_radical": [0]}
 
 
 # Lem2.6.i, Lem2.6.ii, Thm2.7.i and Co2.9 compare one memoized mask with
@@ -881,6 +866,31 @@ def test_thm27i_flags_a_moved_completely_prime_radical(monkeypatch):
         completely_prime_radical=s.zero_mask))
     v = run_check(_fresh(s), "Thm2.7.i")
     assert v.status == "discrepancy" and v.witness == {"comparizer_radical": [0, 2, 3]}
+
+
+def test_thm27ii_flags_a_completely_prime_radical_that_is_not_completely_prime(monkeypatch):
+    # chain_x(4) is a right chain, so its comparizer radical is the carrier;
+    # with the completely prime radical read as {0}, which x * x^4 = 0
+    # leaves, only the completely prime clause fails
+    assert run_check(build_chain_x(4), "Thm2.7.ii").status == "holds"
+    real = verify.radicals
+    monkeypatch.setattr(verify, "radicals", lambda s, cap=DEFAULT_CAP: real(s, cap)._replace(
+        completely_prime_radical=s.zero_mask))
+    v = run_check(build_chain_x(4), "Thm2.7.ii")
+    assert v.status == "discrepancy" and v.witness == {"completely_prime_radical": [0]}
+
+
+def test_thm210_flags_nilpotents_refused_as_an_ideal(monkeypatch):
+    # the nilpotent elements of chain_x(4) are J, an ideal equal to the
+    # prime radical, which is completely prime; with J refused as an ideal,
+    # the first of the three equivalent statements parts from the others
+    assert run_check(build_chain_x(4), "Thm2.10").status == "holds"
+    real = verify.is_ideal
+    monkeypatch.setattr(verify, "is_ideal", lambda s, x, kind: (
+        real(s, x, kind) and x != s.nilpotent_elements()))
+    v = run_check(build_chain_x(4), "Thm2.10")
+    assert v.status == "discrepancy" and v.witness == {
+        "ideal": False, "equals_prime_radical": True, "radical_completely_prime": True}
 
 
 def test_co29_flags_a_moved_prime_radical(monkeypatch):
